@@ -32,24 +32,24 @@ week = series.window(start - 168, 168)
 pattern, coding = standardize_week(week)
 print(f"\nweek before {target}: mean {coding.week_mean:.1f} MW, "
       f"std {coding.week_std:.1f} MW")
-print(f"standardized week: mean {np.mean(pattern.values):+.2e}, "
-      f"std {np.std(pattern.values):.12f}")
+print(f"standardized week: mean {np.mean(pattern):+.2e}, "
+      f"std {np.std(pattern):.12f}")
 
 # encode the target day in units of that week, then invert
 day = series.window(start, 24)
 encoded = encode_day(day, coding)
 decoded = decode_day(encoded, coding)
-print(f"\nencoded day range: [{encoded.values.min():+.2f}, "
-      f"{encoded.values.max():+.2f}]  (dimensionless)")
+print(f"\nencoded day range: [{encoded.min():+.2f}, "
+      f"{encoded.max():+.2f}]  (dimensionless)")
 print(f"round-trip error: {np.max(np.abs(decoded - day)):.2e} MW")
 
 # the full network input adds a log-level and calendar one-hots
 ext = build_extended_input(series, target)
 print(f"\nextended input: 168 weekly values + level {ext.level:.3f} "
-      f"(log10 of the week mean) + {ext.calendar_vector().size} calendar bits")
-print(f"total input vector length: {ext.vector().size}")
+      f"(log10 of the week mean) + {ext.calendar.size} calendar bits")
+print(f"total input length: {ext.week.size + 1 + ext.calendar.size}; "
+      f"it carries its week's coding, std {ext.coding.week_std:.1f}")
 
-# build_sample bundles input, encoded target and coding variables
+# build_sample adds the target day, encoded with the input's coding
 sample = build_sample(series, target)
-print(f"sample for {sample.target_date}: target shape "
-      f"{sample.target.values.shape}, coding std {sample.coding.week_std:.1f}")
+print(f"sample for {sample.target_date}: target shape {sample.target.shape}")

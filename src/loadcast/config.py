@@ -62,6 +62,34 @@ class RunConfig:
             raise ConfigError("alpha must lie in (0, 1)")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INT = (_is_int, "an integer")
+_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
+_INT_LIST = (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+             "a list of integers")
+_NUMBER = (_is_number, "a number")
+_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a number or null")
+
+
+def _checked_section(raw, section, allowed, kinds):
+    """A section's key/value map: a JSON object with known keys, each
+    present value of the JSON type its key requires."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} section must be a JSON object")
+    _reject_unknown(raw, allowed, section)
+    for key, (ok, kind) in kinds.items():
+        if key in raw and not ok(raw[key]):
+            raise ConfigError(f"{key} in {section} must be {kind}")
+    return dict(raw)
+
+
 def _reject_unknown(mapping, allowed, section):
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
@@ -80,8 +108,11 @@ def model_config_to_dict(config: ModelConfig) -> dict:
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
-    _reject_unknown(d, _MODEL_KEYS, "model")
-    kwargs = dict(d)
+    kwargs = _checked_section(d, "model", _MODEL_KEYS, {
+        "cell_variant": (lambda v: isinstance(v, str), "a string"),
+        "hidden_size": _INT, "out_size": _INT_OR_NULL,
+        "upper_hidden_size": _INT_OR_NULL, "embed_size": _INT,
+        "dilations": _INT_LIST})
     if "dilations" in kwargs:
         kwargs["dilations"] = tuple(kwargs["dilations"])
     return ModelConfig(**kwargs)
@@ -92,7 +123,8 @@ def loss_config_to_dict(config: LossConfig) -> dict:
 
 
 def loss_config_from_dict(d: dict) -> LossConfig:
-    _reject_unknown(d, _LOSS_KEYS, "loss")
+    d = _checked_section(d, "loss", _LOSS_KEYS,
+                         dict.fromkeys(_LOSS_KEYS, _NUMBER))
     return LossConfig(**{_LOSS_KEYS[k]: v for k, v in d.items()})
 
 
@@ -100,15 +132,18 @@ def _schedule_to_json(schedule: dict) -> dict:
     return {str(epoch): value for epoch, value in schedule.items()}
 
 
-def _schedule_from_json(raw, name) -> dict:
+def _schedule_from_json(raw, name, kind) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a map of epoch to value")
+    ok, what = kind
     out = {}
     for key, value in raw.items():
         try:
             epoch = int(key)
         except (TypeError, ValueError):
             raise ConfigError(f"{name} keys must be integer epochs") from None
+        if not ok(value):
+            raise ConfigError(f"each {name} value must be {what}")
         out[epoch] = value
     return out
 
@@ -128,14 +163,16 @@ def recipe_to_dict(recipe: TrainRecipe) -> dict:
 
 
 def recipe_from_dict(d: dict) -> TrainRecipe:
-    _reject_unknown(d, _RECIPE_KEYS, "recipe")
-    kwargs = dict(d)
+    kwargs = _checked_section(d, "recipe", _RECIPE_KEYS, {
+        "epochs": _INT, "window_days": _INT, "clip_norm": _NUMBER_OR_NULL,
+        "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER,
+        "seeds": _INT_LIST})
     if "learning_rates" in kwargs:
         kwargs["learning_rates"] = _schedule_from_json(
-            kwargs["learning_rates"], "learning_rates")
+            kwargs["learning_rates"], "learning_rates", _NUMBER)
     if "batch_sizes" in kwargs:
         kwargs["batch_sizes"] = _schedule_from_json(
-            kwargs["batch_sizes"], "batch_sizes")
+            kwargs["batch_sizes"], "batch_sizes", _INT)
     if "seeds" in kwargs:
         kwargs["seeds"] = tuple(kwargs["seeds"])
     return TrainRecipe(**kwargs)
@@ -151,7 +188,7 @@ def run_config_to_dict(config: RunConfig) -> dict:
 
 
 def run_config_from_dict(d: dict) -> RunConfig:
-    _reject_unknown(d, _TOP_KEYS, "run config")
+    d = _checked_section(d, "run config", _TOP_KEYS, {"alpha": _NUMBER})
     return RunConfig(
         model=model_config_from_dict(d.get("model", {})),
         loss=loss_config_from_dict(d.get("loss", {})),

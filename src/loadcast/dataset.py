@@ -162,6 +162,12 @@ def save_store(path, store: DatasetStore):
             fh.write(np.ascontiguousarray(s.missing, dtype=np.uint8).tobytes())
 
 
+def _is_series_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+            and isinstance(entry.get("start"), str)
+            and type(entry.get("hours")) is int and entry["hours"] > 0)
+
+
 def load_store(path) -> DatasetStore:
     with open(path, "rb") as fh:
         magic = fh.readline()
@@ -172,12 +178,19 @@ def load_store(path) -> DatasetStore:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelFileError(f"unreadable store header: {exc}") from None
         payload = fh.read()
+    if not isinstance(header, dict):
+        raise ModelFileError("store header is not a JSON object")
     if header.get("format_version") != STORE_VERSION:
         raise ModelFileError(
             f"unsupported store format version {header.get('format_version')}")
+    entries = header.get("series")
+    if not isinstance(entries, list) or not all(map(_is_series_entry, entries)):
+        raise ModelFileError(
+            "store header needs a list of series entries, each with a string "
+            "id and start and a positive integer hour count")
     store = DatasetStore()
     offset = 0
-    for entry in header["series"]:
+    for entry in entries:
         hours = entry["hours"]
         nbytes = hours * 8 + hours
         chunk = payload[offset:offset + nbytes]
@@ -185,9 +198,12 @@ def load_store(path) -> DatasetStore:
             raise ModelFileError("store file truncated")
         values = np.frombuffer(chunk[:hours * 8], dtype=np.float64).copy()
         missing = np.frombuffer(chunk[hours * 8:], dtype=np.uint8).astype(bool)
-        start = dt.datetime.fromisoformat(entry["start"])
-        store.series[entry["id"]] = HourlySeries(entry["id"], start, values,
-                                                 missing)
+        try:
+            start = dt.datetime.fromisoformat(entry["start"])
+            store.series[entry["id"]] = HourlySeries(entry["id"], start,
+                                                     values, missing)
+        except ValueError as exc:
+            raise ModelFileError(f"store series {entry['id']!r}: {exc}") from None
         offset += nbytes
     if offset != len(payload):
         raise ModelFileError("store file has trailing bytes")

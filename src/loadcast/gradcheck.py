@@ -16,7 +16,7 @@ import datetime as dt
 
 from .cells import CellKind, cell_gradient, cell_init, cell_step, new_state
 from .network import ModelConfig, model_build, model_new_state, model_step
-from .preprocess import ExtendedInput, WeeklyPattern, calendar_features
+from .preprocess import CodingVariables, ExtendedInput, calendar_features
 from .tape import Tape
 
 DEFAULT_STEP = 1e-4
@@ -173,11 +173,12 @@ def random_day_inputs(rng: np.random.Generator, steps: int,
     """Synthetic but well-formed per-day inputs on consecutive dates."""
     inputs = []
     for i in range(steps):
-        dow, dom, woy = calendar_features(start + dt.timedelta(days=i))
+        week = rng.normal(size=168)
+        level = float(rng.normal(loc=2.5, scale=0.3))
         inputs.append(ExtendedInput(
-            week=WeeklyPattern(rng.normal(size=168)),
-            level=float(rng.normal(loc=2.5, scale=0.3)),
-            day_of_week=dow, day_of_month=dom, week_of_year=woy))
+            week=week, level=level,
+            calendar=calendar_features(start + dt.timedelta(days=i)),
+            coding=CodingVariables(10.0 ** level, 1.0)))
     return inputs
 
 

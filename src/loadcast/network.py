@@ -46,10 +46,6 @@ CELL_VARIANTS: dict[str, tuple[CellKind, Connection]] = {
     "adrnn": (CellKind.ADRNN, Connection.BOTH),
 }
 
-#: one-hot block boundaries inside the 90-entry calendar vector
-_CALENDAR_BLOCKS = ((0, 7), (7, 38), (38, 90))
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     cell_variant: str = "adrnn"
@@ -150,23 +146,6 @@ def model_new_state(model: StackedModel) -> ModelState:
                        for cell, d in zip(model.cells, model.config.dilations)])
 
 
-def validate_calendar(one_hots: np.ndarray):
-    one_hots = np.asarray(one_hots, dtype=np.float64)
-    if one_hots.shape != (CALENDAR_SIZE,):
-        raise ValueError(f"calendar vector must have {CALENDAR_SIZE} entries")
-    if not np.all((one_hots == 0.0) | (one_hots == 1.0)):
-        raise ValueError("calendar vector entries must be 0 or 1")
-    for lo, hi in _CALENDAR_BLOCKS:
-        if one_hots[lo:hi].sum() != 1.0:
-            raise ValueError("each calendar block must contain exactly one 1")
-    return one_hots
-
-
-def embed_calendar(model: StackedModel, one_hots) -> np.ndarray:
-    """Linear embedding of validated calendar one-hots."""
-    return model.embedding @ validate_calendar(one_hots)
-
-
 def model_step(model: StackedModel, states: ModelState,
                sample_input: ExtendedInput, tape: Tape | None = None) -> StepOutput:
     """One day forward: concat input, three dilated cells with shortcuts,
@@ -180,9 +159,9 @@ def model_step(model: StackedModel, states: ModelState,
         tape = Tape()
         states.detach()
     u1 = concat([
-        tape.constant(sample_input.week.values),
+        tape.constant(sample_input.week),
         tape.constant(np.array([sample_input.level])),
-        matvec(model.embedding, tape.constant(sample_input.calendar_vector())),
+        matvec(model.embedding, tape.constant(sample_input.calendar)),
     ])
     d1, d2, d3 = model.config.dilations
     y1 = cell_step(model.cells[0], states.layers[0], u1, d1)

@@ -91,13 +91,6 @@ class HourlySeries:
 
 
 @dataclass(frozen=True)
-class WeeklyPattern:
-    """Standardized weekly input sequence (zero mean, unit population std)."""
-
-    values: np.ndarray  # (168,)
-
-
-@dataclass(frozen=True)
 class CodingVariables:
     """Mean/std of the historical week, used to encode and decode days."""
 
@@ -106,40 +99,29 @@ class CodingVariables:
 
 
 @dataclass(frozen=True)
-class DailyPattern:
-    """A day's 24 hours expressed in units of the preceding week."""
-
-    values: np.ndarray  # (24,)
-
-
-@dataclass(frozen=True)
 class ExtendedInput:
-    """Weekly pattern plus level and calendar one-hots for the target day."""
+    """The network input for one day, with the coding that decodes its output.
 
-    week: WeeklyPattern
+    ``week`` is the standardized preceding week, ``level`` the log10 of its
+    mean, ``calendar`` the target day's one-hots and ``coding`` the week's
+    mean and std.
+    """
+
+    week: np.ndarray  # (168,)
     level: float
-    day_of_week: np.ndarray  # (7,)
-    day_of_month: np.ndarray  # (31,)
-    week_of_year: np.ndarray  # (52,)
-
-    def calendar_vector(self) -> np.ndarray:
-        return np.concatenate([self.day_of_week, self.day_of_month, self.week_of_year])
-
-    def vector(self) -> np.ndarray:
-        """Full concatenated form, length 259."""
-        return np.concatenate([self.week.values, [self.level], self.calendar_vector()])
+    calendar: np.ndarray  # (90,): day-of-week, day-of-month, week-of-year
+    coding: CodingVariables
 
 
 @dataclass(frozen=True)
 class TrainingSample:
     input: ExtendedInput
-    target: DailyPattern
-    coding: CodingVariables
+    target: np.ndarray  # (24,) the day encoded with ``input.coding``
     series_id: str
     target_date: dt.date
 
 
-def standardize_week(week) -> tuple[WeeklyPattern, CodingVariables]:
+def standardize_week(week) -> tuple[np.ndarray, CodingVariables]:
     """Standardize a 168-hour window; rejects (near-)constant weeks.
 
     Uses the population standard deviation so the output has unit variance
@@ -154,70 +136,55 @@ def standardize_week(week) -> tuple[WeeklyPattern, CodingVariables]:
     std = float(np.std(week))
     if std < STD_FLOOR:
         raise ConstantWeekError(f"constant week (std {std:.3e} < {STD_FLOOR})")
-    return WeeklyPattern((week - mean) / std), CodingVariables(mean, std)
+    return (week - mean) / std, CodingVariables(mean, std)
 
 
-def encode_day(day, coding: CodingVariables) -> DailyPattern:
+def encode_day(day, coding: CodingVariables) -> np.ndarray:
     """Encode 24 hourly values with the preceding week's mean/std."""
     day = np.asarray(day, dtype=np.float64)
     if day.shape != (HOURS_PER_DAY,):
         raise ValueError(f"daily window must have {HOURS_PER_DAY} hours")
     if not np.all(np.isfinite(day)):
         raise ValueError("daily window contains non-finite values")
-    return DailyPattern((day - coding.week_mean) / coding.week_std)
+    return (day - coding.week_mean) / coding.week_std
 
 
 def decode_day(pattern, coding: CodingVariables) -> np.ndarray:
     """Invert :func:`encode_day`: map an encoded day back to physical units."""
-    values = pattern.values if isinstance(pattern, DailyPattern) else np.asarray(pattern)
-    return np.asarray(values, dtype=np.float64) * coding.week_std + coding.week_mean
+    return np.asarray(pattern, dtype=np.float64) * coding.week_std + coding.week_mean
 
 
-def _one_hot(n: int, index: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[index] = 1.0
-    return out
-
-
-def calendar_features(day: dt.date) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-hots for day-of-week (Monday=0), day-of-month, ISO week-of-year.
+def calendar_features(day: dt.date) -> np.ndarray:
+    """The 90 calendar one-hots: day-of-week (Monday=0), day-of-month and
+    ISO week-of-year, in blocks of 7, 31 and 52.
 
     ISO week 53 is folded into slot 52 to fit the 52-slot encoding.
     """
     week = min(day.isocalendar()[1], 52)
-    return (
-        _one_hot(7, day.weekday()),
-        _one_hot(31, day.day - 1),
-        _one_hot(52, week - 1),
-    )
+    out = np.zeros(CALENDAR_SIZE)
+    out[[day.weekday(), 7 + day.day - 1, 38 + week - 1]] = 1.0
+    return out
 
 
 def build_extended_input(series: HourlySeries, target_date: dt.date) -> ExtendedInput:
-    """Assemble the extended input pattern for forecasting ``target_date``."""
+    """The network input for ``target_date``, built from its preceding week."""
     day_start = series.day_start_index(target_date)
     week_values = series.window(day_start - HOURS_PER_WEEK, HOURS_PER_WEEK)
-    pattern, coding = standardize_week(week_values)
+    week, coding = standardize_week(week_values)
     if coding.week_mean <= 0:
         raise NonPositiveLevelError(
             f"{series.series_id}: weekly mean {coding.week_mean} is not positive"
         )
-    dow, dom, woy = calendar_features(target_date)
-    return ExtendedInput(pattern, float(np.log10(coding.week_mean)), dow, dom, woy)
+    return ExtendedInput(week, float(np.log10(coding.week_mean)),
+                         calendar_features(target_date), coding)
 
 
 def build_sample(series: HourlySeries, target_date: dt.date) -> TrainingSample:
     """One (extended input, encoded target) pair for ``target_date``."""
-    day_start = series.day_start_index(target_date)
-    week_values = series.window(day_start - HOURS_PER_WEEK, HOURS_PER_WEEK)
-    pattern, coding = standardize_week(week_values)
-    if coding.week_mean <= 0:
-        raise NonPositiveLevelError(
-            f"{series.series_id}: weekly mean {coding.week_mean} is not positive"
-        )
-    dow, dom, woy = calendar_features(target_date)
-    extended = ExtendedInput(pattern, float(np.log10(coding.week_mean)), dow, dom, woy)
-    target = encode_day(series.window(day_start, HOURS_PER_DAY), coding)
-    return TrainingSample(extended, target, coding, series.series_id, target_date)
+    extended = build_extended_input(series, target_date)
+    day = series.window(series.day_start_index(target_date), HOURS_PER_DAY)
+    target = encode_day(day, extended.coding)
+    return TrainingSample(extended, target, series.series_id, target_date)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .config import (
     recipe_from_dict,
     recipe_to_dict,
 )
-from .errors import ModelFileError
+from .errors import ConfigError, ModelFileError
 from .network import model_build
 from .training import EnsembleModel
 
@@ -57,6 +57,13 @@ def save_ensemble(path, ensemble: EnsembleModel, recipe=None,
                 fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
+def _is_member_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("config"), dict)
+            and isinstance(entry.get("arrays"), list)
+            and all(isinstance(a, list) and len(a) == 2
+                    for a in entry["arrays"]))
+
+
 def load_ensemble(path):
     """Rebuild the ensemble; returns (EnsembleModel, metadata dict).
 
@@ -73,13 +80,33 @@ def load_ensemble(path):
             raise ModelFileError(f"unreadable model header: {exc}") from None
         payload = fh.read()
 
+    if not isinstance(header, dict):
+        raise ModelFileError("model header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ModelFileError(
             f"unsupported model format version {header.get('format_version')}")
+    entries = header.get("members")
+    if not isinstance(entries, list) or not entries or not all(
+            map(_is_member_entry, entries)):
+        raise ModelFileError(
+            "model header needs a non-empty list of members, each with a "
+            "config object and a list of [name, shape] arrays")
+    if not isinstance(header.get("cell_variant"), (str, type(None))):
+        raise ModelFileError("model header cell_variant must be a string")
+    try:
+        configs = [model_config_from_dict(entry["config"]) for entry in entries]
+        metadata = {
+            "cell_variant": header.get("cell_variant"),
+            "recipe": (None if header.get("recipe") is None
+                       else recipe_from_dict(header["recipe"])),
+            "loss": (None if header.get("loss") is None
+                     else loss_config_from_dict(header["loss"])),
+        }
+    except ConfigError as exc:
+        raise ModelFileError(f"bad settings in model header: {exc}") from None
     members = []
     offset = 0
-    for entry in header["members"]:
-        config = model_config_from_dict(entry["config"])
+    for entry, config in zip(entries, configs):
         model = model_build(config, seed=0)
         named = model.named_arrays()
         stored = entry["arrays"]
@@ -99,11 +126,4 @@ def load_ensemble(path):
         members.append(model)
     if offset != len(payload):
         raise ModelFileError("model file has trailing bytes")
-    metadata = {
-        "cell_variant": header.get("cell_variant"),
-        "recipe": (None if header.get("recipe") is None
-                   else recipe_from_dict(header["recipe"])),
-        "loss": (None if header.get("loss") is None
-                 else loss_config_from_dict(header["loss"])),
-    }
     return EnsembleModel(tuple(members)), metadata

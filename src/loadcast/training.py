@@ -33,14 +33,7 @@ from .network import (
     model_step,
     model_unroll,
 )
-from .preprocess import (
-    HOURS_PER_WEEK,
-    HourlySeries,
-    TrainingSet,
-    build_extended_input,
-    decode_day,
-    standardize_week,
-)
+from .preprocess import HourlySeries, TrainingSet, build_extended_input, decode_day
 from .tape import Tape
 
 #: days of history unrolled before a forecast when available
@@ -213,7 +206,7 @@ def _window_group_update(model, named, optimizer, entries, states, lr,
         outputs, _ = model_unroll(model, states[sid], samples, tape)
         states[sid].detach()
         for sample, out in zip(samples, outputs):
-            target = sample.target.values
+            target = sample.target
             loss_sum += composite_loss(target, out.point.value,
                                        out.lower.value, out.upper.value,
                                        loss_config)
@@ -291,15 +284,6 @@ def train_ensemble(data: TrainingSet, config: ModelConfig,
 # -- forecasting -----------------------------------------------------------
 
 
-def _query_input(series: HourlySeries, day: dt.date):
-    """Extended input plus the coding variables of the preceding week."""
-    ext = build_extended_input(series, day)
-    start = series.day_start_index(day)
-    _, coding = standardize_week(
-        series.window(start - HOURS_PER_WEEK, HOURS_PER_WEEK))
-    return ext, coding
-
-
 def _warmup_inputs(series: HourlySeries, day: dt.date, warmup_days: int):
     """Inputs for up to ``warmup_days`` days ending the day before ``day``,
     walking back until the first day whose window cannot be built."""
@@ -315,51 +299,40 @@ def _warmup_inputs(series: HourlySeries, day: dt.date, warmup_days: int):
     return inputs
 
 
-def _decoded_step(member, state, ext, coding):
+def _decoded_step(member, state, ext):
     out = model_step(member, state, ext)
-    return (decode_day(out.point.value, coding),
-            decode_day(out.lower.value, coding),
-            decode_day(out.upper.value, coding))
-
-
-def _record_from_members(decoded, series_id, day, label):
-    point = np.mean([d[0] for d in decoded], axis=0)
-    lower = np.mean([d[1] for d in decoded], axis=0)
-    upper = np.mean([d[2] for d in decoded], axis=0)
-    return ForecastRecord(series_id, day, point, lower, upper, model=label)
+    return tuple(decode_day(v.value, ext.coding)
+                 for v in (out.point, out.lower, out.upper))
 
 
 def forecast(ensemble: EnsembleModel, series: HourlySeries,
              target_date: dt.date, *, warmup_days: int = WARMUP_DAYS,
              label: str | None = None) -> ForecastRecord:
-    """Member-mean day-ahead forecast in MW.
+    """Member-mean day-ahead forecast in MW: the one-day case of
+    :func:`forecast_range`.
 
-    Each member is warmed by evaluation steps over up to ``warmup_days``
-    preceding days (fewer when history runs out), then stepped on the
-    target day and decoded with the preceding week's coding variables.
+    Raises the input builder's :class:`LoadcastError` when ``target_date``
+    has no input.
     """
-    ext, coding = _query_input(series, target_date)
-    warm = _warmup_inputs(series, target_date, warmup_days)
-    if label is None:
-        label = ensemble.config.cell_variant
-    decoded = []
-    for member in ensemble.members:
-        state = model_new_state(member)
-        for w in warm:
-            model_step(member, state, w)
-        decoded.append(_decoded_step(member, state, ext, coding))
-    return _record_from_members(decoded, series.series_id, target_date, label)
+    records = forecast_range(ensemble, series, target_date, target_date,
+                             warmup_days=warmup_days, label=label)
+    if not records:
+        build_extended_input(series, target_date)  # raises why it was skipped
+    return records[0]
 
 
 def forecast_range(ensemble: EnsembleModel, series: HourlySeries,
                    first_date: dt.date, last_date: dt.date, *,
                    warmup_days: int = WARMUP_DAYS,
                    label: str | None = None) -> list:
-    """Forecasts for every buildable day in the inclusive date range.
+    """Member-mean forecasts in MW for every buildable day in the inclusive
+    date range.
 
-    Consecutive days share state: members are warmed once per contiguous
-    stretch and then advance one evaluation step per day.  Days whose
-    input cannot be built are skipped and reset the state.
+    Members are warmed by evaluation steps over up to ``warmup_days`` days
+    before each contiguous stretch (fewer when history runs out), then
+    advance one evaluation step per day, decoded with that day's coding
+    variables.  Days whose input cannot be built are skipped and reset the
+    state.
     """
     if last_date < first_date:
         raise ValueError("empty date range")
@@ -367,25 +340,24 @@ def forecast_range(ensemble: EnsembleModel, series: HourlySeries,
         label = ensemble.config.cell_variant
     records = []
     states = None
-    previous = None
     day = first_date
     while day <= last_date:
         try:
-            ext, coding = _query_input(series, day)
+            ext = build_extended_input(series, day)
         except LoadcastError:
             states = None
             day += _DAY
             continue
-        if states is None or previous != day - _DAY:
+        if states is None:
             states = [model_new_state(m) for m in ensemble.members]
             warm = _warmup_inputs(series, day, warmup_days)
             for member, state in zip(ensemble.members, states):
                 for w in warm:
                     model_step(member, state, w)
-        decoded = [_decoded_step(member, state, ext, coding)
+        decoded = [_decoded_step(member, state, ext)
                    for member, state in zip(ensemble.members, states)]
-        records.append(_record_from_members(decoded, series.series_id, day,
-                                            label))
-        previous = day
+        point, lower, upper = (np.mean(d, axis=0) for d in zip(*decoded))
+        records.append(ForecastRecord(series.series_id, day, point, lower,
+                                      upper, model=label))
         day += _DAY
     return records

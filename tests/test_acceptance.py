@@ -166,8 +166,8 @@ def test_3_encode_decode_round_trip(capsys):
         week = rng.uniform(20.0, 200.0, size=168)
         day = rng.uniform(5.0, 400.0, size=24)
         pattern, coding = standardize_week(week)
-        worst_mean = max(worst_mean, abs(float(np.mean(pattern.values))))
-        worst_std = max(worst_std, abs(float(np.std(pattern.values)) - 1.0))
+        worst_mean = max(worst_mean, abs(float(np.mean(pattern))))
+        worst_std = max(worst_std, abs(float(np.std(pattern)) - 1.0))
         decoded = decode_day(encode_day(day, coding), coding)
         worst_rel = max(worst_rel, float(np.max(np.abs(decoded - day) / day)))
     ok = (worst_rel <= ROUND_TRIP_TOL and worst_mean < STANDARD_TOL

@@ -200,3 +200,19 @@ def test_missing_store_file_is_clean_error(tmp_path, capsys):
     assert main(["export", "--store", str(tmp_path / "absent.store"),
                  "--csv", str(tmp_path / "o.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_ill_typed_config_exits_1(workspace, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"recipe": {"epochs": 2.5}}), encoding="utf-8")
+    assert main(["train", "--store", workspace["store"], "--config",
+                 str(config), "--out", str(tmp_path / "m.model")]) == 1
+    assert "epochs in recipe must be an integer" in capsys.readouterr().err
+
+
+def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
+    store = tmp_path / "headerless.store"
+    store.write_bytes(b'loadcast-store\n{"format_version":1}\n')
+    assert main(["evaluate", "--store", str(store), "--model",
+                 workspace["model"], "--out-dir", str(tmp_path / "r")]) == 1
+    assert "store header needs a list of series" in capsys.readouterr().err

@@ -99,3 +99,30 @@ def test_malformed_files_rejected(tmp_path):
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON object"):
         load_run_config(arr)
+
+
+@pytest.mark.parametrize("raw", [
+    {"recipe": {"epochs": 2.5}},
+    {"recipe": {"epochs": True}},
+    {"recipe": {"window_days": 2.5}},
+    {"recipe": {"batch_sizes": {"1": True}}},
+    {"recipe": {"learning_rates": {"1": "0.1"}}},
+    {"recipe": {"seeds": "abc"}},
+    {"recipe": {"seeds": [0, 1.5]}},
+    {"recipe": {"clip_norm": "10"}},
+    {"recipe": []},
+    {"model": []},
+    {"model": {"hidden_size": "8"}},
+    {"model": {"hidden_size": True}},
+    {"model": {"out_size": 2.0}},
+    {"model": {"dilations": 7}},
+    {"model": {"dilations": [2, 4, "7"]}},
+    {"model": {"cell_variant": ["adrnn"]}},
+    {"loss": "x"},
+    {"loss": {"gamma": "0.3"}},
+    {"alpha": "0.1"},
+    {"alpha": True},
+])
+def test_ill_typed_config_rejected(raw):
+    with pytest.raises(ConfigError):
+        run_config_from_dict(raw)

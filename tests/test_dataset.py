@@ -1,6 +1,7 @@
 """CSV ingest/export, the binary store, and the synthetic generator."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -151,6 +152,47 @@ def test_store_file_corruption_detected(tmp_path):
     (tmp_path / "bad3").write_bytes(raw + b"junk")
     with pytest.raises(ModelFileError, match="trailing"):
         load_store(tmp_path / "bad3")
+
+
+def with_header(raw, edit):
+    """``raw`` file bytes with its JSON header line replaced by ``edit(header)``."""
+    magic, header, payload = raw.split(b"\n", 2)
+    header = edit(json.loads(header))
+    return b"\n".join([magic, json.dumps(header).encode(), payload])
+
+
+def set_entry(key, value):
+    def edit(header):
+        header["series"][0][key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [h],
+    lambda h: {"format_version": 1},
+    lambda h: {**h, "series": "x"},
+    lambda h: {**h, "series": ["x"]},
+    set_entry("hours", -3),
+    set_entry("hours", 0),
+    set_entry("hours", "48"),
+    set_entry("hours", True),
+    set_entry("id", 7),
+    set_entry("start", 20240101),
+    set_entry("start", "not a time"),
+    set_entry("start", "2024-01-01T00:30:00"),
+], ids=[
+    "not-object", "no-series", "series-not-list", "entry-not-object",
+    "negative-hours", "zero-hours", "string-hours", "bool-hours",
+    "int-id", "int-start", "bad-start", "half-hour-start"
+])
+def test_malformed_store_header_rejected(tmp_path, edit):
+    store = synthetic_store(n_series=1, days=2)
+    path = tmp_path / "data.store"
+    save_store(path, store)
+    path.write_bytes(with_header(path.read_bytes(), edit))
+    with pytest.raises(ModelFileError):
+        load_store(path)
 
 
 def test_store_get_unknown_series():

@@ -13,14 +13,12 @@ from loadcast.network import (
     HEAD_SIZE,
     HORIZON,
     ModelConfig,
-    embed_calendar,
     model_build,
     model_new_state,
     model_step,
     model_unroll,
-    validate_calendar,
 )
-from loadcast.preprocess import CodingVariables, DailyPattern, TrainingSample
+from loadcast.preprocess import TrainingSample
 from loadcast.tape import Tape
 
 
@@ -42,8 +40,7 @@ def make_samples(inputs, start=dt.date(2024, 3, 4), series_id="s1", skip=()):
         if i in skip:
             continue
         samples.append(TrainingSample(
-            input=ext, target=DailyPattern(np.zeros(HORIZON)),
-            coding=CodingVariables(1000.0, 100.0), series_id=series_id,
+            input=ext, target=np.zeros(HORIZON), series_id=series_id,
             target_date=start + dt.timedelta(days=i)))
     return samples
 
@@ -62,8 +59,8 @@ def test_step_matches_composition_of_tested_parts(variant):
     ref_states = [new_state(c, d) for c, d in zip(model.cells, DILATIONS)]
     ref_tape = Tape()
     for ext, out in zip(inputs, got):
-        u1 = np.concatenate([ext.week.values, [ext.level],
-                             model.embedding @ ext.calendar_vector()])
+        u1 = np.concatenate([ext.week, [ext.level],
+                             model.embedding @ ext.calendar])
         y1 = cell_step(model.cells[0], ref_states[0], ref_tape.leaf(u1), 2)
         y2 = cell_step(model.cells[1], ref_states[1], y1, 4) + y1
         y3 = cell_step(model.cells[2], ref_states[2], y2, 7) + y2
@@ -98,8 +95,8 @@ def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
     tape = Tape()
     for ext in inputs:
         out = model_step(model, states, ext)
-        u1 = np.concatenate([ext.week.values, [ext.level],
-                             model.embedding @ ext.calendar_vector()])
+        u1 = np.concatenate([ext.week, [ext.level],
+                             model.embedding @ ext.calendar])
         y1 = cell_step(model.cells[0], ref_state, tape.leaf(u1), DILATIONS[0])
         head = model.head_w @ y1.value + model.head_b
         np.testing.assert_array_equal(out.point.value, head[:HORIZON])
@@ -115,8 +112,8 @@ def test_removing_shortcuts_changes_outputs():
     tape = Tape()
     without = []
     for ext in inputs:
-        u1 = np.concatenate([ext.week.values, [ext.level],
-                             model.embedding @ ext.calendar_vector()])
+        u1 = np.concatenate([ext.week, [ext.level],
+                             model.embedding @ ext.calendar])
         y1 = cell_step(model.cells[0], bare_states[0], tape.leaf(u1), 2)
         y2 = cell_step(model.cells[1], bare_states[1], y1, 4)
         y3 = cell_step(model.cells[2], bare_states[2], y2, 7)
@@ -213,37 +210,6 @@ def test_config_validation():
         ModelConfig(dilations=(2, 4))
     with pytest.raises(ConfigError):
         ModelConfig(dilations=(2, 0, 7))
-
-
-def test_embedding_is_column_sum_of_one_hots():
-    model = model_build(small_config(), seed=16)
-    day = dt.date(2024, 5, 15)  # Wednesday, day 15, ISO week 20
-    inputs = random_day_inputs(np.random.default_rng(0), 1, start=day)
-    cal = inputs[0].calendar_vector()
-    emb = embed_calendar(model, cal)
-    expected = (model.embedding[:, 2] + model.embedding[:, 7 + 14]
-                + model.embedding[:, 38 + 19])
-    np.testing.assert_allclose(emb, expected, rtol=0, atol=1e-15)
-
-
-def test_calendar_validation():
-    good = np.zeros(90)
-    good[[3, 7 + 10, 38 + 5]] = 1.0
-    validate_calendar(good)
-    with pytest.raises(ValueError):
-        validate_calendar(np.zeros(89))
-    bad_value = good.copy()
-    bad_value[0] = 2.0
-    with pytest.raises(ValueError):
-        validate_calendar(bad_value)
-    double = good.copy()
-    double[4] = 1.0
-    with pytest.raises(ValueError):
-        validate_calendar(double)
-    empty_block = good.copy()
-    empty_block[3] = 0.0
-    with pytest.raises(ValueError):
-        validate_calendar(empty_block)
 
 
 def test_unroll_tape_supports_backward():

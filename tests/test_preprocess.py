@@ -60,7 +60,7 @@ def loop_standardize(week):
 def test_alternating_week_maps_to_plus_minus_one():
     week = np.tile([90.0, 110.0], 84)
     pattern, coding = standardize_week(week)
-    np.testing.assert_allclose(pattern.values, np.tile([-1.0, 1.0], 84))
+    np.testing.assert_allclose(pattern, np.tile([-1.0, 1.0], 84))
     assert coding.week_mean == pytest.approx(100.0)
     assert coding.week_std == pytest.approx(10.0)
 
@@ -74,11 +74,11 @@ def test_linear_ramp_matches_scalar_loop_oracle():
     week = np.arange(1.0, 169.0)
     pattern, coding = standardize_week(week)
     expected, mean, std = loop_standardize(week)
-    np.testing.assert_allclose(pattern.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(pattern, expected, rtol=1e-12)
     assert coding.week_mean == pytest.approx(mean, rel=1e-14)
     assert coding.week_std == pytest.approx(std, rel=1e-14)
-    assert abs(np.mean(pattern.values)) < 1e-12
-    assert abs(np.std(pattern.values) - 1.0) < 1e-12
+    assert abs(np.mean(pattern)) < 1e-12
+    assert abs(np.std(pattern) - 1.0) < 1e-12
 
 
 def test_standardized_weeks_have_zero_mean_unit_std():
@@ -86,8 +86,8 @@ def test_standardized_weeks_have_zero_mean_unit_std():
     for _ in range(200):
         week = rng.uniform(50, 5000) + rng.normal(0, rng.uniform(1, 500), 168)
         pattern, _ = standardize_week(week)
-        assert abs(np.mean(pattern.values)) < 1e-9
-        assert abs(np.std(pattern.values) - 1.0) < 1e-9
+        assert abs(np.mean(pattern)) < 1e-9
+        assert abs(np.std(pattern) - 1.0) < 1e-9
 
 
 def test_wrong_length_and_nonfinite_rejected():
@@ -104,10 +104,10 @@ def test_wrong_length_and_nonfinite_rejected():
 
 def test_encode_day_identities():
     coding = CodingVariables(100.0, 10.0)
-    np.testing.assert_allclose(encode_day(np.full(24, 100.0), coding).values, 0.0)
-    np.testing.assert_allclose(encode_day(np.full(24, 110.0), coding).values, 1.0)
+    np.testing.assert_allclose(encode_day(np.full(24, 100.0), coding), 0.0)
+    np.testing.assert_allclose(encode_day(np.full(24, 110.0), coding), 1.0)
     day = np.tile([105.0, 95.0], 12)
-    np.testing.assert_allclose(encode_day(day, coding).values, np.tile([0.5, -0.5], 12))
+    np.testing.assert_allclose(encode_day(day, coding), np.tile([0.5, -0.5], 12))
 
 
 def test_decode_day_affine():
@@ -148,10 +148,17 @@ def test_monday_one_hot_and_length():
     series = make_series(16 * 24)
     target = MONDAY + dt.timedelta(days=7)  # also a Monday
     ext = build_extended_input(series, target)
-    assert ext.day_of_week[0] == 1.0 and ext.day_of_week.sum() == 1.0
-    assert ext.day_of_month.sum() == 1.0 and ext.week_of_year.sum() == 1.0
-    assert ext.vector().shape == (EXTENDED_INPUT_SIZE,)
+    dow, dom, woy = ext.calendar[:7], ext.calendar[7:38], ext.calendar[38:]
+    assert dow[0] == 1.0 and dow.sum() == 1.0
+    assert dom.sum() == 1.0 and woy.sum() == 1.0
+    assert ext.week.size + 1 + ext.calendar.size == EXTENDED_INPUT_SIZE
     assert EXTENDED_INPUT_SIZE == 259
+
+
+def test_calendar_one_hot_layout():
+    cal = calendar_features(dt.date(2024, 5, 15))  # Wednesday, day 15, ISO week 20
+    assert cal.shape == (90,)
+    np.testing.assert_array_equal(np.flatnonzero(cal), [2, 7 + 14, 38 + 19])
 
 
 def test_level_is_log10_of_week_mean():
@@ -166,7 +173,7 @@ def test_level_is_log10_of_week_mean():
 
 def test_week53_folds_into_last_slot():
     # 2020-12-31 falls in ISO week 53
-    _, _, woy = calendar_features(dt.date(2020, 12, 31))
+    woy = calendar_features(dt.date(2020, 12, 31))[38:]
     assert woy[51] == 1.0 and woy.sum() == 1.0
 
 
@@ -231,6 +238,6 @@ def test_samples_store_consistent_coding():
     series = make_series(10 * 24)
     ts = build_training_set([series])
     sample = ts.by_series["s"][0]
-    decoded = decode_day(sample.target, sample.coding)
+    decoded = decode_day(sample.target, sample.input.coding)
     start = series.day_start_index(sample.target_date)
     np.testing.assert_allclose(decoded, series.values[start : start + 24], rtol=1e-12)

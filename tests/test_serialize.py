@@ -1,6 +1,7 @@
 """Model file layout: round trips, byte stability, corruption detection."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -112,3 +113,47 @@ def test_corruption_detected(tmp_path):
     (tmp_path / "bad4").write_bytes(bumped)
     with pytest.raises(ModelFileError, match="version"):
         load_ensemble(tmp_path / "bad4")
+
+
+def edit_member(key, value):
+    def edit(header):
+        header["members"][0][key] = value
+        return header
+    return edit
+
+
+def edit_config(key, value):
+    def edit(header):
+        header["members"][0]["config"][key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [h],
+    lambda h: {k: v for k, v in h.items() if k != "members"},
+    lambda h: {**h, "members": []},
+    lambda h: {**h, "members": "x"},
+    lambda h: {**h, "cell_variant": 3},
+    lambda h: {**h, "recipe": {"epochs": 2.5}},
+    lambda h: {**h, "loss": {"gamma": "x"}},
+    edit_member("config", "adrnn"),
+    edit_member("arrays", None),
+    edit_member("arrays", [["embed.W"]]),
+    edit_config("hidden_size", "x"),
+    edit_config("hidden_size", -1),
+    edit_config("dilations", 7),
+], ids=[
+    "not-object", "no-members", "empty-members", "members-not-list",
+    "int-variant", "fractional-epochs", "string-gamma",
+    "config-not-object", "arrays-null", "array-not-pair",
+    "string-hidden", "negative-hidden", "int-dilations"
+])
+def test_malformed_model_header_rejected(tmp_path, edit):
+    path = tmp_path / "m.model"
+    save_ensemble(path, small_ensemble(members=1))
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.dumps(edit(json.loads(header))).encode()
+    path.write_bytes(b"\n".join([magic, header, payload]))
+    with pytest.raises(ModelFileError):
+        load_ensemble(path)

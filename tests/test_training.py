@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from loadcast.errors import ConfigError, TrainingDivergedError
+from loadcast.errors import ConfigError, ConstantWeekError, TrainingDivergedError
 from loadcast.evaluation import ForecastRecord
 from loadcast.network import ModelConfig, model_build, model_new_state, model_step
-from loadcast.preprocess import HourlySeries, build_training_set, standardize_week
+from loadcast.preprocess import (
+    HourlySeries,
+    build_extended_input,
+    build_training_set,
+    decode_day,
+    standardize_week,
+)
 from loadcast.training import (
     Adam,
     EnsembleModel,
@@ -325,7 +331,6 @@ def test_decoding_commutes_with_member_average():
 
     start = series.day_start_index(day)
     _, coding = standardize_week(series.window(start - 168, 168))
-    from loadcast.preprocess import build_extended_input, decode_day
     warm = [build_extended_input(series, day - dt.timedelta(days=k))
             for k in range(5, 0, -1)]
     ext = build_extended_input(series, day)
@@ -359,6 +364,35 @@ def test_forecast_range_matches_single_day_and_skips_gaps():
     lone = forecast(ens, gappy, dt.date(2024, 1, 12))
     match = [r for r in records if r.target_date == dt.date(2024, 1, 12)]
     np.testing.assert_array_equal(match[0].point, lone.point)
+
+
+def test_constant_week_is_skipped_on_the_day_path():
+    series = wave_series(days=40)
+    values = series.values.copy()
+    values[24 * 10:24 * 18] = 100.0  # Jan 11-18: the weeks before Jan 18, 19
+    flat = HourlySeries(series.series_id, series.start, values, series.missing)
+    constant = [dt.date(2024, 1, 18), dt.date(2024, 1, 19)]
+
+    dates = [s.target_date for s in build_training_set([flat]).by_series["s1"]]
+    every_day = [dt.date(2024, 1, 8) + dt.timedelta(days=i) for i in range(33)]
+    assert dates == [d for d in every_day if d not in constant]
+
+    ens = EnsembleModel((model_build(desk_config(), seed=5),))
+    with pytest.raises(ConstantWeekError):
+        forecast(ens, flat, constant[0])
+
+    records = forecast_range(ens, flat, dt.date(2024, 1, 16),
+                             dt.date(2024, 1, 21))
+    assert [r.target_date.day for r in records] == [16, 17, 20, 21]
+    # Jan 20 opens a new stretch: a fresh state with no warm-up, because
+    # the walk back stops at the constant Jan 19
+    member = ens.members[0]
+    ext = build_extended_input(flat, dt.date(2024, 1, 20))
+    cold = model_step(member, model_new_state(member), ext)
+    np.testing.assert_array_equal(records[2].point,
+                                  decode_day(cold.point.value, ext.coding))
+    lone = forecast(ens, flat, dt.date(2024, 1, 21))
+    np.testing.assert_array_equal(records[3].point, lone.point)
 
 
 def test_forecast_range_continuity_reuses_state():
