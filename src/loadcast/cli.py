@@ -34,6 +34,7 @@ from .evaluation import (
     TABLE2_COLUMNS,
     GW_MIN_DAYS,
     daily_loss_series,
+    day_actual,
     evaluate_forecasts,
     gw_test,
     rank_models,
@@ -75,6 +76,8 @@ def _print_manifest(manifest, out=sys.stdout):
 
 
 def cmd_synth(args) -> int:
+    if args.series < 1 or args.days < 1:
+        raise LoadcastError("synth needs --series and --days of at least 1")
     store = synthetic_store(n_series=args.series, days=args.days,
                             start=_parse_date(args.start), seed=args.seed,
                             noise=args.noise)
@@ -221,6 +224,8 @@ def _mean_over_series(reports):
 
 
 def cmd_evaluate(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise LoadcastError("--alpha must lie in (0, 1)")
     store = load_store(args.store)
     if args.test_range:
         lo, hi = _parse_range(args.test_range)
@@ -249,17 +254,18 @@ def cmd_evaluate(args) -> int:
         for sid in store.series_ids:
             recs.extend(forecast_range(ensemble, series_by_id[sid], lo, hi,
                                        label=label))
-        if not recs:
-            raise LoadcastError(
-                f"model {label!r}: no forecastable days in the test range")
         records[label] = recs
         by_series = {}
         for sid in store.series_ids:
-            sid_recs = [r for r in recs if r.series_id == sid]
-            if not sid_recs:
-                continue
-            by_series[sid] = evaluate_forecasts(sid_recs, series_by_id,
-                                                alpha=args.alpha)
+            scored = [r for r in recs if r.series_id == sid
+                      and day_actual(series_by_id[sid], r.target_date)
+                      is not None]
+            if scored:
+                by_series[sid] = evaluate_forecasts(scored, series_by_id,
+                                                    alpha=args.alpha)
+        if not by_series:
+            raise LoadcastError(f"model {label!r}: no forecastable days with "
+                                "stored actuals in the test range")
         per_series[label] = by_series
         summary[label] = _mean_over_series(list(by_series.values()))
 

@@ -1,60 +1,37 @@
-"""Run-level configuration with a strict documented key schema.
+"""Run-level configuration and the one JSON codec for config sections.
 
-A run config file is JSON with four sections, all optional, unknown keys
-rejected everywhere:
-
-    {
-      "model":  {"cell_variant": "adrnn", "hidden_size": 125,
-                 "out_size": null, "upper_hidden_size": null,
-                 "embed_size": 16, "dilations": [2, 4, 7]},
-      "loss":   {"q_star": 0.5, "q_lower": 0.05, "q_upper": 0.95,
-                 "gamma": 0.3},
-      "recipe": {"epochs": 10,
-                 "learning_rates": {"1": 3e-3, "6": 1e-3, "7": 3e-4,
-                                    "8": 1e-4},
-                 "batch_sizes": {"1": 2, "4": 5},
-                 "window_days": 56, "clip_norm": 10.0,
-                 "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8,
-                 "seeds": [0, 1, 2, 3, 4]},
-      "alpha": 0.1
-    }
-
-Schedule maps are change-point maps keyed by first applicable epoch.
-``alpha`` is the nominal interval miss rate used by evaluation.  The
-``full`` preset carries the reference sizes and schedules; the ``desk``
-preset shrinks the network and shortens training for laptop-scale runs.
+A run config file is a JSON object with four optional sections, ``model``
+(:class:`ModelConfig`), ``loss`` (:class:`LossConfig`), ``recipe``
+(:class:`TrainRecipe`) and ``alpha``, the nominal interval miss rate used
+by evaluation; the README shows a complete file.  Absent keys take the
+dataclass defaults.  :func:`to_json` and :func:`from_json` derive each
+section's keys and types from the dataclass fields, so model-file headers
+and run-config files share one schema: unknown keys are rejected, integers
+reject bools and fractions, numbers reject strings and bools, ``null`` is
+allowed only where a field is ``X | None``, tuples are JSON lists, and
+schedule maps are change-point maps keyed by the first applicable epoch
+written as a string.  The ``full`` preset carries the reference sizes and
+schedules; the ``desk`` preset shrinks the network and shortens training
+for laptop-scale runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .loss import LossConfig
 from .network import ModelConfig
 from .training import TrainRecipe
 
-#: external file keys for the loss section mapped to LossConfig fields
-_LOSS_KEYS = {
-    "q_star": "central_quantile",
-    "q_lower": "lower_quantile",
-    "q_upper": "upper_quantile",
-    "gamma": "interval_weight",
-}
-
-_MODEL_KEYS = ("cell_variant", "hidden_size", "out_size",
-               "upper_hidden_size", "embed_size", "dilations")
-_RECIPE_KEYS = ("epochs", "learning_rates", "batch_sizes", "window_days",
-                "clip_norm", "beta1", "beta2", "epsilon", "seeds")
-_TOP_KEYS = ("model", "loss", "recipe", "alpha")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig
-    loss: LossConfig
-    recipe: TrainRecipe
+    model: ModelConfig = field(default_factory=ModelConfig)
+    loss: LossConfig = field(default_factory=LossConfig)
+    recipe: TrainRecipe = field(default_factory=TrainRecipe)
     alpha: float = 0.1
 
     def __post_init__(self):
@@ -62,139 +39,72 @@ class RunConfig:
             raise ConfigError("alpha must lie in (0, 1)")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+#: JSON types each scalar annotation accepts; a bool is never a number
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            str: ((str,), "a string")}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _key(f: Field) -> str:
+    return f.metadata.get("key", f.name)
 
 
-_INT = (_is_int, "an integer")
-_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
-_INT_LIST = (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-             "a list of integers")
-_NUMBER = (_is_number, "a number")
-_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a number or null")
+def to_json(config):
+    """A config dataclass as JSON-ready values: external key names, lists
+    for tuples, string epoch keys for schedule maps."""
+    if is_dataclass(config):
+        return {_key(f): to_json(getattr(config, f.name))
+                for f in fields(config)}
+    if isinstance(config, (tuple, list)):
+        return [to_json(v) for v in config]
+    if isinstance(config, dict):
+        return {str(k): to_json(v) for k, v in config.items()}
+    return config
 
 
-def _checked_section(raw, section, allowed, kinds):
-    """A section's key/value map: a JSON object with known keys, each
-    present value of the JSON type its key requires."""
+def from_json(cls, raw, section: str):
+    """The config dataclass ``cls`` from the JSON object ``raw``, each
+    value checked against its field's annotation; absent keys take the
+    field defaults.  Unknown keys and ill-typed values raise ConfigError
+    naming ``section``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} section must be a JSON object")
-    _reject_unknown(raw, allowed, section)
-    for key, (ok, kind) in kinds.items():
-        if key in raw and not ok(raw[key]):
-            raise ConfigError(f"{key} in {section} must be {kind}")
-    return dict(raw)
-
-
-def _reject_unknown(mapping, allowed, section):
-    unknown = sorted(set(mapping) - set(allowed))
+    names = {_key(f): f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - set(names))
     if unknown:
         raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{names[key]: _decode(hints[names[key]], value, key, section)
+                  for key, value in raw.items()})
 
 
-def model_config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "cell_variant": config.cell_variant,
-        "hidden_size": config.hidden_size,
-        "out_size": config.out_size,
-        "upper_hidden_size": config.upper_hidden_size,
-        "embed_size": config.embed_size,
-        "dilations": list(config.dilations),
-    }
-
-
-def model_config_from_dict(d: dict) -> ModelConfig:
-    kwargs = _checked_section(d, "model", _MODEL_KEYS, {
-        "cell_variant": (lambda v: isinstance(v, str), "a string"),
-        "hidden_size": _INT, "out_size": _INT_OR_NULL,
-        "upper_hidden_size": _INT_OR_NULL, "embed_size": _INT,
-        "dilations": _INT_LIST})
-    if "dilations" in kwargs:
-        kwargs["dilations"] = tuple(kwargs["dilations"])
-    return ModelConfig(**kwargs)
-
-
-def loss_config_to_dict(config: LossConfig) -> dict:
-    return {key: getattr(config, attr) for key, attr in _LOSS_KEYS.items()}
-
-
-def loss_config_from_dict(d: dict) -> LossConfig:
-    d = _checked_section(d, "loss", _LOSS_KEYS,
-                         dict.fromkeys(_LOSS_KEYS, _NUMBER))
-    return LossConfig(**{_LOSS_KEYS[k]: v for k, v in d.items()})
-
-
-def _schedule_to_json(schedule: dict) -> dict:
-    return {str(epoch): value for epoch, value in schedule.items()}
-
-
-def _schedule_from_json(raw, name, kind) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be a map of epoch to value")
-    ok, what = kind
-    out = {}
-    for key, value in raw.items():
+def _decode(tp, value, key: str, section: str):
+    """``value`` of ``key`` in ``section`` checked against annotation ``tp``:
+    a scalar, ``X | None``, a homogeneous tuple (a JSON list), a schedule
+    map ``dict[int, X]`` with string epoch keys, or a nested config."""
+    if is_dataclass(tp):
+        return from_json(tp, value, key)
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return None if value is None else _decode(args[0], value, key, section)
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} in {section} must be a list")
+        return tuple(_decode(args[0], v, f"each {key} entry", section)
+                     for v in value)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a map of epoch to value")
         try:
-            epoch = int(key)
+            epochs = [int(k) for k in value]
         except (TypeError, ValueError):
-            raise ConfigError(f"{name} keys must be integer epochs") from None
-        if not ok(value):
-            raise ConfigError(f"each {name} value must be {what}")
-        out[epoch] = value
-    return out
-
-
-def recipe_to_dict(recipe: TrainRecipe) -> dict:
-    return {
-        "epochs": recipe.epochs,
-        "learning_rates": _schedule_to_json(recipe.learning_rates),
-        "batch_sizes": _schedule_to_json(recipe.batch_sizes),
-        "window_days": recipe.window_days,
-        "clip_norm": recipe.clip_norm,
-        "beta1": recipe.beta1,
-        "beta2": recipe.beta2,
-        "epsilon": recipe.epsilon,
-        "seeds": list(recipe.seeds),
-    }
-
-
-def recipe_from_dict(d: dict) -> TrainRecipe:
-    kwargs = _checked_section(d, "recipe", _RECIPE_KEYS, {
-        "epochs": _INT, "window_days": _INT, "clip_norm": _NUMBER_OR_NULL,
-        "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER,
-        "seeds": _INT_LIST})
-    if "learning_rates" in kwargs:
-        kwargs["learning_rates"] = _schedule_from_json(
-            kwargs["learning_rates"], "learning_rates", _NUMBER)
-    if "batch_sizes" in kwargs:
-        kwargs["batch_sizes"] = _schedule_from_json(
-            kwargs["batch_sizes"], "batch_sizes", _INT)
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(kwargs["seeds"])
-    return TrainRecipe(**kwargs)
-
-
-def run_config_to_dict(config: RunConfig) -> dict:
-    return {
-        "model": model_config_to_dict(config.model),
-        "loss": loss_config_to_dict(config.loss),
-        "recipe": recipe_to_dict(config.recipe),
-        "alpha": config.alpha,
-    }
-
-
-def run_config_from_dict(d: dict) -> RunConfig:
-    d = _checked_section(d, "run config", _TOP_KEYS, {"alpha": _NUMBER})
-    return RunConfig(
-        model=model_config_from_dict(d.get("model", {})),
-        loss=loss_config_from_dict(d.get("loss", {})),
-        recipe=recipe_from_dict(d.get("recipe", {})),
-        alpha=d.get("alpha", 0.1),
-    )
+            raise ConfigError(f"{key} keys must be integer epochs") from None
+        return {epoch: _decode(args[1], v, f"each {key} value", section)
+                for epoch, v in zip(epochs, value.values())}
+    accepted, what = _SCALARS[tp]
+    if type(value) not in accepted:
+        raise ConfigError(f"{key} in {section} must be {what}")
+    return value
 
 
 def load_run_config(path) -> RunConfig:
@@ -203,28 +113,24 @@ def load_run_config(path) -> RunConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return run_config_from_dict(raw)
+    return from_json(RunConfig, raw, "run config")
 
 
 def save_run_config(path, config: RunConfig):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(run_config_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(to_json(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def full_preset() -> RunConfig:
     """Reference-scale sizes and the staged 10-epoch schedule."""
-    return RunConfig(model=ModelConfig(), loss=LossConfig(),
-                     recipe=TrainRecipe())
+    return RunConfig()
 
 
 def desk_preset() -> RunConfig:
     """Laptop-scale: small network, three members, short schedule."""
     return RunConfig(
         model=ModelConfig(hidden_size=16, embed_size=8),
-        loss=LossConfig(),
         recipe=TrainRecipe(
             epochs=8,
             learning_rates={1: 3e-3, 5: 1e-3, 7: 3e-4},

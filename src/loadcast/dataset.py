@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IngestError, ModelFileError
 from .preprocess import HourlySeries
+from .serialize import read_file, write_file
 
 STORE_MAGIC = b"loadcast-store\n"
 STORE_VERSION = 1
@@ -151,15 +151,12 @@ def save_store(path, store: DatasetStore):
                     "hours": len(store.series[sid])}
                    for sid in store.series_ids],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(blob.encode("utf-8"))
-        fh.write(b"\n")
-        for sid in store.series_ids:
-            s = store.series[sid]
-            fh.write(np.ascontiguousarray(s.values, dtype=np.float64).tobytes())
-            fh.write(np.ascontiguousarray(s.missing, dtype=np.uint8).tobytes())
+    arrays = []
+    for sid in store.series_ids:
+        s = store.series[sid]
+        arrays += [np.asarray(s.values, np.float64),
+                   np.asarray(s.missing, np.uint8)]
+    write_file(path, STORE_MAGIC, header, arrays)
 
 
 def _is_series_entry(entry) -> bool:
@@ -169,25 +166,14 @@ def _is_series_entry(entry) -> bool:
 
 
 def load_store(path) -> DatasetStore:
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != STORE_MAGIC:
-            raise ModelFileError("not a store file (bad magic)")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelFileError(f"unreadable store header: {exc}") from None
-        payload = fh.read()
-    if not isinstance(header, dict):
-        raise ModelFileError("store header is not a JSON object")
-    if header.get("format_version") != STORE_VERSION:
-        raise ModelFileError(
-            f"unsupported store format version {header.get('format_version')}")
+    header, payload = read_file(path, STORE_MAGIC, STORE_VERSION, "store")
     entries = header.get("series")
     if not isinstance(entries, list) or not all(map(_is_series_entry, entries)):
         raise ModelFileError(
             "store header needs a list of series entries, each with a string "
             "id and start and a positive integer hour count")
+    if len({entry["id"] for entry in entries}) != len(entries):
+        raise ModelFileError("store header repeats a series id")
     store = DatasetStore()
     offset = 0
     for entry in entries:

@@ -15,6 +15,7 @@ import numpy as np
 import datetime as dt
 
 from .cells import CellKind, cell_gradient, cell_init, cell_step, new_state
+from .errors import ConfigError
 from .network import ModelConfig, model_build, model_new_state, model_step
 from .preprocess import CodingVariables, ExtendedInput, calendar_features
 from .tape import Tape
@@ -137,6 +138,8 @@ def check_cell(
     drawn from U(0.5, 1.5), so every output component carries gradient.
     Parameter blocks and the per-step inputs are all checked.
     """
+    if steps < 1:
+        raise ConfigError("gradient check needs at least one step")
     rng = np.random.default_rng(seed)
     params, _ = cell_init(kind, input_size, hidden_size, out_size=out_size,
                           upper_hidden_size=upper_hidden_size,

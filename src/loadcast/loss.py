@@ -7,7 +7,7 @@ losses of the two interval bounds at their respective quantiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,10 +16,13 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class LossConfig:
-    central_quantile: float = 0.5
-    lower_quantile: float = 0.05
-    upper_quantile: float = 0.95
-    interval_weight: float = 0.3
+    """Pinball quantiles and bound weight; ``key`` metadata names each
+    field in run-config and model-file JSON."""
+
+    central_quantile: float = field(default=0.5, metadata={"key": "q_star"})
+    lower_quantile: float = field(default=0.05, metadata={"key": "q_lower"})
+    upper_quantile: float = field(default=0.95, metadata={"key": "q_upper"})
+    interval_weight: float = field(default=0.3, metadata={"key": "gamma"})
 
     def __post_init__(self):
         for q in (self.central_quantile, self.lower_quantile, self.upper_quantile):

@@ -5,34 +5,75 @@ A model file is three parts: a magic line, one line of canonical JSON
 configs, array names and shapes, and the recipe and loss settings used,
 then the raw float64 C-order bytes of every member's arrays in header
 order.  Identical ensembles serialize to identical bytes, which is what
-makes retrain-determinism checkable at the file level.
+makes retrain-determinism checkable at the file level.  The series store
+of :mod:`loadcast.dataset` shares this container through
+:func:`write_file` and :func:`read_file`.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    loss_config_from_dict,
-    loss_config_to_dict,
-    model_config_from_dict,
-    model_config_to_dict,
-    recipe_from_dict,
-    recipe_to_dict,
-)
+from .config import from_json, to_json
 from .errors import ConfigError, ModelFileError
-from .network import model_build
-from .training import EnsembleModel
+from .loss import LossConfig
+from .network import ModelConfig, model_build
+from .training import EnsembleModel, TrainRecipe
 
 MAGIC = b"loadcast-model\n"
 FORMAT_VERSION = 1
 
 
+def write_file(path, magic: bytes, header: dict, arrays):
+    """Write ``magic``, ``header`` as one line of canonical JSON, then the
+    raw bytes of each array in turn.
+
+    The file is replaced atomically: the bytes go to a temporary file
+    beside ``path`` that is renamed over it once complete, and that is
+    removed if writing fails, so readers see the old file or the new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + blob.encode("utf-8") + b"\n")
+            for arr in arrays:
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_file(path, magic: bytes, version: int, what: str):
+    """(header, payload) of a file that :func:`write_file` wrote with
+    ``magic`` and a ``format_version`` of ``version`` in its header;
+    ``what`` names the kind of file in the ModelFileError raised otherwise.
+    """
+    with open(path, "rb") as fh:
+        if fh.readline() != magic:
+            raise ModelFileError(f"not a {what} file (bad magic)")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ModelFileError(f"unreadable {what} header: {exc}") from None
+        payload = fh.read()
+    if not isinstance(header, dict):
+        raise ModelFileError(f"{what} header is not a JSON object")
+    if header.get("format_version") != version:
+        raise ModelFileError(
+            f"unsupported {what} format version {header.get('format_version')}")
+    return header, payload
+
+
 def _member_header(model) -> dict:
     return {
-        "config": model_config_to_dict(model.config),
+        "config": to_json(model.config),
         "arrays": [[name, list(arr.shape)]
                    for name, arr in model.named_arrays()],
     }
@@ -44,17 +85,13 @@ def save_ensemble(path, ensemble: EnsembleModel, recipe=None,
         "format_version": FORMAT_VERSION,
         "cell_variant": ensemble.config.cell_variant,
         "members": [_member_header(m) for m in ensemble.members],
-        "recipe": None if recipe is None else recipe_to_dict(recipe),
-        "loss": None if loss_config is None else loss_config_to_dict(loss_config),
+        "recipe": to_json(recipe),
+        "loss": to_json(loss_config),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(blob.encode("utf-8"))
-        fh.write(b"\n")
-        for member in ensemble.members:
-            for _, arr in member.named_arrays():
-                fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    write_file(path, MAGIC, header,
+               (np.asarray(arr, dtype=np.float64)
+                for member in ensemble.members
+                for _, arr in member.named_arrays()))
 
 
 def _is_member_entry(entry) -> bool:
@@ -70,21 +107,7 @@ def load_ensemble(path):
     Metadata holds the decoded 'recipe' and 'loss' sections (either may
     be None) plus the 'cell_variant' tag.
     """
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != MAGIC:
-            raise ModelFileError("not a model file (bad magic)")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelFileError(f"unreadable model header: {exc}") from None
-        payload = fh.read()
-
-    if not isinstance(header, dict):
-        raise ModelFileError("model header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ModelFileError(
-            f"unsupported model format version {header.get('format_version')}")
+    header, payload = read_file(path, MAGIC, FORMAT_VERSION, "model")
     entries = header.get("members")
     if not isinstance(entries, list) or not entries or not all(
             map(_is_member_entry, entries)):
@@ -94,14 +117,12 @@ def load_ensemble(path):
     if not isinstance(header.get("cell_variant"), (str, type(None))):
         raise ModelFileError("model header cell_variant must be a string")
     try:
-        configs = [model_config_from_dict(entry["config"]) for entry in entries]
-        metadata = {
-            "cell_variant": header.get("cell_variant"),
-            "recipe": (None if header.get("recipe") is None
-                       else recipe_from_dict(header["recipe"])),
-            "loss": (None if header.get("loss") is None
-                     else loss_config_from_dict(header["loss"])),
-        }
+        configs = [from_json(ModelConfig, entry["config"], "model")
+                   for entry in entries]
+        metadata = {"cell_variant": header.get("cell_variant")}
+        for key, cls in (("recipe", TrainRecipe), ("loss", LossConfig)):
+            raw = header.get(key)
+            metadata[key] = None if raw is None else from_json(cls, raw, key)
     except ConfigError as exc:
         raise ModelFileError(f"bad settings in model header: {exc}") from None
     members = []

@@ -50,7 +50,7 @@ def _validated_schedule(schedule, name, *, integral=False):
             raise ConfigError(f"{name} schedule keys must be epochs >= 1")
         if integral and not isinstance(value, int):
             raise ConfigError(f"{name} schedule values must be integers")
-        if value <= 0 or not np.isfinite(value):
+        if not 0 < value < np.inf:  # no np.isfinite: ints may pass float range
             raise ConfigError(f"{name} schedule values must be positive")
     if 1 not in schedule:
         raise ConfigError(f"{name} schedule must start at epoch 1")
@@ -77,15 +77,15 @@ class TrainRecipe:
     """
 
     epochs: int = 10
-    learning_rates: dict = field(
+    learning_rates: dict[int, float] = field(
         default_factory=lambda: {1: 3e-3, 6: 1e-3, 7: 3e-4, 8: 1e-4})
-    batch_sizes: dict = field(default_factory=lambda: {1: 2, 4: 5})
+    batch_sizes: dict[int, int] = field(default_factory=lambda: {1: 2, 4: 5})
     window_days: int = 56
     clip_norm: float | None = 10.0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
         if self.epochs < 0:

@@ -14,7 +14,6 @@ from loadcast.cells import (
     ATTENTION_CLAMP,
     AdCellState,
     CellKind,
-    CellParams,
     CellState,
     Connection,
     cell_gradient,

@@ -1,10 +1,8 @@
 """Command-line behavior: artifacts, round trips, exit codes."""
 
 import csv
-import datetime as dt
 import json
 
-import numpy as np
 import pytest
 
 from loadcast.cli import build_parser, main
@@ -216,3 +214,23 @@ def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
     assert main(["evaluate", "--store", str(store), "--model",
                  workspace["model"], "--out-dir", str(tmp_path / "r")]) == 1
     assert "store header needs a list of series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--store", "{store}", "--model", "{model}",
+     "--alpha", "0", "--out-dir", "{tmp}/r"],
+    ["evaluate", "--store", "{store}", "--model", "{model}",
+     "--alpha", "1", "--out-dir", "{tmp}/r"],
+    # the day after the store ends is forecastable but has no actuals
+    ["evaluate", "--store", "{store}", "--model", "{model}",
+     "--test-range", "2015-04-06:2015-04-06", "--out-dir", "{tmp}/r"],
+    ["synth", "--days", "0", "--store", "{tmp}/s"],
+    ["synth", "--series", "0", "--store", "{tmp}/s"],
+    ["gradcheck", "--cell", "gru1", "--steps", "0"],
+], ids=["alpha-0", "alpha-1", "no-actuals", "zero-days", "zero-series",
+        "zero-steps"])
+def test_invalid_cli_input_is_clean_error(workspace, tmp_path, capsys, argv):
+    argv = [arg.format(**workspace, tmp=tmp_path) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

@@ -195,6 +195,19 @@ def test_malformed_store_header_rejected(tmp_path, edit):
         load_store(path)
 
 
+def test_store_header_with_repeated_id_rejected(tmp_path):
+    path = tmp_path / "data.store"
+    save_store(path, synthetic_store(n_series=2, days=2))
+
+    def repeat_first_id(header):
+        header["series"][1]["id"] = header["series"][0]["id"]
+        return header
+
+    path.write_bytes(with_header(path.read_bytes(), repeat_first_id))
+    with pytest.raises(ModelFileError, match="repeats a series id"):
+        load_store(path)
+
+
 def test_store_get_unknown_series():
     with pytest.raises(IngestError, match="no series"):
         DatasetStore().get("nope")

@@ -1,12 +1,17 @@
-"""Model file layout: round trips, byte stability, corruption detection."""
+"""Model file layout and the container shared with stores: round trips,
+byte stability, corruption detection, atomic saves."""
 
 import datetime as dt
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from loadcast.dataset import synthetic_store
+from loadcast import serialize
+from loadcast.dataset import load_store, save_store, synthetic_store
 from loadcast.errors import ModelFileError
 from loadcast.loss import LossConfig
 from loadcast.network import ModelConfig, model_build
@@ -157,3 +162,93 @@ def test_malformed_model_header_rejected(tmp_path, edit):
     path.write_bytes(b"\n".join([magic, header, payload]))
     with pytest.raises(ModelFileError):
         load_ensemble(path)
+
+
+class FailAfterFirstArray:
+    """Stand-in for ``open`` whose file fails on the write after the
+    header line and the first array (write_file writes each in one call)."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError("injected write failure")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("save, make", [
+    (save_ensemble, lambda n: small_ensemble(members=n)),
+    (save_store, lambda n: synthetic_store(n_series=n, days=2)),
+], ids=["model", "store"])
+def test_failed_save_leaves_previous_file(tmp_path, monkeypatch, save, make):
+    path = tmp_path / "saved"
+    save(path, make(1))
+    before = path.read_bytes()
+    monkeypatch.setattr(serialize, "open", FailAfterFirstArray, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        save(path, make(2))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["saved"]
+
+
+def model_content(ensemble):
+    return [arr.tobytes() for member in ensemble.members
+            for _, arr in member.named_arrays()]
+
+
+def store_content(store):
+    return [(s.values.tobytes(), s.missing.tobytes())
+            for s in store.series.values()]
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """Bytes, loader and content of one saved model and one saved store."""
+    root = tmp_path_factory.mktemp("saved")
+    save_ensemble(root / "m.model", small_ensemble(members=2),
+                  recipe=TrainRecipe(), loss_config=LossConfig())
+    store = synthetic_store(n_series=2, days=2)
+    store.series["synth2"].missing[5] = True
+    save_store(root / "d.store", store)
+    return {
+        "model": ((root / "m.model").read_bytes(),
+                  lambda p: model_content(load_ensemble(p)[0])),
+        "store": ((root / "d.store").read_bytes(),
+                  lambda p: store_content(load_store(p))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["model", "store"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_file_raises_or_loads_unchanged(saved_files, tmp_path, kind,
+                                                data):
+    raw, content = saved_files[kind]
+    path = tmp_path / kind
+    path.write_bytes(raw)
+    original = content(path)
+    if data.draw(st.booleans(), label="truncate"):
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(ModelFileError):
+            content(path)
+        return
+    header_end = raw.index(b"\n", raw.index(b"\n") + 1)
+    at = data.draw(st.integers(0, header_end), label="at")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+    path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+    try:
+        loaded = content(path)
+    except ModelFileError:
+        return
+    assert loaded == original
