@@ -15,7 +15,7 @@ Modules:
     loss: pinball loss and the composite training objective.
     training: Adam, truncated-BPTT training loop, ensembling, forecasting.
     gradcheck: finite-difference verification of every gradient path.
-    evaluation: point/interval metrics, predictive-ability test, rankings.
+    evaluation: metrics, predictive-ability test, rankings, report files.
     dataset: CSV ingestion, binary stores, synthetic series generation.
     config: run configuration schema, presets, JSON round trip.
     serialize: deterministic binary model files.

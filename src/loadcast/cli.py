@@ -9,15 +9,11 @@ nonzero on any error.  Dates are ISO (YYYY-MM-DD); ranges are written
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
 import json
-import os
 import sys
 import time
-
-import numpy as np
 
 from .cells import CellKind
 from .config import load_run_config, preset
@@ -29,24 +25,12 @@ from .dataset import (
     synthetic_store,
 )
 from .errors import LoadcastError
-from .evaluation import (
-    TABLE1_COLUMNS,
-    TABLE2_COLUMNS,
-    GW_MIN_DAYS,
-    daily_loss_series,
-    day_actual,
-    evaluate_forecasts,
-    gw_test,
-    rank_models,
-    sort_records,
-)
+from .evaluation import build_report, sort_records, write_csv, write_report
 from .gradcheck import check_cell
 from .network import CELL_VARIANTS
 from .serialize import load_ensemble, save_ensemble
 from .preprocess import build_training_set
 from .training import EnsembleModel, forecast_range, train
-
-_POINT_METRICS = ("mape", "mdape", "iqr_ape", "rmse", "mpe", "std_pe")
 
 
 def _parse_date(text: str) -> dt.date:
@@ -148,43 +132,37 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _forecast_records(model_path, store, series_id, lo, hi, label=None):
-    ensemble, meta = load_ensemble(model_path)
+def _load_model(path, label=None):
+    """(label, ensemble) of a model file; default label: its cell variant."""
+    ensemble, meta = load_ensemble(path)
     if label is None:
         label = meta["cell_variant"] or ensemble.config.cell_variant
-    series = store.get(series_id)
-    return forecast_range(ensemble, series, lo, hi, label=label)
+    return label, ensemble
 
 
 def cmd_forecast(args) -> int:
     store = load_store(args.store)
     lo, hi = _parse_range(args.dates)
-    records = _forecast_records(args.model, store, args.series, lo, hi)
+    label, ensemble = _load_model(args.model)
+    records = forecast_range(ensemble, store.get(args.series), lo, hi,
+                             label=label)
     if not records:
         raise LoadcastError(
             f"no forecastable days for {args.series} in {args.dates}")
 
-    rows = []
-    days = []
+    rows, days = [], []
     for rec in sort_records(records):
         start = dt.datetime.combine(rec.target_date, dt.time())
-        days.append({
-            "date": rec.target_date.isoformat(),
-            "point": [float(v) for v in rec.point],
-            "lower": [float(v) for v in rec.lower],
-            "upper": [float(v) for v in rec.upper],
-        })
-        for hour in range(24):
-            rows.append(((start + dt.timedelta(hours=hour)).isoformat(),
-                         repr(float(rec.point[hour])),
-                         repr(float(rec.lower[hour])),
-                         repr(float(rec.upper[hour]))))
+        values = {key: getattr(rec, key).tolist()
+                  for key in ("point", "lower", "upper")}
+        days.append({"date": rec.target_date.isoformat(), **values})
+        rows += [((start + dt.timedelta(hours=hour)).isoformat(),
+                  *(repr(v[hour]) for v in values.values()))
+                 for hour in range(24)]
 
+    header = ["timestamp", "point_mw", "lower_mw", "upper_mw"]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "point_mw", "lower_mw", "upper_mw"])
-            writer.writerows(rows)
+        write_csv(args.csv, header, rows)
     if args.json:
         payload = {"series": args.series, "model": records[0].model,
                    "days": days}
@@ -192,35 +170,11 @@ def cmd_forecast(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if not args.csv and not args.json:
-        print("timestamp,point_mw,lower_mw,upper_mw")
-        for row in rows:
+        for row in [header, *rows]:
             print(",".join(row))
     print(f"forecast {args.series}: {len(records)} days, {len(rows)} rows",
           file=sys.stderr)
     return 0
-
-
-def _parse_model_args(model_args):
-    """``label=path`` pairs; bare paths label themselves by cell variant."""
-    out = []
-    for item in model_args:
-        label, sep, path = item.partition("=")
-        if sep:
-            out.append((label, path))
-        else:
-            out.append((None, item))
-    return out
-
-
-def _mean_over_series(reports):
-    merged = {}
-    for name in _POINT_METRICS + ("pi_in", "pi_below", "pi_above",
-                                  "winkler_normalized"):
-        merged[name] = float(np.mean([getattr(r, name) for r in reports]))
-    merged["pi_crossings"] = int(sum(r.pi_crossings for r in reports))
-    merged["n_hours"] = int(sum(r.n_hours for r in reports))
-    merged["n_days"] = int(sum(r.n_days for r in reports))
-    return merged
 
 
 def cmd_evaluate(args) -> int:
@@ -235,147 +189,29 @@ def cmd_evaluate(args) -> int:
         print(f"test range defaulting to final calendar year "
               f"{lo.isoformat()}:{hi.isoformat()}")
 
-    models = []
-    for label, path in _parse_model_args(args.model):
-        ensemble, meta = load_ensemble(path)
-        if label is None:
-            label = meta["cell_variant"] or ensemble.config.cell_variant
-        if any(label == seen for seen, _ in models):
+    models = {}
+    for item in args.model:
+        # label=path, or a bare path labelled by its cell variant
+        label, sep, path = item.partition("=")
+        if not sep:
+            label, path = None, item
+        elif not label:
+            raise LoadcastError(f"--model {item!r} has an empty label")
+        label, ensemble = _load_model(path, label)
+        if label in models:
             raise LoadcastError(f"duplicate model label {label!r}; "
                                 "use label=path to disambiguate")
-        models.append((label, ensemble))
+        models[label] = ensemble
 
-    series_by_id = {sid: store.get(sid) for sid in store.series_ids}
-    records = {}
-    per_series = {}
-    summary = {}
-    for label, ensemble in models:
-        recs = []
-        for sid in store.series_ids:
-            recs.extend(forecast_range(ensemble, series_by_id[sid], lo, hi,
-                                       label=label))
-        records[label] = recs
-        by_series = {}
-        for sid in store.series_ids:
-            scored = [r for r in recs if r.series_id == sid
-                      and day_actual(series_by_id[sid], r.target_date)
-                      is not None]
-            if scored:
-                by_series[sid] = evaluate_forecasts(scored, series_by_id,
-                                                    alpha=args.alpha)
-        if not by_series:
-            raise LoadcastError(f"model {label!r}: no forecastable days with "
-                                "stored actuals in the test range")
-        per_series[label] = by_series
-        summary[label] = _mean_over_series(list(by_series.values()))
-
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    with open(os.path.join(out_dir, "table1.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE1_COLUMNS)
-        for label, _ in models:
-            s = summary[label]
-            writer.writerow([label] + [repr(s[m]) for m in _POINT_METRICS])
-
-    with open(os.path.join(out_dir, "table2.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE2_COLUMNS)
-        for label, _ in models:
-            s = summary[label]
-            writer.writerow([label, repr(s["pi_in"]), repr(s["pi_below"]),
-                             repr(s["pi_above"]), repr(s["winkler_normalized"])])
-
-    with open(os.path.join(out_dir, "per_series.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "series"] + list(_POINT_METRICS)
-                        + ["pi_in", "pi_below", "pi_above",
-                           "winkler_normalized", "n_days"])
-        for label, _ in models:
-            for sid, report in per_series[label].items():
-                writer.writerow(
-                    [label, sid]
-                    + [repr(getattr(report, m)) for m in _POINT_METRICS]
-                    + [repr(report.pi_in), repr(report.pi_below),
-                       repr(report.pi_above), repr(report.winkler_normalized),
-                       report.n_days])
-
-    # pairwise predictive ability on daily losses; entry (row, col) asks
-    # whether the column model beats the row model
-    labels = [label for label, _ in models]
-    losses = {}
-    for label in labels:
-        dates, values = daily_loss_series(records[label], series_by_id)
-        losses[label] = dict(zip(dates, values))
-    common = set.intersection(*(set(losses[label]) for label in labels))
-    common = sorted(common)
-    matrix = {}
-    for row in labels:
-        matrix[row] = {}
-        for col in labels:
-            if row == col:
-                matrix[row][col] = 1.0
-                continue
-            if len(common) < GW_MIN_DAYS:
-                matrix[row][col] = float("nan")
-                continue
-            a = np.array([losses[col][d] for d in common])
-            b = np.array([losses[row][d] for d in common])
-            matrix[row][col] = gw_test(a, b).p_value
-
-    with open(os.path.join(out_dir, "gw_matrix.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model"] + labels)
-        for row in labels:
-            writer.writerow([row] + [repr(matrix[row][col])
-                                     for col in labels])
-
-    ranking = None
-    if len(labels) > 1:
-        ranking = rank_models(
-            {label: {sid: per_series[label][sid].mape
-                     for sid in per_series[label]} for label in labels})
-
-    report = {
-        "alpha": args.alpha,
-        "test_range": [lo.isoformat(), hi.isoformat()],
-        "gw": {
-            "comparison": "p[row][col] = one-sided p that the column model "
-                          "is the more accurate of the pair",
-            "loss": "per-day MAE averaged across series",
-            "instruments": "constant and lagged loss differential",
-            "days": len(common),
-            "matrix": matrix,
-        },
-        "models": {
-            label: {
-                "summary": summary[label],
-                "per_series": {
-                    sid: dataclasses.asdict(report_)
-                    for sid, report_ in per_series[label].items()},
-            } for label in labels},
-    }
-    if ranking is not None:
-        report["ranking_by_mape"] = {
-            "mean_ranks": ranking.mean_ranks,
-            "first_places": ranking.first_places,
-            "tied_series": ranking.tied_series,
-        }
-    with open(os.path.join(out_dir, "report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    for label in labels:
-        s = summary[label]
-        print(f"{label}: MAPE {s['mape']:.3f}  RMSE {s['rmse']:.1f}  "
-              f"in-PI {s['pi_in']:.1f}%  Winkler {s['winkler_normalized']:.4f}")
-    print(f"reports written to {out_dir}")
+    records = {label: [rec for series in store.series.values()
+                       for rec in forecast_range(ensemble, series, lo, hi,
+                                                 label=label)]
+               for label, ensemble in models.items()}
+    report = build_report(records, store.series, args.alpha, (lo, hi))
+    write_report(report, args.out_dir)
+    for line in report.summary_lines():
+        print(line)
+    print(f"reports written to {args.out_dir}")
     return 0
 
 
@@ -478,10 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LoadcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LoadcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,17 +7,18 @@ by evaluation; the README shows a complete file.  Absent keys take the
 dataclass defaults.  :func:`to_json` and :func:`from_json` derive each
 section's keys and types from the dataclass fields, so model-file headers
 and run-config files share one schema: unknown keys are rejected, integers
-reject bools and fractions, numbers reject strings and bools, ``null`` is
-allowed only where a field is ``X | None``, tuples are JSON lists, and
-schedule maps are change-point maps keyed by the first applicable epoch
-written as a string.  The ``full`` preset carries the reference sizes and
-schedules; the ``desk`` preset shrinks the network and shortens training
-for laptop-scale runs.
+reject bools and fractions, numbers reject strings, bools, NaN and the
+infinities (Python's json parses them), ``null`` is allowed only where a
+field is ``X | None``, tuples are JSON lists, and schedule maps are
+change-point maps keyed by the first applicable epoch written as a string.
+The ``full`` preset carries the reference sizes and schedules; the ``desk``
+preset shrinks the network and shortens training for laptop-scale runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 
@@ -40,7 +41,8 @@ class RunConfig:
 
 
 #: JSON types each scalar annotation accepts; a bool is never a number
-_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+_SCALARS = {int: ((int,), "an integer"),
+            float: ((int, float), "a finite number"),
             str: ((str,), "a string")}
 
 
@@ -102,7 +104,8 @@ def _decode(tp, value, key: str, section: str):
         return {epoch: _decode(args[1], v, f"each {key} value", section)
                 for epoch, v in zip(epochs, value.values())}
     accepted, what = _SCALARS[tp]
-    if type(value) not in accepted:
+    if type(value) not in accepted or (type(value) is float
+                                       and not math.isfinite(value)):
         raise ConfigError(f"{key} in {section} must be {what}")
     return value
 

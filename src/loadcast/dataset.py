@@ -70,10 +70,10 @@ class DatasetStore:
 def _parse_timestamp(raw: str, line: int) -> dt.datetime:
     try:
         ts = dt.datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    except ValueError:
+        if ts.tzinfo is not None:
+            ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):  # overflow: out of range in UTC
         raise IngestError(f"line {line}: bad timestamp {raw!r}") from None
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
     if ts.minute or ts.second or ts.microsecond:
         raise IngestError(f"line {line}: timestamp {raw!r} is not a whole hour")
     return ts
@@ -95,23 +95,27 @@ def _parse_load(raw: str, line: int):
 
 def ingest_csv(path) -> DatasetStore:
     rows_by_series: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise IngestError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != 3:
-                raise IngestError(f"line {line}: expected 3 fields, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise IngestError(f"line {line}: empty series_id")
-            ts = _parse_timestamp(row[1], line)
-            load = _parse_load(row[2], line)
-            rows_by_series.setdefault(sid, []).append((ts, load))
+    try:  # bytes are decoded, and quotes matched, as the rows are read
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise IngestError(f"expected header {','.join(CSV_HEADER)!r}"
+                                  f", got {header!r}")
+            for line, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and row[0].strip() == ""):
+                    continue
+                if len(row) != 3:
+                    raise IngestError(
+                        f"line {line}: expected 3 fields, got {len(row)}")
+                sid = row[0].strip()
+                if not sid:
+                    raise IngestError(f"line {line}: empty series_id")
+                ts = _parse_timestamp(row[1], line)
+                load = _parse_load(row[2], line)
+                rows_by_series.setdefault(sid, []).append((ts, load))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"unreadable CSV: {exc}") from None
     if not rows_by_series:
         raise IngestError("no data rows")
 

@@ -1,29 +1,30 @@
-"""Forecast quality metrics, interval diagnostics, and model comparison.
+"""Forecast quality metrics, interval diagnostics, model comparison, and
+the evaluation reports that :func:`build_report` and :func:`write_report`
+make of several models' forecasts.
 
 Percentage errors use PE = 100 (z - zhat) / z, so systematic over-prediction
 shows up as negative MPE.  Interval quality combines empirical coverage with
 the Winkler score, normalized by the mean test load.  Pairwise model
 comparison uses a conditional predictive-ability test on daily loss
 differentials with instruments [1, lagged differential]; rankings aggregate
-per-series metric order.
-"""
+per-series metric order."""
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
-from dataclasses import dataclass
+import json
+import os
+import typing
+from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 from scipy import stats
 
-from .errors import IncompleteHistoryError
+from .errors import IncompleteHistoryError, LoadcastError
 from .network import HORIZON
 from .preprocess import HOURS_PER_DAY, HourlySeries
-
-#: CSV column sets for the two summary tables
-TABLE1_COLUMNS = ("Cell type", "MAPE", "MdAPE", "IqrAPE", "RMSE", "MPE", "StdPE")
-TABLE2_COLUMNS = ("Cell type", "% in PI", "% below PI", "% above PI",
-                  "Winkler score")
 
 #: minimum paired days for the predictive-ability test
 GW_MIN_DAYS = 30
@@ -52,38 +53,45 @@ class ForecastRecord:
 
 @dataclass(frozen=True)
 class PointMetrics:
-    mape: float
-    mdape: float
-    iqr_ape: float
-    rmse: float
-    mpe: float
-    std_pe: float
+    mape: float = field(metadata={"column": "MAPE"})
+    mdape: float = field(metadata={"column": "MdAPE"})
+    iqr_ape: float = field(metadata={"column": "IqrAPE"})
+    rmse: float = field(metadata={"column": "RMSE"})
+    mpe: float = field(metadata={"column": "MPE"})
+    std_pe: float = field(metadata={"column": "StdPE"})
 
 
 @dataclass(frozen=True)
 class PiMetrics:
-    pi_in: float
-    pi_below: float
-    pi_above: float
-    winkler_normalized: float
-    crossings: int
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    mape: float
-    mdape: float
-    iqr_ape: float
-    rmse: float
-    mpe: float
-    std_pe: float
-    pi_in: float
-    pi_below: float
-    pi_above: float
-    winkler_normalized: float
+    pi_in: float = field(metadata={"column": "% in PI"})
+    pi_below: float = field(metadata={"column": "% below PI"})
+    pi_above: float = field(metadata={"column": "% above PI"})
+    winkler_normalized: float = field(metadata={"column": "Winkler score"})
     pi_crossings: int
+
+
+# dataclass fields follow the reversed MRO: point metrics first
+@dataclass(frozen=True)
+class MetricsReport(PiMetrics, PointMetrics):
+    """Every metric of one scored set of forecasts: the one list of metric
+    names, which drives every report table and the summary over series.
+    A field with a "column" entry is a ``per_series.csv`` column; an entry
+    that is not None also heads its column in the summary table filled by
+    the class that declares the field."""
+
     n_hours: int
-    n_days: int
+    n_days: int = field(metadata={"column": None})
+
+
+def _table_fields(cls) -> list:
+    """The fields of ``cls`` shown in its summary table."""
+    return [f for f in fields(cls) if f.metadata.get("column")]
+
+
+#: CSV column sets for the two summary tables
+TABLE1_COLUMNS, TABLE2_COLUMNS = (
+    ("Cell type",) + tuple(f.metadata["column"] for f in _table_fields(cls))
+    for cls in (PointMetrics, PiMetrics))
 
 
 def _paired(actual, forecast):
@@ -147,7 +155,7 @@ def pi_metrics(actual, lower, upper, alpha: float,
         pi_below=100.0 * below / n,
         pi_above=100.0 * above / n,
         winkler_normalized=float(np.mean(scores)) / mean_test_load,
-        crossings=int(np.sum(lower > upper)),
+        pi_crossings=int(np.sum(lower > upper)),
     )
 
 
@@ -198,6 +206,38 @@ def gw_test(losses_a, losses_b, direction: str = "a_better") -> GWResult:
 
 
 @dataclass(frozen=True)
+class GWMatrix:
+    """Pairwise predictive-ability tests over ``days`` common days, with
+    what the entries mean."""
+
+    days: int
+    matrix: dict[str, dict[str, float]]
+    comparison: str = ("p[row][col] = one-sided p that the column model is "
+                       "the more accurate of the pair")
+    loss: str = "per-day MAE averaged across series"
+    instruments: str = "constant and lagged loss differential"
+
+
+def gw_matrix(losses: dict[str, dict[dt.date, float]]) -> GWMatrix:
+    """:func:`gw_test` of every ordered pair of models over the days on
+    which each has a daily loss; ``losses`` maps a model label to its
+    date -> loss map.  The diagonal is 1, and with fewer than GW_MIN_DAYS
+    common days every other entry is NaN."""
+    common = sorted(set.intersection(*map(set, losses.values())))
+
+    def p_value(row, col):
+        if row == col:
+            return 1.0
+        if len(common) < GW_MIN_DAYS:
+            return float("nan")
+        return gw_test([losses[col][d] for d in common],
+                       [losses[row][d] for d in common]).p_value
+
+    return GWMatrix(len(common), {row: {col: p_value(row, col)
+                                        for col in losses} for row in losses})
+
+
+@dataclass(frozen=True)
 class RankingReport:
     mean_ranks: dict[str, float]
     first_places: dict[str, int]
@@ -244,22 +284,27 @@ def sort_records(records) -> list[ForecastRecord]:
     return sorted(records, key=lambda r: (r.series_id, r.target_date))
 
 
+def _scored(records, series_by_id: dict[str, HourlySeries]):
+    """(record, stored actual) in series and date order, for the records
+    whose day has a complete stored actual."""
+    for rec in sort_records(records):
+        actual = day_actual(series_by_id[rec.series_id], rec.target_date)
+        if actual is not None:
+            yield rec, actual
+
+
+class NoActualsError(ValueError):
+    """None of the records to score has a complete stored actual."""
+
+
 def collect_pairs(records, series_by_id: dict[str, HourlySeries]):
     """Flatten records into aligned hourly arrays, skipping days without a
     complete stored actual.  Returns (actual, point, lower, upper)."""
-    actuals, points, lowers, uppers = [], [], [], []
-    for rec in sort_records(records):
-        actual = day_actual(series_by_id[rec.series_id], rec.target_date)
-        if actual is None:
-            continue
-        actuals.append(actual)
-        points.append(rec.point)
-        lowers.append(rec.lower)
-        uppers.append(rec.upper)
-    if not actuals:
-        raise ValueError("no records with complete actuals to evaluate")
-    return (np.concatenate(actuals), np.concatenate(points),
-            np.concatenate(lowers), np.concatenate(uppers))
+    days = [(actual, rec.point, rec.lower, rec.upper)
+            for rec, actual in _scored(records, series_by_id)]
+    if not days:
+        raise NoActualsError("no records with complete actuals to evaluate")
+    return tuple(np.concatenate(column) for column in zip(*days))
 
 
 def daily_loss_series(records, series_by_id: dict[str, HourlySeries]):
@@ -269,10 +314,7 @@ def daily_loss_series(records, series_by_id: dict[str, HourlySeries]):
     without any complete actual are dropped.
     """
     by_date: dict[dt.date, list[float]] = {}
-    for rec in sort_records(records):
-        actual = day_actual(series_by_id[rec.series_id], rec.target_date)
-        if actual is None:
-            continue
+    for rec, actual in _scored(records, series_by_id):
         by_date.setdefault(rec.target_date, []).append(
             float(np.mean(np.abs(actual - rec.point))))
     dates = sorted(by_date)
@@ -284,13 +326,110 @@ def evaluate_forecasts(records, series_by_id: dict[str, HourlySeries],
                        alpha: float = 0.1) -> MetricsReport:
     """Full metric report over all records with complete actuals."""
     actual, point, lower, upper = collect_pairs(records, series_by_id)
-    pm = point_metrics(actual, point)
     pim = pi_metrics(actual, lower, upper, alpha,
                      mean_test_load=float(np.mean(actual)))
-    return MetricsReport(
-        mape=pm.mape, mdape=pm.mdape, iqr_ape=pm.iqr_ape, rmse=pm.rmse,
-        mpe=pm.mpe, std_pe=pm.std_pe,
-        pi_in=pim.pi_in, pi_below=pim.pi_below, pi_above=pim.pi_above,
-        winkler_normalized=pim.winkler_normalized, pi_crossings=pim.crossings,
-        n_hours=actual.size, n_days=actual.size // HOURS_PER_DAY,
-    )
+    return MetricsReport(**asdict(point_metrics(actual, point)), **asdict(pim),
+                         n_hours=actual.size,
+                         n_days=actual.size // HOURS_PER_DAY)
+
+
+def summarize(reports) -> MetricsReport:
+    """Float metrics averaged over ``reports``, integer counts summed."""
+    merged = {}
+    for name, tp in typing.get_type_hints(MetricsReport).items():
+        values = [getattr(r, name) for r in reports]
+        merged[name] = (int(sum(values)) if tp is int
+                        else float(np.mean(values)))
+    return MetricsReport(**merged)
+
+
+# -- the evaluation report -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelScores:
+    summary: MetricsReport  # floats averaged over series, counts summed
+    per_series: dict[str, MetricsReport]
+
+
+@dataclass(frozen=True)
+class EvaluationReport:
+    """Scores of several models over one test range, laid out as
+    ``report.json``; models keep the order given to :func:`build_report`."""
+
+    alpha: float
+    test_range: tuple[dt.date, dt.date]
+    models: dict[str, ModelScores]
+    gw: GWMatrix
+    ranking_by_mape: RankingReport | None  # given two or more models
+
+    def summary_lines(self) -> list[str]:
+        return [f"{label}: MAPE {m.summary.mape:.3f}  "
+                f"RMSE {m.summary.rmse:.1f}  in-PI {m.summary.pi_in:.1f}%  "
+                f"Winkler {m.summary.winkler_normalized:.4f}"
+                for label, m in self.models.items()]
+
+
+def build_report(records: dict, series_by_id: dict[str, HourlySeries],
+                 alpha: float, test_range) -> EvaluationReport:
+    """Score each model's forecasts (``records`` maps a label to them) per
+    series, average over series, and compare the models pairwise.  Series
+    without a complete stored actual in the range are left out; a model
+    with none left is a LoadcastError."""
+    models, losses = {}, {}
+    for label, recs in records.items():
+        scores = {}
+        for sid, group in groupby(sort_records(recs), lambda r: r.series_id):
+            try:
+                scores[sid] = evaluate_forecasts(list(group), series_by_id,
+                                                 alpha)
+            except NoActualsError:
+                continue
+        if not scores:
+            raise LoadcastError(f"model {label!r}: no forecastable days with "
+                                "stored actuals in the test range")
+        models[label] = ModelScores(summarize(scores.values()), scores)
+        losses[label] = dict(zip(*daily_loss_series(recs, series_by_id)))
+    mapes = {label: {sid: r.mape for sid, r in m.per_series.items()}
+             for label, m in models.items()}
+    ranking = rank_models(mapes) if len(models) > 1 else None
+    return EvaluationReport(alpha, tuple(test_range), models,
+                            gw_matrix(losses), ranking)
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` to the CSV file ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report(report: EvaluationReport, out_dir):
+    """Write ``table1.csv`` (point metrics per model), ``table2.csv``
+    (interval metrics), ``per_series.csv``, ``gw_matrix.csv`` and the full
+    ``report.json`` into ``out_dir``; CSV floats are written by ``repr``."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, cls, header in (("table1.csv", PointMetrics, TABLE1_COLUMNS),
+                              ("table2.csv", PiMetrics, TABLE2_COLUMNS)):
+        write_csv(os.path.join(out_dir, name), header,
+                  [[label] + [repr(getattr(m.summary, f.name))
+                              for f in _table_fields(cls)]
+                   for label, m in report.models.items()])
+    columns = [f.name for f in fields(MetricsReport) if "column" in f.metadata]
+    write_csv(os.path.join(out_dir, "per_series.csv"),
+              ["model", "series", *columns],
+              [[label, sid] + [repr(getattr(r, name)) for name in columns]
+               for label, m in report.models.items()
+               for sid, r in m.per_series.items()])
+    write_csv(os.path.join(out_dir, "gw_matrix.csv"),
+              ["model", *report.gw.matrix],
+              [[row] + [repr(p) for p in ps.values()]
+               for row, ps in report.gw.matrix.items()])
+    payload = {key: value for key, value in asdict(report).items()
+               if value is not None}
+    with open(os.path.join(out_dir, "report.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=dt.date.isoformat)
+        fh.write("\n")

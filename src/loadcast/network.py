@@ -20,6 +20,7 @@ from .cells import (
     CellKind,
     CellParams,
     Connection,
+    GATE_NAMES,
     cell_init,
     cell_step,
     new_state,
@@ -139,6 +140,28 @@ def model_build(config: ModelConfig, seed=0) -> StackedModel:
     head_w = rng.uniform(-bound, bound, size=(HEAD_SIZE, out_size))
     head_b = np.zeros(HEAD_SIZE)
     return StackedModel(config, embedding, cells, head_w, head_b)
+
+
+def model_param_count(config: ModelConfig) -> int:
+    """Number of floats :func:`model_build` allocates for ``config``,
+    counted without allocating them."""
+    kind, _ = CELL_VARIANTS[config.cell_variant]
+    hidden, out = config.hidden_size, config.effective_out_size
+    gates = len(GATE_NAMES.get(kind, GATE_NAMES[CellKind.DRNN]))
+
+    def cell(size_in, h, size_out):  # W, V (and U when dilated), b per gate
+        if kind in (CellKind.LSTM, CellKind.GRU):
+            return gates * h * (size_in + h + 1)
+        return gates * (h + size_out) * (size_in + 2 * h + 1)
+
+    def layer(size_in):  # adrnn: a drnn stage that weights the next one
+        if kind is CellKind.ADRNN:
+            return (cell(size_in, hidden, size_in)
+                    + cell(size_in, config.upper_hidden_size or hidden, out))
+        return cell(size_in, hidden, out)
+
+    return (config.embed_size * CALENDAR_SIZE + HEAD_SIZE * (out + 1)
+            + layer(config.layer1_input_size) + 2 * layer(out))
 
 
 def model_new_state(model: StackedModel) -> ModelState:

@@ -21,7 +21,7 @@ import numpy as np
 from .config import from_json, to_json
 from .errors import ConfigError, ModelFileError
 from .loss import LossConfig
-from .network import ModelConfig, model_build
+from .network import ModelConfig, model_build, model_param_count
 from .training import EnsembleModel, TrainRecipe
 
 MAGIC = b"loadcast-model\n"
@@ -125,26 +125,22 @@ def load_ensemble(path):
             metadata[key] = None if raw is None else from_json(cls, raw, key)
     except ConfigError as exc:
         raise ModelFileError(f"bad settings in model header: {exc}") from None
+    # sizes first: a header may declare a model too large to allocate
+    expected = 8 * sum(map(model_param_count, configs))
+    if len(payload) < expected:
+        raise ModelFileError("model file truncated")
+    if len(payload) > expected:
+        raise ModelFileError("model file has trailing bytes")
     members = []
     offset = 0
     for entry, config in zip(entries, configs):
         model = model_build(config, seed=0)
         named = model.named_arrays()
-        stored = entry["arrays"]
-        if [name for name, _ in named] != [name for name, _ in stored]:
+        if entry["arrays"] != [[name, list(a.shape)] for name, a in named]:
             raise ModelFileError("model file arrays do not match its config")
-        for (name, arr), (_, shape) in zip(named, stored):
-            if list(arr.shape) != shape:
-                raise ModelFileError(
-                    f"shape mismatch for {name}: file has {shape}, "
-                    f"config implies {list(arr.shape)}")
-            nbytes = arr.size * 8
-            chunk = payload[offset:offset + nbytes]
-            if len(chunk) < nbytes:
-                raise ModelFileError("model file truncated")
-            arr[...] = np.frombuffer(chunk, dtype=np.float64).reshape(arr.shape)
-            offset += nbytes
+        for _, arr in named:
+            arr[...] = np.frombuffer(payload, np.float64, arr.size,
+                                     offset).reshape(arr.shape)
+            offset += arr.size * 8
         members.append(model)
-    if offset != len(payload):
-        raise ModelFileError("model file has trailing bytes")
     return EnsembleModel(tuple(members)), metadata

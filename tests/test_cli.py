@@ -216,6 +216,35 @@ def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
     assert "store header needs a list of series" in capsys.readouterr().err
 
 
+def test_evaluate_oversized_model_header_exits_1(workspace, tmp_path,
+                                                 capsys):
+    with open(workspace["model"], "rb") as fh:
+        magic, header, payload = fh.read().split(b"\n", 2)
+    header = json.loads(header)
+    for member in header["members"]:
+        member["config"]["hidden_size"] = 10**9
+    model = tmp_path / "oversized.model"
+    model.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                  payload]))
+    assert main(["evaluate", "--store", workspace["store"], "--model",
+                 str(model), "--out-dir", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "error: model file truncated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [
+    b"series_id,timestamp,load_mw\nx,2024-01-01T00:00:00,5\xff\n",
+    b"series_id,timestamp,load_mw\nx,0001-01-01T00:00+01:00,5\n",
+], ids=["not-utf8", "before-year-1-in-utc"])
+def test_ingest_unreadable_csv_exits_1(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    assert main(["ingest", "--csv", str(bad),
+                 "--store", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--store", "{store}", "--model", "{model}",
      "--alpha", "0", "--out-dir", "{tmp}/r"],
@@ -227,8 +256,10 @@ def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
     ["synth", "--days", "0", "--store", "{tmp}/s"],
     ["synth", "--series", "0", "--store", "{tmp}/s"],
     ["gradcheck", "--cell", "gru1", "--steps", "0"],
+    ["evaluate", "--store", "{store}", "--model", "={model}",
+     "--out-dir", "{tmp}/r"],
 ], ids=["alpha-0", "alpha-1", "no-actuals", "zero-days", "zero-series",
-        "zero-steps"])
+        "zero-steps", "empty-label"])
 def test_invalid_cli_input_is_clean_error(workspace, tmp_path, capsys, argv):
     argv = [arg.format(**workspace, tmp=tmp_path) for arg in argv]
     assert main(argv) == 1

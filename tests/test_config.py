@@ -133,6 +133,13 @@ def test_malformed_files_rejected(tmp_path):
     {"loss": {"gamma": "0.3"}},
     {"alpha": "0.1"},
     {"alpha": True},
+    {"recipe": {"epsilon": float("nan"), "clip_norm": float("inf")},
+     "loss": {"gamma": float("nan")}},
+    {"recipe": {"epsilon": float("nan")}},
+    {"recipe": {"clip_norm": float("inf")}},
+    {"recipe": {"learning_rates": {"1": float("-inf")}}},
+    {"loss": {"gamma": float("nan")}},
+    {"model": {"hidden_size": float("inf")}},
 ])
 def test_ill_typed_config_rejected(raw):
     with pytest.raises(ConfigError):

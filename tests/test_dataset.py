@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from loadcast.dataset import (
     DatasetStore,
@@ -98,6 +100,47 @@ def test_timezone_suffixes_normalize_to_utc(tmp_path):
     s = store.get("x")
     assert s.start == dt.datetime(2024, 6, 1, 0)
     assert len(s) == 2  # +02:00 row lands on 01:00 UTC, contiguous
+
+
+@pytest.mark.parametrize("raw", [
+    b"series_id,timestamp,load_mw\nx,2024-01-01T00:00:00,5\xff\n",
+    b"series_id,timestamp,load_mw\nx,0001-01-01T00:00+01:00,5\n",
+    b"series_id,timestamp,load_mw\nx,9999-12-31T23:00-01:00,5\n",
+    b'series_id,timestamp,load_mw\nx,"2024' + b"0" * 200_000 + b"\n",
+], ids=["not-utf8", "before-year-1-in-utc", "after-year-9999-in-utc",
+        "unclosed-quote-past-field-limit"])
+def test_unreadable_csv_is_ingest_error(tmp_path, raw):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(IngestError):
+        ingest_csv(path)
+
+
+VALID_CSV = "\n".join(
+    ["series_id,timestamp,load_mw"]
+    + hourly_rows("a", "2024-01-01T00:00:00", [900.0, 950.0, 1000.0])
+    + ["b,2024-01-01T00:00:00Z,400.0", "b,2024-01-01T02:00:00+01:00,",
+       "b,2024-01-01T02:00:00,410.0"]).encode() + b"\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, len(VALID_CSV) - 1),
+                                st.binary(max_size=3)),
+                      min_size=1, max_size=3))
+@example(edits=[(len(VALID_CSV) - 2, b"\xff")])
+def test_corrupted_csv_gives_store_or_ingest_error(tmp_path, edits):
+    """Each edit replaces one byte of a valid CSV by 0 to 3 bytes."""
+    raw = VALID_CSV
+    for at, chunk in edits:
+        raw = raw[:at] + chunk + raw[at + 1:]
+    path = tmp_path / "corrupted.csv"
+    path.write_bytes(raw)
+    try:
+        store = ingest_csv(path)
+    except IngestError:
+        return
+    assert isinstance(store, DatasetStore)
 
 
 def test_export_ingest_round_trip(tmp_path):

@@ -1,12 +1,15 @@
 """Metric arithmetic, interval scores, predictive-ability test, rankings."""
 
+import csv
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
 
 from loadcast.evaluation import (
     ForecastRecord,
+    build_report,
     collect_pairs,
     daily_loss_series,
     day_actual,
@@ -16,6 +19,7 @@ from loadcast.evaluation import (
     point_metrics,
     rank_models,
     winkler_scores,
+    write_report,
 )
 from loadcast.preprocess import HourlySeries
 
@@ -102,7 +106,7 @@ def test_coverage_triple_and_crossings():
     assert m.pi_above == 10.0
     assert m.pi_in == 50.0
     assert m.pi_in + m.pi_below + m.pi_above == pytest.approx(100.0, abs=1e-9)
-    assert m.crossings == 1
+    assert m.pi_crossings == 1
 
 
 def test_winkler_normalization_by_mean_load():
@@ -281,3 +285,46 @@ def test_evaluate_forecasts_end_to_end_arithmetic():
     assert report.winkler_normalized == pytest.approx(0.1, rel=1e-12)
     assert report.pi_crossings == 0
     assert report.n_hours == 24 and report.n_days == 1
+
+
+def test_report_summary_aggregates_per_series_scores(tmp_path):
+    start = dt.date(2024, 6, 1)
+    day = dt.timedelta(days=1)
+    series = {"s1": make_series("s1", start, np.full(72, 100.0)),
+              "s2": make_series("s2", start, np.full(48, 200.0)),
+              "s3": make_series("s3", start, np.full(24, 300.0))}
+    records = {"m": [
+        day_record("s1", start, 90.0),
+        day_record("s1", start + day, 104.0, lower=101.0, upper=99.0),
+        day_record("s1", start + 2 * day, 130.0, lower=80.0, upper=90.0),
+        day_record("s2", start, 230.0, lower=150.0, upper=250.0),
+        day_record("s2", start + 2 * day, 210.0),  # no stored actual
+        day_record("s3", start + day, 300.0),  # no stored actual either
+    ]}
+    report = build_report(records, series, 0.1, (start, start + 2 * day))
+    write_report(report, tmp_path)
+
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        model = json.load(fh)["models"]["m"]
+    assert set(model["per_series"]) == {"s1", "s2"}  # s3 has nothing scored
+    scored = list(model["per_series"].values())
+    assert [s["n_days"] for s in scored] == [3, 1]
+    assert [s["pi_crossings"] for s in scored] == [24, 0]
+    summary = model["summary"]
+    assert set(summary) == set(scored[0])
+    for name, value in summary.items():
+        values = [s[name] for s in scored]
+        if name in ("n_days", "n_hours", "pi_crossings"):
+            assert value == sum(values), name
+        else:
+            assert value == float(np.mean(values)), name
+            assert values[0] != values[1], name  # a mean of distinct values
+
+    with open(tmp_path / "per_series.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model", "series", "mape", "mdape", "iqr_ape", "rmse",
+                       "mpe", "std_pe", "pi_in", "pi_below", "pi_above",
+                       "winkler_normalized", "n_days"]
+    assert [row[:2] for row in rows[1:]] == [["m", "s1"], ["m", "s2"]]
+    assert [float(v) for v in rows[1][2:-1]] == [
+        scored[0][name] for name in rows[0][2:-1]]

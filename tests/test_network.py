@@ -9,12 +9,14 @@ from loadcast.cells import cell_step, new_state
 from loadcast.errors import ConfigError
 from loadcast.gradcheck import random_day_inputs
 from loadcast.network import (
+    CELL_VARIANTS,
     DILATIONS,
     HEAD_SIZE,
     HORIZON,
     ModelConfig,
     model_build,
     model_new_state,
+    model_param_count,
     model_step,
     model_unroll,
 )
@@ -179,6 +181,20 @@ def test_same_seed_builds_identical_model():
         np.testing.assert_array_equal(xa, xb)
     assert any(not np.array_equal(xa, xc)
                for (_, xa), (_, xc) in zip(a.named_arrays(), c.named_arrays()))
+
+
+@pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
+@pytest.mark.parametrize("sizes", [
+    {},
+    {"hidden_size": 5, "embed_size": 3},
+    {"hidden_size": 4, "embed_size": 2, "out_size": 7, "upper_hidden_size": 3},
+], ids=["reference", "small", "split-out"])
+def test_param_count_matches_built_model(variant, sizes):
+    if variant[:-1] in ("lstm", "gru") and "out_size" in sizes:
+        sizes = {"hidden_size": 6, "embed_size": 2}  # output is the state
+    config = ModelConfig(cell_variant=variant, **sizes)
+    built = model_build(config, seed=0).named_arrays()
+    assert model_param_count(config) == sum(arr.size for _, arr in built)
 
 
 def test_reference_and_desk_sizes():

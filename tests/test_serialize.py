@@ -142,6 +142,7 @@ def edit_config(key, value):
     lambda h: {**h, "cell_variant": 3},
     lambda h: {**h, "recipe": {"epochs": 2.5}},
     lambda h: {**h, "loss": {"gamma": "x"}},
+    lambda h: {**h, "recipe": {"epsilon": float("nan")}},
     edit_member("config", "adrnn"),
     edit_member("arrays", None),
     edit_member("arrays", [["embed.W"]]),
@@ -150,7 +151,7 @@ def edit_config(key, value):
     edit_config("dilations", 7),
 ], ids=[
     "not-object", "no-members", "empty-members", "members-not-list",
-    "int-variant", "fractional-epochs", "string-gamma",
+    "int-variant", "fractional-epochs", "string-gamma", "nan-epsilon",
     "config-not-object", "arrays-null", "array-not-pair",
     "string-hidden", "negative-hidden", "int-dilations"
 ])
@@ -161,6 +162,22 @@ def test_malformed_model_header_rejected(tmp_path, edit):
     header = json.dumps(edit(json.loads(header))).encode()
     path.write_bytes(b"\n".join([magic, header, payload]))
     with pytest.raises(ModelFileError):
+        load_ensemble(path)
+
+
+def test_oversized_header_rejected_before_any_allocation(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "m.model"
+    save_ensemble(path, small_ensemble(members=1))
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = edit_config("hidden_size", 10**9)(json.loads(header))
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("model_build ran before the size check")
+
+    monkeypatch.setattr(serialize, "model_build", refuse)
+    with pytest.raises(ModelFileError, match="truncated"):
         load_ensemble(path)
 
 
