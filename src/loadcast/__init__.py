@@ -9,7 +9,8 @@ post-hoc error bands.
 
 Modules:
     tape: minimal reverse-mode autodiff engine (float64 throughout).
-    cells: the five gated recurrent cells and their analytic gradients.
+    cells: the five gated recurrent cells, one fused tape node per step
+        with a hand-written backward.
     network: the dilated three-layer stack with embedding and linear head.
     preprocess: weekly standardization, day encoding, sample construction.
     loss: pinball loss and the composite training objective.
@@ -19,11 +20,13 @@ Modules:
     dataset: CSV ingestion, binary stores, synthetic series generation.
     config: run configuration schema, presets, JSON round trip.
     serialize: deterministic binary model files.
+    files: crash-safe replacement of every written file.
     cli: loadcast command line (synth/ingest/export/train/forecast/
         evaluate/gradcheck).
 
 All randomness flows through numpy Generators seeded explicitly; repeated
-runs with the same seeds produce byte-identical model files.
+runs with the same seeds produce byte-identical model files at a fixed BLAS
+thread count.
 """
 
 from .cells import CellKind, Connection, cell_init, cell_step, new_state

@@ -1,11 +1,14 @@
 """The five gated recurrent cells and their exact training gradients.
 
-Each cell is a pure function of (parameters, state buffers, input) recorded on
-a :class:`~loadcast.tape.Tape`, so reverse-mode gradients through any number
-of steps come from the tape.  Cells with dilation read both the most recent
-state and the state from ``d`` steps ago; plain LSTM/GRU run in one of two
-connection variants, fed either by the recent state only or by the delayed
-state only.
+Each cell step is a pure function of (parameters, state buffers, input)
+recorded on a :class:`~loadcast.tape.Tape` as one node: all gate
+pre-activations come from one matrix-vector product of the cell's stacked
+gate matrix with ``[x; h_recent; h_delayed; 1]``, and the node's vjp is the
+cell's hand-written backward pass for that step, so reverse-mode gradients
+through any number of steps come from the tape.  Cells with dilation read
+both the most recent state and the state from ``d`` steps ago; plain
+LSTM/GRU run in one of two connection variants, fed either by the recent
+state only or by the delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
@@ -22,9 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError
-from .tape import Tape, Var, exp_clipped, matvec, narrow, sigmoid, tanh
+from .tape import Tape, Var, exp_clipped, narrow
 
 #: attention pre-activations are clamped to this band before exponentiation
 ATTENTION_CLAMP = 10.0
@@ -52,6 +56,11 @@ GATE_NAMES = {
     CellKind.DRNN: ("fusion", "update", "output", "candidate"),
 }
 
+#: cells whose gates read both the recent and the delayed state
+_DILATED = (CellKind.DLSTM, CellKind.DRNN)
+
+_ONE = np.ones(1)
+
 
 @dataclass
 class GateBlock:
@@ -71,25 +80,72 @@ class CellParams:
     hidden_size: int  # controlling state fed back into the gates
     out_size: int  # what the cell passes to the next layer
     cell_size: int  # size of the c-state (0 when the cell has none)
-    gates: dict[str, GateBlock] | None = None
+    #: the gates stacked along the rows, columns ``[W | V | U | b]``
+    stack: np.ndarray | None = None
     lower: "CellParams | None" = None  # attentive cell only
     upper: "CellParams | None" = None
 
-    def named_arrays(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        """All learnable arrays in a fixed, deterministic order."""
-        out = []
+    @property
+    def gate_size(self) -> int:
+        return self.cell_size if self.kind in _DILATED else self.hidden_size
+
+    def block_shapes(self) -> list[tuple[int, int]]:
+        """Shapes of the stacked gate matrices, in :meth:`blocks` order."""
         if self.kind is CellKind.ADRNN:
-            out += self.lower.named_arrays(prefix + "lower.")
-            out += self.upper.named_arrays(prefix + "upper.")
-            return out
-        for name in GATE_NAMES[self.kind]:
-            gate = self.gates[name]
+            return self.lower.block_shapes() + self.upper.block_shapes()
+        lags = 2 if self.kind in _DILATED else 1
+        return [(len(GATE_NAMES[self.kind]) * self.gate_size,
+                 self.input_size + lags * self.hidden_size + 1)]
+
+    def blocks(self) -> list[np.ndarray]:
+        if self.kind is CellKind.ADRNN:
+            return self.lower.blocks() + self.upper.blocks()
+        return [self.stack]
+
+    def bind(self, blocks):
+        """Take the stacked matrices from the iterator ``blocks``."""
+        if self.kind is CellKind.ADRNN:
+            self.lower.bind(blocks)
+            self.upper.bind(blocks)
+            return
+        self.stack = next(blocks)
+        if self.stack.shape != self.block_shapes()[0]:
+            raise ValueError("stacked gate matrix has the wrong shape")
+
+    @property
+    def gates(self) -> dict[str, GateBlock]:
+        """Per-gate views into :attr:`stack`."""
+        return _gate_views(self, self.stack)
+
+    def named_arrays(self, prefix: str = "",
+                     blocks=None) -> list[tuple[str, np.ndarray]]:
+        """All learnable arrays in a fixed, deterministic order, as views
+        into the stacked matrices, or into ``blocks`` (arrays shaped like
+        :meth:`blocks`, e.g. their gradients) when given."""
+        blocks = iter(self.blocks() if blocks is None else blocks)
+        if self.kind is CellKind.ADRNN:
+            return (self.lower.named_arrays(prefix + "lower.", blocks)
+                    + self.upper.named_arrays(prefix + "upper.", blocks))
+        out = []
+        for name, gate in _gate_views(self, next(blocks)).items():
             out.append((f"{prefix}{name}.W", gate.W))
             out.append((f"{prefix}{name}.V", gate.V))
             if gate.U is not None:
                 out.append((f"{prefix}{name}.U", gate.U))
             out.append((f"{prefix}{name}.b", gate.b))
         return out
+
+
+def _gate_views(params: CellParams, stack: np.ndarray) -> dict[str, GateBlock]:
+    rows, i, h = params.gate_size, params.input_size, params.hidden_size
+    views = {}
+    for k, name in enumerate(GATE_NAMES[params.kind]):
+        gate = stack[k * rows:(k + 1) * rows]
+        views[name] = GateBlock(
+            W=gate[:, :i], V=gate[:, i:i + h],
+            U=gate[:, i + h:i + 2 * h] if params.kind in _DILATED else None,
+            b=gate[:, -1])
+    return views
 
 
 class CellState:
@@ -164,6 +220,61 @@ def new_state(params: CellParams, dilation: int):
     return CellState(dilation, track_c=params.kind is not CellKind.GRU)
 
 
+def cell_layout(
+    kind: CellKind,
+    input_size: int,
+    hidden_size: int,
+    out_size: int | None = None,
+    upper_hidden_size: int | None = None,
+    connection: Connection | None = None,
+) -> CellParams:
+    """Validated sizes of a cell, with no parameter arrays bound yet."""
+    if input_size < 1 or hidden_size < 1:
+        raise ConfigError("sizes must be positive")
+    if kind in (CellKind.LSTM, CellKind.GRU):
+        if connection is None:
+            connection = Connection.RECENT_ONLY
+        if connection is Connection.BOTH:
+            raise ConfigError(f"{kind.value} supports recent_only or delayed_only")
+        if out_size is not None and out_size != hidden_size:
+            raise ConfigError(f"{kind.value} output is its hidden state")
+        cell_size = hidden_size if kind is CellKind.LSTM else 0
+        return CellParams(kind, connection, input_size, hidden_size,
+                          hidden_size, cell_size)
+    if kind in _DILATED:
+        if connection not in (None, Connection.BOTH):
+            raise ConfigError(f"{kind.value} uses both recent and delayed connections")
+        if out_size is None or out_size < 1:
+            raise ConfigError(f"{kind.value} needs an output size")
+        return CellParams(kind, Connection.BOTH, input_size, hidden_size,
+                          out_size, hidden_size + out_size)
+    if kind is CellKind.ADRNN:
+        if connection not in (None, Connection.BOTH):
+            raise ConfigError("adrnn uses both recent and delayed connections")
+        if out_size is None or out_size < 1:
+            raise ConfigError("adrnn needs an output size")
+        lower = cell_layout(CellKind.DRNN, input_size, hidden_size,
+                            out_size=input_size)
+        upper = cell_layout(CellKind.DRNN, input_size,
+                            upper_hidden_size or hidden_size, out_size=out_size)
+        return CellParams(CellKind.ADRNN, Connection.BOTH, input_size,
+                          hidden_size, out_size, upper.cell_size,
+                          lower=lower, upper=upper)
+    raise ConfigError(f"unknown cell kind {kind!r}")
+
+
+def init_uniform(named, rng: np.random.Generator):
+    """Fill the ``(name, array)`` pairs in order: biases (names ending in
+    ``.b``) with zeros, every other array from U(+-1/sqrt(fan_in)), its
+    column count being the fan-in."""
+    for name, arr in named:
+        if name.endswith(".b"):
+            arr[...] = 0.0
+        else:
+            bound = 1.0 / np.sqrt(arr.shape[1])
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+
+
 def cell_init(
     kind: CellKind,
     input_size: int,
@@ -179,73 +290,51 @@ def cell_init(
     Same seed, same sizes: bit-identical parameters.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if input_size < 1 or hidden_size < 1:
-        raise ConfigError("sizes must be positive")
+    params = cell_layout(kind, input_size, hidden_size, out_size,
+                         upper_hidden_size, connection)
     if dilation < 1:
         raise ConfigError("dilation must be >= 1")
-
-    if kind in (CellKind.LSTM, CellKind.GRU):
-        if connection is None:
-            connection = Connection.RECENT_ONLY
-        if connection is Connection.BOTH:
-            raise ConfigError(f"{kind.value} supports recent_only or delayed_only")
-        if out_size is not None and out_size != hidden_size:
-            raise ConfigError(f"{kind.value} output is its hidden state")
-        cell_size = hidden_size if kind is CellKind.LSTM else 0
-        params = CellParams(kind, connection, input_size, hidden_size,
-                            hidden_size, cell_size)
-        gate_size = hidden_size
-        _init_gates(params, gate_size, with_delayed=False, rng=rng)
-    elif kind in (CellKind.DLSTM, CellKind.DRNN):
-        if connection not in (None, Connection.BOTH):
-            raise ConfigError(f"{kind.value} uses both recent and delayed connections")
-        if out_size is None or out_size < 1:
-            raise ConfigError(f"{kind.value} needs an output size")
-        cell_size = hidden_size + out_size
-        params = CellParams(kind, Connection.BOTH, input_size, hidden_size,
-                            out_size, cell_size)
-        _init_gates(params, cell_size, with_delayed=True, rng=rng)
-    elif kind is CellKind.ADRNN:
-        if connection not in (None, Connection.BOTH):
-            raise ConfigError("adrnn uses both recent and delayed connections")
-        if out_size is None or out_size < 1:
-            raise ConfigError("adrnn needs an output size")
-        if upper_hidden_size is None:
-            upper_hidden_size = hidden_size
-        lower, _ = cell_init(CellKind.DRNN, input_size, hidden_size,
-                             out_size=input_size, seed=rng)
-        upper, _ = cell_init(CellKind.DRNN, input_size, upper_hidden_size,
-                             out_size=out_size, seed=rng)
-        params = CellParams(CellKind.ADRNN, Connection.BOTH, input_size,
-                            hidden_size, out_size, upper.cell_size,
-                            lower=lower, upper=upper)
-    else:
-        raise ConfigError(f"unknown cell kind {kind!r}")
+    params.bind(np.empty(shape) for shape in params.block_shapes())
+    init_uniform(params.named_arrays(), rng)
     return params, new_state(params, dilation)
 
 
-def _init_gates(params: CellParams, gate_size: int, with_delayed: bool, rng):
-    def uniform(rows, cols):
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    params.gates = {}
-    for name in GATE_NAMES[params.kind]:
-        params.gates[name] = GateBlock(
-            W=uniform(gate_size, params.input_size),
-            V=uniform(gate_size, params.hidden_size),
-            U=uniform(gate_size, params.hidden_size) if with_delayed else None,
-            b=np.zeros(gate_size),
-        )
+# -- fused steps -----------------------------------------------------------
 
 
-# -- forward equations -----------------------------------------------------
-
-
-def _fetch(tape: Tape, entry, size: int) -> Var:
+def _read(entry, size: int):
+    """(value, Var or None) of a state entry; cold-start zeros and detached
+    arrays carry no gradient."""
     if entry is None:
-        return tape.zeros(size)
-    return tape.lift(entry)
+        return np.zeros(size), None
+    if isinstance(entry, Var):
+        return entry.value, entry
+    return entry, None
+
+
+def _gate_input(params: CellParams, state: CellState, x: Var, lags):
+    """The stacked gate input ``[x; h at each lag; 1]`` of one step and the
+    Vars it was read from (x first)."""
+    if len(x) != params.input_size:
+        raise ValueError(f"input length {len(x)} != cell input size "
+                         f"{params.input_size}")
+    reads = [_read(state.h_lag(lag), params.hidden_size) for lag in lags]
+    z = np.concatenate([x.value, *(value for value, _ in reads), _ONE])
+    return z, [x] + [var for _, var in reads]
+
+
+def _split_input_grad(params: CellParams, dz: np.ndarray, lags: int) -> list:
+    """Gradients of x and of each h read, cut from the gradient of ``z``."""
+    i, h = params.input_size, params.hidden_size
+    return [dz[:i]] + [dz[i + k * h:i + (k + 1) * h] for k in range(lags)]
+
+
+def _outputs(params: CellParams, node: Var) -> tuple[Var, Var]:
+    """The fed-back state h and the output y of a step's raw activation."""
+    h = narrow(node, 0, params.hidden_size)
+    if params.kind in _DILATED:
+        return h, narrow(node, params.hidden_size, params.out_size)
+    return h, h
 
 
 def _reference_lag(params: CellParams, dilation: int) -> int:
@@ -256,75 +345,82 @@ def _reference_lag(params: CellParams, dilation: int) -> int:
     raise ValueError("dilated cells use explicit recent+delayed terms")
 
 
-def _pre(tape, gate: GateBlock, x: Var, h_recent: Var, h_delayed: Var | None) -> Var:
-    acc = matvec(gate.W, x) + matvec(gate.V, h_recent)
-    if h_delayed is not None:
-        acc = acc + matvec(gate.U, h_delayed)
-    return acc + tape.leaf(gate.b)
+def _lstm_node(params: CellParams, state: CellState, x: Var, lags,
+               c_lag: int) -> Var:
+    """One LSTM-type step (forget, input, output, candidate gates) whose raw
+    activation ``output * tanh(c)`` and c-state form one node."""
+    tape = x.tape
+    m = tape.leaf(params.stack)
+    w = m.value
+    z, reads = _gate_input(params, state, x, lags)
+    c_prev, c_var = _read(state.c_lag(c_lag), params.cell_size)
+    n = params.cell_size
+    pre = w @ z
+    sig = expit(pre[:3 * n])
+    forget, infl, out = sig[:n], sig[n:2 * n], sig[2 * n:]
+    cand = np.tanh(pre[3 * n:])
+    c = forget * c_prev + infl * cand
+    tc = np.tanh(c)
 
+    def vjp(g):
+        dhp = g[:n]
+        dc = g[n:] + dhp * out * (1.0 - tc * tc)
+        dpre = np.concatenate((
+            dc * c_prev * forget * (1.0 - forget),
+            dc * cand * infl * (1.0 - infl),
+            dhp * tc * out * (1.0 - out),
+            dc * infl * (1.0 - cand * cand)))
+        return ((dpre, z), *_split_input_grad(params, w.T @ dpre, len(lags)),
+                dc * forget)
 
-def _check_input(params: CellParams, x: Var):
-    if len(x) != params.input_size:
-        raise ValueError(f"input length {len(x)} != cell input size {params.input_size}")
+    node = tape.record(np.concatenate((out * tc, c)), (m, *reads, c_var), vjp)
+    h, y = _outputs(params, node)
+    state.push(h, narrow(node, n, n))
+    return y
 
 
 def lstm_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
     """Classic LSTM step; the connection variant picks which lag feeds it."""
-    _check_input(params, x)
-    t = x.tape
     lag = _reference_lag(params, dilation)
-    h_ref = _fetch(t, state.h_lag(lag), params.hidden_size)
-    c_ref = _fetch(t, state.c_lag(lag), params.cell_size)
-    g = params.gates
-    forget = sigmoid(_pre(t, g["forget"], x, h_ref, None))
-    infl = sigmoid(_pre(t, g["input"], x, h_ref, None))
-    out = sigmoid(_pre(t, g["output"], x, h_ref, None))
-    cand = tanh(_pre(t, g["candidate"], x, h_ref, None))
-    c = forget * c_ref + infl * cand
-    h = out * tanh(c)
-    state.push(h, c)
-    return h
+    return _lstm_node(params, state, x, (lag,), lag)
 
 
 def gru_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
-    _check_input(params, x)
-    t = x.tape
-    lag = _reference_lag(params, dilation)
-    h_ref = _fetch(t, state.h_lag(lag), params.hidden_size)
-    g = params.gates
-    reset = sigmoid(_pre(t, g["reset"], x, h_ref, None))
-    update = sigmoid(_pre(t, g["update"], x, h_ref, None))
-    cand_gate = g["candidate"]
-    cand = tanh(matvec(cand_gate.W, x) + matvec(cand_gate.V, reset * h_ref)
-                + t.leaf(cand_gate.b))
-    h = (1.0 - update) * h_ref + update * cand
-    state.push(h)
-    return h
+    """GRU step; the candidate reads the reset-gated state through its own
+    ``V_c (r * h)`` term, so the stacked matrix is applied in two row
+    blocks."""
+    tape = x.tape
+    m = tape.leaf(params.stack)
+    w = m.value
+    z, reads = _gate_input(params, state, x, (_reference_lag(params, dilation),))
+    i, n = params.input_size, params.hidden_size
+    h = z[i:i + n]
+    gates = expit(w[:2 * n] @ z)
+    reset, update = gates[:n], gates[n:]
+    zc = z.copy()
+    zc[i:i + n] = reset * h
+    cand = np.tanh(w[2 * n:] @ zc)
 
+    def vjp(g):
+        dpre_c = g * update * (1.0 - cand * cand)
+        dzc = w[2 * n:].T @ dpre_c
+        drh = dzc[i:i + n]
+        dpre = np.concatenate((drh * h * reset * (1.0 - reset),
+                               g * (cand - h) * update * (1.0 - update)))
+        dz = w[:2 * n].T @ dpre
+        return ((np.concatenate((dpre, np.zeros(n))), z),
+                (np.concatenate((np.zeros(2 * n), dpre_c)), zc),
+                dz[:i] + dzc[:i],
+                dz[i:i + n] + drh * reset + g * (1.0 - update))
 
-def _split_output(hp: Var, hidden_size: int, out_size: int) -> tuple[Var, Var]:
-    return narrow(hp, 0, hidden_size), narrow(hp, hidden_size, out_size)
+    node = tape.record((1.0 - update) * h + update * cand, (m, m, *reads), vjp)
+    state.push(node)
+    return node
 
 
 def dlstm_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
     """LSTM with an extra delayed-state term and a split output."""
-    _check_input(params, x)
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    t = x.tape
-    h1 = _fetch(t, state.h_lag(1), params.hidden_size)
-    hd = _fetch(t, state.h_lag(dilation), params.hidden_size)
-    c1 = _fetch(t, state.c_lag(1), params.cell_size)
-    g = params.gates
-    forget = sigmoid(_pre(t, g["forget"], x, h1, hd))
-    infl = sigmoid(_pre(t, g["input"], x, h1, hd))
-    out = sigmoid(_pre(t, g["output"], x, h1, hd))
-    cand = tanh(_pre(t, g["candidate"], x, h1, hd))
-    c = forget * c1 + infl * cand
-    hp = out * tanh(c)
-    h, y = _split_output(hp, params.hidden_size, params.out_size)
-    state.push(h, c)
-    return y
+    return _lstm_node(params, state, x, (1, dilation), 1)
 
 
 def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
@@ -332,30 +428,42 @@ def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Va
 
     The raw activation is ``output_gate * c`` with no tanh, then split.
     """
-    _check_input(params, x)
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    t = x.tape
-    h1 = _fetch(t, state.h_lag(1), params.hidden_size)
-    hd = _fetch(t, state.h_lag(dilation), params.hidden_size)
-    c1 = _fetch(t, state.c_lag(1), params.cell_size)
-    cd = _fetch(t, state.c_lag(dilation), params.cell_size)
-    g = params.gates
-    fusion = sigmoid(_pre(t, g["fusion"], x, h1, hd))
-    update = sigmoid(_pre(t, g["update"], x, h1, hd))
-    out = sigmoid(_pre(t, g["output"], x, h1, hd))
-    cand = tanh(_pre(t, g["candidate"], x, h1, hd))
-    c = update * (fusion * c1 + (1.0 - fusion) * cd) + (1.0 - update) * cand
-    hp = out * c
-    h, y = _split_output(hp, params.hidden_size, params.out_size)
-    state.push(h, c)
+    tape = x.tape
+    m = tape.leaf(params.stack)
+    w = m.value
+    z, reads = _gate_input(params, state, x, (1, dilation))
+    n = params.cell_size
+    c1, c1_var = _read(state.c_lag(1), n)
+    cd, cd_var = _read(state.c_lag(dilation), n)
+    pre = w @ z
+    sig = expit(pre[:3 * n])
+    fusion, update, out = sig[:n], sig[n:2 * n], sig[2 * n:]
+    cand = np.tanh(pre[3 * n:])
+    mix = fusion * c1 + (1.0 - fusion) * cd
+    c = update * mix + (1.0 - update) * cand
+
+    def vjp(g):
+        dhp = g[:n]
+        dc = g[n:] + dhp * out
+        dmix = dc * update
+        dpre = np.concatenate((
+            dmix * (c1 - cd) * fusion * (1.0 - fusion),
+            dc * (mix - cand) * update * (1.0 - update),
+            dhp * c * out * (1.0 - out),
+            dc * (1.0 - update) * (1.0 - cand * cand)))
+        return ((dpre, z), *_split_input_grad(params, w.T @ dpre, 2),
+                dmix * fusion, dmix * (1.0 - fusion))
+
+    node = tape.record(np.concatenate((out * c, c)),
+                       (m, *reads, c1_var, cd_var), vjp)
+    h, y = _outputs(params, node)
+    state.push(h, narrow(node, n, n))
     return y
 
 
 def adrnn_step(params: CellParams, state: AdCellState, x: Var, dilation: int) -> Var:
     """Attentive cell: lower stage emits exp-weights that rescale the input
     of the upper stage; both stages advance once per step."""
-    _check_input(params, x)
     attention = drnn_step(params.lower, state.lower, x, dilation)
     weights = exp_clipped(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP)
     reweighted = x * weights
@@ -398,6 +506,7 @@ def cell_gradient(
         y = cell_step(params, state, x, dilation)
         seeds.append((y, g))
     grads = tape.backward(seeds)
-    param_grads = {name: grads.of_array(arr) for name, arr in params.named_arrays()}
+    param_grads = dict(params.named_arrays(
+        blocks=[grads.of_array(block) for block in params.blocks()]))
     input_grads = [grads.of(v) for v in in_vars]
     return param_grads, input_grads

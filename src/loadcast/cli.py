@@ -26,6 +26,7 @@ from .dataset import (
 )
 from .errors import LoadcastError
 from .evaluation import build_report, sort_records, write_csv, write_report
+from .files import replacing
 from .gradcheck import check_cell
 from .network import CELL_VARIANTS
 from .serialize import load_ensemble, save_ensemble
@@ -127,8 +128,9 @@ def cmd_train(args) -> int:
                   loss_config=config.loss)
     log(f"wrote {args.out} after {time.monotonic() - started:.1f}s")
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
+        with replacing(args.log) as (tmp,):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(log_lines) + "\n")
     return 0
 
 
@@ -162,13 +164,15 @@ def cmd_forecast(args) -> int:
 
     header = ["timestamp", "point_mw", "lower_mw", "upper_mw"]
     if args.csv:
-        write_csv(args.csv, header, rows)
+        with replacing(args.csv) as (tmp,):
+            write_csv(tmp, header, rows)
     if args.json:
         payload = {"series": args.series, "model": records[0].model,
                    "days": days}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        with replacing(args.json) as (tmp,):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
     if not args.csv and not args.json:
         for row in [header, *rows]:
             print(",".join(row))

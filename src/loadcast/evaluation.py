@@ -23,6 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import IncompleteHistoryError, LoadcastError
+from .files import replacing
 from .network import HORIZON
 from .preprocess import HOURS_PER_DAY, HourlySeries
 
@@ -408,28 +409,33 @@ def write_csv(path, header, rows):
 def write_report(report: EvaluationReport, out_dir):
     """Write ``table1.csv`` (point metrics per model), ``table2.csv``
     (interval metrics), ``per_series.csv``, ``gw_matrix.csv`` and the full
-    ``report.json`` into ``out_dir``; CSV floats are written by ``repr``."""
+    ``report.json`` into ``out_dir``; CSV floats are written by ``repr``.
+
+    The five files replace any previous report together, once all of them
+    are written (:func:`~loadcast.files.replacing`)."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, cls, header in (("table1.csv", PointMetrics, TABLE1_COLUMNS),
-                              ("table2.csv", PiMetrics, TABLE2_COLUMNS)):
-        write_csv(os.path.join(out_dir, name), header,
-                  [[label] + [repr(getattr(m.summary, f.name))
-                              for f in _table_fields(cls)]
-                   for label, m in report.models.items()])
-    columns = [f.name for f in fields(MetricsReport) if "column" in f.metadata]
-    write_csv(os.path.join(out_dir, "per_series.csv"),
-              ["model", "series", *columns],
-              [[label, sid] + [repr(getattr(r, name)) for name in columns]
-               for label, m in report.models.items()
-               for sid, r in m.per_series.items()])
-    write_csv(os.path.join(out_dir, "gw_matrix.csv"),
-              ["model", *report.gw.matrix],
-              [[row] + [repr(p) for p in ps.values()]
-               for row, ps in report.gw.matrix.items()])
-    payload = {key: value for key, value in asdict(report).items()
-               if value is not None}
-    with open(os.path.join(out_dir, "report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=dt.date.isoformat)
-        fh.write("\n")
+    names = ("table1.csv", "table2.csv", "per_series.csv", "gw_matrix.csv",
+             "report.json")
+    with replacing(*(os.path.join(out_dir, n) for n in names)) as tmps:
+        table1, table2, per_series, gw, report_json = tmps
+        for path, cls, header in ((table1, PointMetrics, TABLE1_COLUMNS),
+                                  (table2, PiMetrics, TABLE2_COLUMNS)):
+            write_csv(path, header,
+                      [[label] + [repr(getattr(m.summary, f.name))
+                                  for f in _table_fields(cls)]
+                       for label, m in report.models.items()])
+        columns = [f.name for f in fields(MetricsReport)
+                   if "column" in f.metadata]
+        write_csv(per_series, ["model", "series", *columns],
+                  [[label, sid] + [repr(getattr(r, name)) for name in columns]
+                   for label, m in report.models.items()
+                   for sid, r in m.per_series.items()])
+        write_csv(gw, ["model", *report.gw.matrix],
+                  [[row] + [repr(p) for p in ps.values()]
+                   for row, ps in report.gw.matrix.items()])
+        payload = {key: value for key, value in asdict(report).items()
+                   if value is not None}
+        with open(report_json, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True,
+                      default=dt.date.isoformat)
+            fh.write("\n")

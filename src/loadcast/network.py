@@ -11,6 +11,7 @@ imposed; crossings are measured downstream, not prevented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import timedelta
 
@@ -20,9 +21,9 @@ from .cells import (
     CellKind,
     CellParams,
     Connection,
-    GATE_NAMES,
-    cell_init,
+    cell_layout,
     cell_step,
+    init_uniform,
     new_state,
 )
 from .errors import ConfigError
@@ -93,12 +94,23 @@ class StackedModel:
     head_w: np.ndarray  # (72, out_size)
     head_b: np.ndarray  # (72,)
 
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [("embed.W", self.embedding)]
+    def blocks(self) -> list[np.ndarray]:
+        """The parameter arrays as stored: each cell's gates are one
+        stacked matrix."""
+        return ([self.embedding]
+                + [block for cell in self.cells for block in cell.blocks()]
+                + [self.head_w, self.head_b])
+
+    def named_arrays(self, blocks=None) -> list[tuple[str, np.ndarray]]:
+        """Every learnable array by name, in file and initialization order,
+        as views into :meth:`blocks`, or into ``blocks`` (arrays shaped like
+        them, e.g. their gradients) when given."""
+        blocks = iter(self.blocks() if blocks is None else blocks)
+        out = [("embed.W", next(blocks))]
         for i, cell in enumerate(self.cells, start=1):
-            out += cell.named_arrays(f"layer{i}.")
-        out.append(("head.W", self.head_w))
-        out.append(("head.b", self.head_b))
+            out += cell.named_arrays(f"layer{i}.", blocks)
+        out.append(("head.W", next(blocks)))
+        out.append(("head.b", next(blocks)))
         return out
 
 
@@ -118,50 +130,47 @@ class StepOutput:
     upper: Var
 
 
-def model_build(config: ModelConfig, seed=0) -> StackedModel:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def _cell_layouts(config: ModelConfig) -> list[CellParams]:
     kind, connection = CELL_VARIANTS[config.cell_variant]
-    bound = 1.0 / np.sqrt(CALENDAR_SIZE)
-    embedding = rng.uniform(-bound, bound, size=(config.embed_size, CALENDAR_SIZE))
     out_size = config.effective_out_size
-    cells = []
-    for layer, _ in enumerate(config.dilations):
-        input_size = config.layer1_input_size if layer == 0 else out_size
-        if kind in (CellKind.LSTM, CellKind.GRU):
-            params, _ = cell_init(kind, input_size, config.hidden_size,
-                                  connection=connection, seed=rng)
-        else:
-            params, _ = cell_init(kind, input_size, config.hidden_size,
-                                  out_size=out_size,
-                                  upper_hidden_size=config.upper_hidden_size,
-                                  seed=rng)
-        cells.append(params)
-    bound = 1.0 / np.sqrt(out_size)
-    head_w = rng.uniform(-bound, bound, size=(HEAD_SIZE, out_size))
-    head_b = np.zeros(HEAD_SIZE)
-    return StackedModel(config, embedding, cells, head_w, head_b)
+    inputs = [config.layer1_input_size] + [out_size] * (len(config.dilations) - 1)
+    return [cell_layout(kind, size, config.hidden_size, out_size=out_size,
+                        upper_hidden_size=config.upper_hidden_size,
+                        connection=connection)
+            for size in inputs]
+
+
+def _block_shapes(config: ModelConfig, cells: list[CellParams]) -> list:
+    shapes = [(config.embed_size, CALENDAR_SIZE)]
+    for cell in cells:
+        shapes += cell.block_shapes()
+    return shapes + [(HEAD_SIZE, config.effective_out_size), (HEAD_SIZE,)]
 
 
 def model_param_count(config: ModelConfig) -> int:
-    """Number of floats :func:`model_build` allocates for ``config``,
+    """Number of floats :func:`model_allocate` allocates for ``config``,
     counted without allocating them."""
-    kind, _ = CELL_VARIANTS[config.cell_variant]
-    hidden, out = config.hidden_size, config.effective_out_size
-    gates = len(GATE_NAMES.get(kind, GATE_NAMES[CellKind.DRNN]))
+    return sum(math.prod(shape)
+               for shape in _block_shapes(config, _cell_layouts(config)))
 
-    def cell(size_in, h, size_out):  # W, V (and U when dilated), b per gate
-        if kind in (CellKind.LSTM, CellKind.GRU):
-            return gates * h * (size_in + h + 1)
-        return gates * (h + size_out) * (size_in + 2 * h + 1)
 
-    def layer(size_in):  # adrnn: a drnn stage that weights the next one
-        if kind is CellKind.ADRNN:
-            return (cell(size_in, hidden, size_in)
-                    + cell(size_in, config.upper_hidden_size or hidden, out))
-        return cell(size_in, hidden, out)
+def model_allocate(config: ModelConfig) -> StackedModel:
+    """A model for ``config`` whose arrays are allocated but not filled."""
+    cells = _cell_layouts(config)
+    blocks = iter([np.empty(shape) for shape in _block_shapes(config, cells)])
+    embedding = next(blocks)
+    for cell in cells:
+        cell.bind(blocks)
+    return StackedModel(config, embedding, cells, next(blocks), next(blocks))
 
-    return (config.embed_size * CALENDAR_SIZE + HEAD_SIZE * (out + 1)
-            + layer(config.layer1_input_size) + 2 * layer(out))
+
+def model_build(config: ModelConfig, seed=0) -> StackedModel:
+    """A freshly initialized model: uniform +-1/sqrt(fan_in) weights drawn
+    in :meth:`StackedModel.named_arrays` order, zero biases."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    model = model_allocate(config)
+    init_uniform(model.named_arrays(), rng)
+    return model
 
 
 def model_new_state(model: StackedModel) -> ModelState:

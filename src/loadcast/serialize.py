@@ -13,15 +13,14 @@ of :mod:`loadcast.dataset` shares this container through
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 
 from .config import from_json, to_json
 from .errors import ConfigError, ModelFileError
+from .files import replacing
 from .loss import LossConfig
-from .network import ModelConfig, model_build, model_param_count
+from .network import ModelConfig, model_allocate, model_param_count
 from .training import EnsembleModel, TrainRecipe
 
 MAGIC = b"loadcast-model\n"
@@ -32,22 +31,14 @@ def write_file(path, magic: bytes, header: dict, arrays):
     """Write ``magic``, ``header`` as one line of canonical JSON, then the
     raw bytes of each array in turn.
 
-    The file is replaced atomically: the bytes go to a temporary file
-    beside ``path`` that is renamed over it once complete, and that is
-    removed if writing fails, so readers see the old file or the new one.
+    The file is replaced atomically (:func:`~loadcast.files.replacing`),
+    so readers see the old file or the new one.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic + blob.encode("utf-8") + b"\n")
-            for arr in arrays:
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as (tmp,), open(tmp, "wb") as fh:
+        fh.write(magic + blob.encode("utf-8") + b"\n")
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def read_file(path, magic: bytes, version: int, what: str):
@@ -134,7 +125,7 @@ def load_ensemble(path):
     members = []
     offset = 0
     for entry, config in zip(entries, configs):
-        model = model_build(config, seed=0)
+        model = model_allocate(config)
         named = model.named_arrays()
         if entry["arrays"] != [[name, list(a.shape)] for name, a in named]:
             raise ModelFileError("model file arrays do not match its config")

@@ -1,20 +1,25 @@
 """Minimal reverse-mode autodiff on a recorded operation tape.
 
-Everything downstream (gated cells, the stacked network, training) builds its
-forward pass out of the handful of vector operations defined here.  A
-:class:`Tape` records each operation together with a vector-Jacobian closure;
-:meth:`Tape.backward` replays the record once in reverse and accumulates exact
-gradients for every leaf (parameter arrays, inputs).
+Everything downstream (fused cell steps, the stacked network, training)
+builds its forward pass out of nodes recorded here.  A :class:`Tape` records
+each node together with a vector-Jacobian closure; :meth:`Tape.backward`
+replays the record once in reverse and accumulates exact gradients for every
+leaf (parameter arrays, inputs).
 
-Values are plain 1-D float64 numpy arrays; parameter matrices enter only
-through :func:`matvec`.  Leaves are cached per tape by array identity, so the
-same parameter array used at every unrolled step accumulates a single gradient.
+Values are float64 numpy arrays; parameter matrices enter only as leaves.  A
+:class:`Var` names a contiguous part of one node's value, so a node may carry
+several outputs (a cell step's output, h- and c-state) and slicing records
+nothing.  Leaves are cached per tape by array identity, so the same parameter
+array used at every unrolled step accumulates a single gradient.  A vjp may
+hand a leaf its gradient as a rank-1 factor pair ``(u, v)``, standing for
+``np.outer(u, v)``; the backward sweep collects a leaf's pairs and reduces
+them with one matrix product at its end instead of summing one outer product
+per use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import StaleTapeError
 
@@ -23,8 +28,6 @@ __all__ = [
     "Var",
     "Gradients",
     "matvec",
-    "sigmoid",
-    "tanh",
     "exp_clipped",
     "concat",
     "narrow",
@@ -32,36 +35,31 @@ __all__ = [
 
 
 class Var:
-    """Handle to one recorded value on a tape."""
+    """Handle to the part ``[lo, hi)`` of one recorded value on a tape."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "lo", "hi")
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int, lo: int, hi: int):
         self.tape = tape
         self.index = index
+        self.lo = lo
+        self.hi = hi
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape._values[self.index]
+        return self.tape._values[self.index][self.lo:self.hi]
 
     def __len__(self) -> int:
-        return self.value.shape[0]
+        return self.hi - self.lo
 
     def __add__(self, other: "Var") -> "Var":
         return _add(self, other)
 
-    def __sub__(self, other: "Var") -> "Var":
-        return _sub(self, other)
-
     def __mul__(self, other: "Var") -> "Var":
         return _mul(self, other)
 
-    def __rsub__(self, scalar: float) -> "Var":
-        # only used as ``1.0 - gate``
-        return _scalar_minus(float(scalar), self)
-
     def __repr__(self) -> str:
-        return f"Var(#{self.index}, {self.value!r})"
+        return f"Var(#{self.index}[{self.lo}:{self.hi}], {self.value!r})"
 
 
 def _fingerprint(arr: np.ndarray) -> tuple:
@@ -69,11 +67,11 @@ def _fingerprint(arr: np.ndarray) -> tuple:
 
 
 class Tape:
-    """Wengert list of operations with per-node vjp closures."""
+    """Wengert list of nodes with per-node vjp closures."""
 
     def __init__(self):
         self._values: list[np.ndarray] = []
-        self._parents: list[tuple[int, ...]] = []
+        self._parents: list[list] = []  # (index, lo, hi) of each parent
         self._vjps: list = []
         self._leaf_cache: dict[int, int] = {}
         self._leaf_prints: dict[int, tuple] = {}
@@ -81,39 +79,43 @@ class Tape:
 
     # -- node construction -------------------------------------------------
 
-    def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
+    def record(self, value: np.ndarray, parents: tuple, vjp) -> Var:
+        """Append a node computed from ``parents``: Vars of this tape, or
+        None for inputs that carry no gradient.
+
+        ``vjp(g)`` maps the node's adjoint to one gradient per parent: an
+        array shaped like the parent's value, None, or, for a leaf parent, a
+        rank-1 factor pair ``(u, v)`` meaning ``np.outer(u, v)``.
+        """
+        parts = []
+        for p in parents:
+            if p is None:
+                parts.append(None)
+            elif p.tape is not self:
+                raise ValueError("Var belongs to a different tape")
+            else:  # no Var: a tape holding its own Vars is a reference cycle
+                parts.append((p.index, p.lo, p.hi))
         self._values.append(value)
-        self._parents.append(parents)
+        self._parents.append(parts)
         self._vjps.append(vjp)
-        return Var(self, len(self._values) - 1)
+        return Var(self, len(self._values) - 1, 0, value.shape[0])
 
     def leaf(self, arr: np.ndarray) -> Var:
         """Register ``arr`` as a gradient-tracked input, cached by identity."""
         key = id(arr)
         idx = self._leaf_cache.get(key)
         if idx is not None:
-            return Var(self, idx)
+            return Var(self, idx, 0, arr.shape[0])
         arr = np.asarray(arr, dtype=np.float64)
-        var = self._record(arr, (), None)
+        var = self.record(arr, (), None)
         self._leaf_cache[key] = var.index
         self._leaf_prints[var.index] = _fingerprint(arr)
         self._leaf_arrays[var.index] = arr
         return var
 
     def constant(self, arr: np.ndarray) -> Var:
-        """Record a value that never needs a gradient (e.g. cold-start zeros)."""
-        return self._record(np.asarray(arr, dtype=np.float64), (), None)
-
-    def zeros(self, n: int) -> Var:
-        return self.constant(np.zeros(n))
-
-    def lift(self, x) -> Var:
-        """Pass a Var through; wrap a raw array as a constant."""
-        if isinstance(x, Var):
-            if x.tape is not self:
-                raise ValueError("Var belongs to a different tape")
-            return x
-        return self.constant(x)
+        """Record a value that never needs a gradient (e.g. a day's input)."""
+        return self.record(np.asarray(arr, dtype=np.float64), (), None)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -137,11 +139,9 @@ class Tape:
             g = np.asarray(g, dtype=np.float64)
             if g.shape != var.value.shape:
                 raise ValueError("seed gradient shape mismatch")
-            if var.index in adj:
-                adj[var.index] = adj[var.index] + g
-            else:
-                adj[var.index] = g
+            self._accumulate(adj, (var.index, var.lo, var.hi), g)
 
+        factors: dict[int, list] = {}
         for idx in range(len(self._values) - 1, -1, -1):
             g = adj.get(idx)
             if g is None:
@@ -149,12 +149,26 @@ class Tape:
             parents = self._parents[idx]
             if not parents:
                 continue
-            for pidx, pg in zip(parents, self._vjps[idx](g)):
-                if pg is None:
+            for p, pg in zip(parents, self._vjps[idx](g)):
+                if p is None or pg is None:
                     continue
-                acc = adj.get(pidx)
-                adj[pidx] = pg if acc is None else acc + pg
+                if type(pg) is tuple:
+                    factors.setdefault(p[0], []).append(pg)
+                else:
+                    self._accumulate(adj, p, pg)
+        for idx, pairs in factors.items():
+            us, vs = zip(*pairs)
+            total = np.array(us).T @ np.array(vs)
+            acc = adj.get(idx)
+            adj[idx] = total if acc is None else acc + total
         return Gradients(self, adj)
+
+    def _accumulate(self, adj: dict, part: tuple, g: np.ndarray):
+        index, lo, hi = part
+        acc = adj.get(index)
+        if acc is None:
+            acc = adj[index] = np.zeros(self._values[index].shape)
+        acc[lo:hi] += g
 
 
 class Gradients:
@@ -168,7 +182,7 @@ class Gradients:
         g = self._adj.get(var.index)
         if g is None:
             return np.zeros_like(var.value)
-        return g
+        return g[var.lo:var.hi]
 
     def of_array(self, arr: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. a leaf registered via ``Tape.leaf(arr)``."""
@@ -185,24 +199,12 @@ class Gradients:
 
 
 def _add(a: Var, b: Var) -> Var:
-    t = a.tape
-    return t._record(a.value + b.value, (a.index, b.index), lambda g: (g, g))
-
-
-def _sub(a: Var, b: Var) -> Var:
-    t = a.tape
-    return t._record(a.value - b.value, (a.index, b.index), lambda g: (g, -g))
+    return a.tape.record(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def _mul(a: Var, b: Var) -> Var:
-    t = a.tape
     av, bv = a.value, b.value
-    return t._record(av * bv, (a.index, b.index), lambda g: (g * bv, g * av))
-
-
-def _scalar_minus(s: float, a: Var) -> Var:
-    t = a.tape
-    return t._record(s - a.value, (a.index,), lambda g: (-g,))
+    return a.tape.record(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def matvec(w: np.ndarray, x: Var) -> Var:
@@ -210,58 +212,29 @@ def matvec(w: np.ndarray, x: Var) -> Var:
     t = x.tape
     wv = t.leaf(w)
     wa, xv = wv.value, x.value
-    return t._record(
-        wa @ xv,
-        (wv.index, x.index),
-        lambda g: (np.outer(g, xv), wa.T @ g),
-    )
-
-
-def sigmoid(a: Var) -> Var:
-    t = a.tape
-    y = expit(a.value)
-    return t._record(y, (a.index,), lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(a: Var) -> Var:
-    t = a.tape
-    y = np.tanh(a.value)
-    return t._record(y, (a.index,), lambda g: (g * (1.0 - y * y),))
+    return t.record(wa @ xv, (wv, x), lambda g: ((g, xv), wa.T @ g))
 
 
 def exp_clipped(a: Var, lo: float, hi: float) -> Var:
     """``exp(clip(a, lo, hi))``; gradient is zero on the clipped region."""
-    t = a.tape
     av = a.value
     inside = (av >= lo) & (av <= hi)
     y = np.exp(np.clip(av, lo, hi))
-    return t._record(y, (a.index,), lambda g: (g * y * inside,))
+    return a.tape.record(y, (a,), lambda g: (g * y * inside,))
 
 
 def concat(parts: list[Var]) -> Var:
-    t = parts[0].tape
-    sizes = [p.value.shape[0] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([0] + [len(p) for p in parts])
 
     def vjp(g):
-        return tuple(np.split(g, splits))
+        return tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
-    return t._record(
-        np.concatenate([p.value for p in parts]),
-        tuple(p.index for p in parts),
-        vjp,
-    )
+    return parts[0].tape.record(
+        np.concatenate([p.value for p in parts]), tuple(parts), vjp)
 
 
 def narrow(a: Var, start: int, size: int) -> Var:
-    t = a.tape
-    n = a.value.shape[0]
-    if start < 0 or start + size > n:
+    """The part ``[start, start + size)`` of ``a``; records nothing."""
+    if start < 0 or start + size > len(a):
         raise ValueError("narrow out of range")
-
-    def vjp(g):
-        out = np.zeros(n)
-        out[start : start + size] = g
-        return (out,)
-
-    return t._record(a.value[start : start + size].copy(), (a.index,), vjp)
+    return Var(a.tape, a.index, a.lo + start, a.lo + start + size)

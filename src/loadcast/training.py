@@ -114,7 +114,8 @@ class TrainRecipe:
 
 
 class Adam:
-    """Adam with bias correction, updating named arrays in place."""
+    """Adam with bias correction, updating (key, array) pairs in place;
+    the trainer keys the model's stacked blocks by position."""
 
     def __init__(self, arrays, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.arrays = list(arrays)
@@ -193,7 +194,7 @@ def series_windows(samples, window_days):
     return out
 
 
-def _window_group_update(model, named, optimizer, entries, states, lr,
+def _window_group_update(model, blocks, optimizer, entries, states, lr,
                          clip_norm, loss_config, epoch):
     """One forward/backward/update over the k-th window of each series."""
     tape = Tape()
@@ -223,7 +224,7 @@ def _window_group_update(model, named, optimizer, entries, states, lr,
         seed_list.append((out.lower, g_lower / pairs))
         seed_list.append((out.upper, g_upper / pairs))
     grads_view = tape.backward(seed_list)
-    grads = {name: grads_view.of_array(arr) for name, arr in named}
+    grads = {k: grads_view.of_array(block) for k, block in enumerate(blocks)}
     clip_global_norm(grads, clip_norm)
     optimizer.step(grads, lr)
     return loss_sum, pairs
@@ -243,8 +244,9 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
         loss_config = LossConfig()
     rng = np.random.default_rng(seed)
     model = model_build(config, rng)
-    named = model.named_arrays()
-    optimizer = Adam(named, recipe.beta1, recipe.beta2, recipe.epsilon)
+    blocks = model.blocks()
+    optimizer = Adam(enumerate(blocks), recipe.beta1, recipe.beta2,
+                     recipe.epsilon)
     series_ids = data.series_ids
     windows = {sid: series_windows(data.by_series[sid], recipe.window_days)
                for sid in series_ids}
@@ -263,7 +265,7 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
                 entries = [(sid, windows[sid][k]) for sid in group
                            if k < len(windows[sid])]
                 batch_loss, pairs = _window_group_update(
-                    model, named, optimizer, entries, states, lr,
+                    model, blocks, optimizer, entries, states, lr,
                     recipe.clip_norm, loss_config, epoch)
                 loss_sum += batch_loss
                 pair_count += pairs

@@ -417,15 +417,45 @@ def test_delayed_variant_input_isolation():
 def test_dilation_one_merges_recent_and_delayed_weights():
     params, _ = cell_init(CellKind.DLSTM, 3, hidden_size=2, out_size=2, seed=25)
     merged = copy.deepcopy(params)
-    for name, gate in merged.gates.items():
-        gate.V = gate.V + params.gates[name].U
-        gate.U = np.zeros_like(gate.U)
+    for name, gate in merged.gates.items():  # in place: views of the stack
+        gate.V[...] += params.gates[name].U
+        gate.U[...] = 0.0
     rng = np.random.default_rng(5)
     xs = random_inputs(rng, 6, 3)
     a = run_cell(params, xs, dilation=1)
     b = run_cell(merged, xs, dilation=1)
     for ya, yb in zip(a, b):
         np.testing.assert_allclose(ya, yb, rtol=0, atol=1e-12)
+    # with a real delay the two weight sets differ
+    a = run_cell(params, xs, dilation=2)
+    b = run_cell(merged, xs, dilation=2)
+    assert max(np.max(np.abs(ya - yb)) for ya, yb in zip(a, b)) > 1e-6
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    (CellKind.LSTM, {}), (CellKind.GRU, {}), (CellKind.DLSTM, {"out_size": 2}),
+    (CellKind.DRNN, {"out_size": 2}), (CellKind.ADRNN, {"out_size": 2})],
+    ids=["lstm", "gru", "dlstm", "drnn", "adrnn"])
+def test_views_write_through_to_the_stacked_matrix(kind, kwargs):
+    # the gate blocks and named arrays are views into one stacked matrix per
+    # cell (stage), so writing through them moves the step output, on a
+    # deep copy as well
+    params, _ = cell_init(kind, 3, hidden_size=2, seed=29, **kwargs)
+    xs = random_inputs(np.random.default_rng(8), 5, 3)
+    base = run_cell(params, xs, dilation=2)
+    for p in (params, copy.deepcopy(params)):
+        stage = p.upper if p.kind is CellKind.ADRNN else p
+        runs = [run_cell(p, xs, dilation=2)]
+        list(stage.gates.values())[-1].b[:] += 0.5  # the candidate bias
+        runs.append(run_cell(p, xs, dilation=2))
+        _, first = p.named_arrays()[0]
+        first[...] *= -1.0
+        runs.append(run_cell(p, xs, dilation=2))
+        for ya, yb in zip(base, runs[0]):
+            np.testing.assert_array_equal(ya, yb)
+        for before, after in zip(runs, runs[1:]):
+            assert max(np.max(np.abs(ya - yb))
+                       for ya, yb in zip(before, after)) > 1e-6
 
 
 def test_drnn_update_gate_extremes():

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, round trips, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,38 @@ def test_train_writes_log_and_is_byte_deterministic(workspace, tmp_path):
     text = log.read_text(encoding="utf-8")
     assert "member seed=0 epoch 1/1" in text
     assert "loss=" in text and "lr=" in text
+
+
+#: sha256 of the model file a zero-epoch ``train`` writes for each variant
+#: at a small size (two members); pins the file layout and the
+#: initialization draws
+ZERO_EPOCH_SHA256 = {
+    "adrnn": "65e058e3ded0a2f275d1e7f865ba5d056492cdaac8f1c953c05d8c6a09da9e1b",
+    "dlstm": "c4e640da07e0a72440dd97da9e6de6b9e7d125269eacb78d613309dd89ddda2d",
+    "drnn": "69b834d9bf3b26e93e3c26210ca71345411eb164d2e8c8a063db75b8084eeec8",
+    "gru1": "ecf84b538237e46b6f7d2b3a6f4b1d1e0b38798c31eedfa2d906e7aee030c004",
+    "gru2": "045e47986fa96dfae85a5df1bf521954330e1bbb0eef06ee580df5125a38e9d8",
+    "lstm1": "44a165f6217cc6436f0bbcf4c1c65f45e888f81df51085e911defc7edffd7977",
+    "lstm2": "660d14bac674f972a5839e230f455caf494095525243b544adbdde7fd9cd830e",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ZERO_EPOCH_SHA256))
+def test_zero_epoch_model_file_is_pinned(workspace, tmp_path, variant):
+    model = {"cell_variant": variant, "hidden_size": 3, "embed_size": 4}
+    if variant in ("dlstm", "drnn", "adrnn"):
+        model["out_size"] = 2
+    if variant == "adrnn":
+        model["upper_hidden_size"] = 4
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": model, "recipe": {
+        "epochs": 0, "seeds": [0, 1]}}), encoding="utf-8")
+    out = tmp_path / "zero.model"
+    assert main(["train", "--store", workspace["store"], "--out", str(out),
+                 "--config", str(config),
+                 "--train-range", "2015-01-08:2015-02-28"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ZERO_EPOCH_SHA256[variant]
 
 
 def test_cell_flag_accepts_all_variants():

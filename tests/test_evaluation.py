@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from loadcast import evaluation
 from loadcast.evaluation import (
     ForecastRecord,
     build_report,
@@ -287,22 +288,25 @@ def test_evaluate_forecasts_end_to_end_arithmetic():
     assert report.n_hours == 24 and report.n_days == 1
 
 
-def test_report_summary_aggregates_per_series_scores(tmp_path):
+def three_series_report(label="m", shift=0.0):
     start = dt.date(2024, 6, 1)
     day = dt.timedelta(days=1)
     series = {"s1": make_series("s1", start, np.full(72, 100.0)),
               "s2": make_series("s2", start, np.full(48, 200.0)),
               "s3": make_series("s3", start, np.full(24, 300.0))}
-    records = {"m": [
-        day_record("s1", start, 90.0),
+    records = {label: [
+        day_record("s1", start, 90.0 + shift),
         day_record("s1", start + day, 104.0, lower=101.0, upper=99.0),
         day_record("s1", start + 2 * day, 130.0, lower=80.0, upper=90.0),
         day_record("s2", start, 230.0, lower=150.0, upper=250.0),
         day_record("s2", start + 2 * day, 210.0),  # no stored actual
         day_record("s3", start + day, 300.0),  # no stored actual either
     ]}
-    report = build_report(records, series, 0.1, (start, start + 2 * day))
-    write_report(report, tmp_path)
+    return build_report(records, series, 0.1, (start, start + 2 * day))
+
+
+def test_report_summary_aggregates_per_series_scores(tmp_path):
+    write_report(three_series_report(), tmp_path)
 
     with open(tmp_path / "report.json", encoding="utf-8") as fh:
         model = json.load(fh)["models"]["m"]
@@ -328,3 +332,29 @@ def test_report_summary_aggregates_per_series_scores(tmp_path):
     assert [row[:2] for row in rows[1:]] == [["m", "s1"], ["m", "s2"]]
     assert [float(v) for v in rows[1][2:-1]] == [
         scored[0][name] for name in rows[0][2:-1]]
+
+
+def test_failed_report_write_leaves_previous_report(tmp_path, monkeypatch):
+    write_report(three_series_report(), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["gw_matrix.csv", "per_series.csv",
+                              "report.json", "table1.csv", "table2.csv"]
+    opened = []
+
+    def fail_on_fourth(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 4:
+            raise OSError("injected open failure")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "open", fail_on_fourth, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        write_report(three_series_report("m2", shift=5.0), tmp_path)
+    monkeypatch.undo()
+    assert len(opened) == 4
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    write_report(three_series_report("m2", shift=5.0), tmp_path)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)
+    assert all(after[name] != before[name] for name in before)

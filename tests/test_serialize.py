@@ -171,14 +171,18 @@ def test_oversized_header_rejected_before_any_allocation(tmp_path,
     save_ensemble(path, small_ensemble(members=1))
     magic, header, payload = path.read_bytes().split(b"\n", 2)
     header = edit_config("hidden_size", 10**9)(json.loads(header))
-    path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+    oversized = tmp_path / "oversized.model"
+    oversized.write_bytes(
+        b"\n".join([magic, json.dumps(header).encode(), payload]))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("model_build ran before the size check")
+        raise AssertionError("model_allocate ran before the size check")
 
-    monkeypatch.setattr(serialize, "model_build", refuse)
+    monkeypatch.setattr(serialize, "model_allocate", refuse)
+    with pytest.raises(AssertionError, match="model_allocate ran"):
+        load_ensemble(path)  # the stand-in sits on the allocation path
     with pytest.raises(ModelFileError, match="truncated"):
-        load_ensemble(path)
+        load_ensemble(oversized)
 
 
 class FailAfterFirstArray:
