@@ -8,9 +8,10 @@ pinball loss so the bounds are genuine quantile forecasts rather than
 post-hoc error bands.
 
 Modules:
-    tape: minimal reverse-mode autodiff engine (float64 throughout).
-    cells: the five gated recurrent cells, one fused tape node per step
-        with a hand-written backward.
+    tape: the node tape the model records on and its reverse sweep
+        (float64 throughout).
+    cells: the five gated recurrent cells, one tape node per step (the
+        attentive cell included) with a hand-written backward.
     network: the dilated three-layer stack with embedding and linear head.
     preprocess: weekly standardization, day encoding, sample construction.
     loss: pinball loss and the composite training objective.

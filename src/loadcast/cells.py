@@ -1,21 +1,21 @@
 """The five gated recurrent cells and their exact training gradients.
 
-Each cell step is a pure function of (parameters, state buffers, input)
-recorded on a :class:`~loadcast.tape.Tape` as one node: all gate
-pre-activations come from one matrix-vector product of the cell's stacked
-gate matrix with ``[x; h_recent; h_delayed; 1]``, and the node's vjp is the
-cell's hand-written backward pass for that step, so reverse-mode gradients
-through any number of steps come from the tape.  Cells with dilation read
-both the most recent state and the state from ``d`` steps ago; plain
-LSTM/GRU run in one of two connection variants, fed either by the recent
-state only or by the delayed state only.
+Each cell step is recorded on a :class:`~loadcast.tape.Tape` as one node.
+Three pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
+``_drnn``) compute all gate pre-activations with one matrix-vector product of
+the cell's stacked gate matrix with ``[x; h_recent; h_delayed; 1]`` and
+return the step's value with its hand-written backward pass, so reverse-mode
+gradients through any number of steps come from the tape.  Cells with
+dilation read both the most recent state and the state from ``d`` steps ago;
+plain LSTM/GRU run in one of two connection variants, fed either by the
+recent state only or by the delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
 which feeds the gates of later steps, and an output part that goes to the next
-layer.  The attentive cell stacks two of the merged cells: the first emits a
-per-component attention vector whose exponential rescales the input of the
-second.
+layer.  The attentive cell stacks two merged-gate kernels in one node: the
+first emits a per-component attention vector whose clamped exponential
+rescales the input of the second.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError
-from .tape import Tape, Var, exp_clipped, narrow
+from .tape import Tape, Var
 
 #: attention pre-activations are clamped to this band before exponentiation
 ATTENTION_CLAMP = 10.0
@@ -300,6 +300,10 @@ def cell_init(
 
 
 # -- fused steps -----------------------------------------------------------
+#
+# A kernel maps (params, stacked matrix, z, c-states...) to the step's value
+# and a closure mapping the value's adjoint to the matrix's factor pairs, the
+# gradient of z and one gradient per c-state.
 
 
 def _read(entry, size: int):
@@ -312,15 +316,17 @@ def _read(entry, size: int):
     return entry, None
 
 
-def _gate_input(params: CellParams, state: CellState, x: Var, lags):
-    """The stacked gate input ``[x; h at each lag; 1]`` of one step and the
-    Vars it was read from (x first)."""
+def _read_state(params: CellParams, state: CellState, x: np.ndarray, lags,
+                c_lags):
+    """The stacked gate input ``[x; h at each lag; 1]`` of one step, the
+    c-states at ``c_lags`` and the Vars of the entries read (h before c)."""
     if len(x) != params.input_size:
         raise ValueError(f"input length {len(x)} != cell input size "
                          f"{params.input_size}")
-    reads = [_read(state.h_lag(lag), params.hidden_size) for lag in lags]
-    z = np.concatenate([x.value, *(value for value, _ in reads), _ONE])
-    return z, [x] + [var for _, var in reads]
+    hs = [_read(state.h_lag(lag), params.hidden_size) for lag in lags]
+    cs = [_read(state.c_lag(lag), params.cell_size) for lag in c_lags]
+    z = np.concatenate([x, *(value for value, _ in hs), _ONE])
+    return z, [value for value, _ in cs], [var for _, var in hs + cs]
 
 
 def _split_input_grad(params: CellParams, dz: np.ndarray, lags: int) -> list:
@@ -329,12 +335,14 @@ def _split_input_grad(params: CellParams, dz: np.ndarray, lags: int) -> list:
     return [dz[:i]] + [dz[i + k * h:i + (k + 1) * h] for k in range(lags)]
 
 
-def _outputs(params: CellParams, node: Var) -> tuple[Var, Var]:
-    """The fed-back state h and the output y of a step's raw activation."""
-    h = narrow(node, 0, params.hidden_size)
+def _push(params: CellParams, state: CellState, node: Var) -> Var:
+    """Store the h (and c) held in a step's value ``node``; returns the
+    step's output y."""
+    h = node[:params.hidden_size]
+    state.push(h, node[params.cell_size:])  # a GRU state keeps no c
     if params.kind in _DILATED:
-        return h, narrow(node, params.hidden_size, params.out_size)
-    return h, h
+        return node[params.hidden_size:params.cell_size]
+    return h
 
 
 def _reference_lag(params: CellParams, dilation: int) -> int:
@@ -345,15 +353,9 @@ def _reference_lag(params: CellParams, dilation: int) -> int:
     raise ValueError("dilated cells use explicit recent+delayed terms")
 
 
-def _lstm_node(params: CellParams, state: CellState, x: Var, lags,
-               c_lag: int) -> Var:
-    """One LSTM-type step (forget, input, output, candidate gates) whose raw
-    activation ``output * tanh(c)`` and c-state form one node."""
-    tape = x.tape
-    m = tape.leaf(params.stack)
-    w = m.value
-    z, reads = _gate_input(params, state, x, lags)
-    c_prev, c_var = _read(state.c_lag(c_lag), params.cell_size)
+def _lstm(params: CellParams, w: np.ndarray, z: np.ndarray, c_prev):
+    """LSTM-type gates (forget, input, output, candidate): the raw activation
+    ``output * tanh(c)`` and c."""
     n = params.cell_size
     pre = w @ z
     sig = expit(pre[:3 * n])
@@ -362,7 +364,7 @@ def _lstm_node(params: CellParams, state: CellState, x: Var, lags,
     c = forget * c_prev + infl * cand
     tc = np.tanh(c)
 
-    def vjp(g):
+    def back(g):
         dhp = g[:n]
         dc = g[n:] + dhp * out * (1.0 - tc * tc)
         dpre = np.concatenate((
@@ -370,29 +372,15 @@ def _lstm_node(params: CellParams, state: CellState, x: Var, lags,
             dc * cand * infl * (1.0 - infl),
             dhp * tc * out * (1.0 - out),
             dc * infl * (1.0 - cand * cand)))
-        return ((dpre, z), *_split_input_grad(params, w.T @ dpre, len(lags)),
-                dc * forget)
+        return [(dpre, z)], w.T @ dpre, (dc * forget,)
 
-    node = tape.record(np.concatenate((out * tc, c)), (m, *reads, c_var), vjp)
-    h, y = _outputs(params, node)
-    state.push(h, narrow(node, n, n))
-    return y
+    return np.concatenate((out * tc, c)), back
 
 
-def lstm_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
-    """Classic LSTM step; the connection variant picks which lag feeds it."""
-    lag = _reference_lag(params, dilation)
-    return _lstm_node(params, state, x, (lag,), lag)
-
-
-def gru_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
-    """GRU step; the candidate reads the reset-gated state through its own
-    ``V_c (r * h)`` term, so the stacked matrix is applied in two row
-    blocks."""
-    tape = x.tape
-    m = tape.leaf(params.stack)
-    w = m.value
-    z, reads = _gate_input(params, state, x, (_reference_lag(params, dilation),))
+def _gru(params: CellParams, w: np.ndarray, z: np.ndarray):
+    """GRU gates: reset and update rows read ``[x; h; 1]``, the candidate
+    rows read ``[x; r*h; 1]``, so the matrix's gradient is two factor
+    pairs."""
     i, n = params.input_size, params.hidden_size
     h = z[i:i + n]
     gates = expit(w[:2 * n] @ z)
@@ -401,40 +389,26 @@ def gru_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) ->
     zc[i:i + n] = reset * h
     cand = np.tanh(w[2 * n:] @ zc)
 
-    def vjp(g):
+    def back(g):
         dpre_c = g * update * (1.0 - cand * cand)
         dzc = w[2 * n:].T @ dpre_c
         drh = dzc[i:i + n]
         dpre = np.concatenate((drh * h * reset * (1.0 - reset),
                                g * (cand - h) * update * (1.0 - update)))
-        dz = w[:2 * n].T @ dpre
-        return ((np.concatenate((dpre, np.zeros(n))), z),
-                (np.concatenate((np.zeros(2 * n), dpre_c)), zc),
-                dz[:i] + dzc[:i],
-                dz[i:i + n] + drh * reset + g * (1.0 - update))
+        dzc[i:i + n] *= reset  # r*h's gradient, passed on to h
+        dz = w[:2 * n].T @ dpre + dzc
+        dz[i:i + n] += g * (1.0 - update)
+        return ([(np.concatenate((dpre, np.zeros(n))), z),
+                 (np.concatenate((np.zeros(2 * n), dpre_c)), zc)], dz, ())
 
-    node = tape.record((1.0 - update) * h + update * cand, (m, m, *reads), vjp)
-    state.push(node)
-    return node
+    return (1.0 - update) * h + update * cand, back
 
 
-def dlstm_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
-    """LSTM with an extra delayed-state term and a split output."""
-    return _lstm_node(params, state, x, (1, dilation), 1)
-
-
-def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
-    """Merged-gate cell: c is a gated fusion of recent and delayed c-states.
-
-    The raw activation is ``output_gate * c`` with no tanh, then split.
-    """
-    tape = x.tape
-    m = tape.leaf(params.stack)
-    w = m.value
-    z, reads = _gate_input(params, state, x, (1, dilation))
+def _drnn(params: CellParams, w: np.ndarray, z: np.ndarray, c1, cd):
+    """Merged gates: c is a gated fusion of the recent and delayed c-states
+    mixed with the candidate; the raw activation is ``output_gate * c``
+    with no tanh."""
     n = params.cell_size
-    c1, c1_var = _read(state.c_lag(1), n)
-    cd, cd_var = _read(state.c_lag(dilation), n)
     pre = w @ z
     sig = expit(pre[:3 * n])
     fusion, update, out = sig[:n], sig[n:2 * n], sig[2 * n:]
@@ -442,7 +416,7 @@ def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Va
     mix = fusion * c1 + (1.0 - fusion) * cd
     c = update * mix + (1.0 - update) * cand
 
-    def vjp(g):
+    def back(g):
         dhp = g[:n]
         dc = g[n:] + dhp * out
         dmix = dc * update
@@ -451,23 +425,80 @@ def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Va
             dc * (mix - cand) * update * (1.0 - update),
             dhp * c * out * (1.0 - out),
             dc * (1.0 - update) * (1.0 - cand * cand)))
-        return ((dpre, z), *_split_input_grad(params, w.T @ dpre, 2),
-                dmix * fusion, dmix * (1.0 - fusion))
+        return [(dpre, z)], w.T @ dpre, (dmix * fusion, dmix * (1.0 - fusion))
 
-    node = tape.record(np.concatenate((out * c, c)),
-                       (m, *reads, c1_var, cd_var), vjp)
-    h, y = _outputs(params, node)
-    state.push(h, narrow(node, n, n))
-    return y
+    return np.concatenate((out * c, c)), back
+
+
+def _fused_step(params: CellParams, state: CellState, x: Var, lags, c_lags,
+                kernel) -> Var:
+    """One step of ``kernel`` recorded as a single node on ``x``'s tape."""
+    tape = x.tape
+    m = tape.leaf(params.stack)
+    z, cs, reads = _read_state(params, state, x.value, lags, c_lags)
+    value, back = kernel(params, m.value, z, *cs)
+
+    def vjp(g):
+        dw, dz, dcs = back(g)
+        return (dw, *_split_input_grad(params, dz, len(lags)), *dcs)
+
+    return _push(params, state, tape.record(value, (m, x, *reads), vjp))
+
+
+def lstm_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
+    """Classic LSTM step; the connection variant picks which lag feeds it."""
+    lag = _reference_lag(params, dilation)
+    return _fused_step(params, state, x, (lag,), (lag,), _lstm)
+
+
+def gru_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
+    """GRU step; the connection variant picks which lag feeds it."""
+    return _fused_step(params, state, x, (_reference_lag(params, dilation),),
+                       (), _gru)
+
+
+def dlstm_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
+    """LSTM with an extra delayed-state term and a split output."""
+    return _fused_step(params, state, x, (1, dilation), (1,), _lstm)
+
+
+def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
+    """Merged-gate cell with a split output."""
+    return _fused_step(params, state, x, (1, dilation), (1, dilation), _drnn)
 
 
 def adrnn_step(params: CellParams, state: AdCellState, x: Var, dilation: int) -> Var:
-    """Attentive cell: lower stage emits exp-weights that rescale the input
-    of the upper stage; both stages advance once per step."""
-    attention = drnn_step(params.lower, state.lower, x, dilation)
-    weights = exp_clipped(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP)
-    reweighted = x * weights
-    return drnn_step(params.upper, state.upper, reweighted, dilation)
+    """Attentive cell, one node per step: the lower stage's output ``a``
+    rescales the input of the upper stage by ``exp(clip(a))``; both stages
+    advance once per step."""
+    tape = x.tape
+    lower, upper = params.lower, params.upper
+    ml, mu = tape.leaf(lower.stack), tape.leaf(upper.stack)
+    lags = (1, dilation)
+    xv = x.value
+    zl, cl, reads_l = _read_state(lower, state.lower, xv, lags, lags)
+    value_l, back_l = _drnn(lower, ml.value, zl, *cl)
+    attention = value_l[lower.hidden_size:lower.cell_size]
+    inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
+    weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
+    zu, cu, reads_u = _read_state(upper, state.upper, xv * weights, lags, lags)
+    value_u, back_u = _drnn(upper, mu.value, zu, *cu)
+    split = 2 * lower.cell_size
+
+    def vjp(g):
+        dwu, dzu, dcu = back_u(g[split:])
+        dxu = dzu[:upper.input_size]
+        gl = g[:split].copy()
+        gl[lower.hidden_size:lower.cell_size] += dxu * xv * weights * inside
+        dwl, dzl, dcl = back_l(gl)
+        return (dwl, dwu, dxu * weights + dzl[:lower.input_size],
+                *_split_input_grad(lower, dzl, 2)[1:], *dcl,
+                *_split_input_grad(upper, dzu, 2)[1:], *dcu)
+
+    node = tape.record(np.concatenate((value_l, value_u)),
+                       (ml, mu, x, *reads_l, *reads_u), vjp)
+    _push(lower, state.lower, node[:split])
+    return _push(upper, state.upper, node[split:])
 
 
 _STEP_FN = {
@@ -498,15 +529,10 @@ def cell_gradient(
         raise ValueError("need one upstream gradient per input step")
     tape = Tape()
     state = new_state(params, dilation)
-    seeds = []
-    in_vars = []
-    for x_arr, g in zip(inputs, upstream):
-        x = tape.leaf(np.asarray(x_arr, dtype=np.float64))
-        in_vars.append(x)
-        y = cell_step(params, state, x, dilation)
-        seeds.append((y, g))
-    grads = tape.backward(seeds)
-    param_grads = dict(params.named_arrays(
-        blocks=[grads.of_array(block) for block in params.blocks()]))
-    input_grads = [grads.of(v) for v in in_vars]
-    return param_grads, input_grads
+    xs = [np.array(x, dtype=np.float64) for x in inputs]
+    seeds = [(cell_step(params, state, tape.leaf(x), dilation), g)
+             for x, g in zip(xs, upstream)]
+    blocks = params.blocks()
+    grads = tape.backward(seeds, blocks + xs)
+    return (dict(params.named_arrays(blocks=grads[:len(blocks)])),
+            grads[len(blocks):])

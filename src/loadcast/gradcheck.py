@@ -225,9 +225,7 @@ def check_model(
 
     def gradient():
         _, tape, seeds = run()
-        grads = tape.backward(seeds)
-        return dict(model.named_arrays(
-            [grads.of_array(block) for block in model.blocks()]))
+        return dict(model.named_arrays(tape.backward(seeds, model.blocks())))
 
     if tolerance is None:
         tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL

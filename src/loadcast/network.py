@@ -28,7 +28,7 @@ from .cells import (
 )
 from .errors import ConfigError
 from .preprocess import CALENDAR_SIZE, HOURS_PER_WEEK, ExtendedInput
-from .tape import Tape, Var, concat, matvec, narrow
+from .tape import Tape, Var
 
 #: forecast horizon in hours; the head emits point, lower and upper per hour
 HORIZON = 24
@@ -180,33 +180,36 @@ def model_new_state(model: StackedModel) -> ModelState:
 
 def model_step(model: StackedModel, states: ModelState,
                sample_input: ExtendedInput, tape: Tape | None = None) -> StepOutput:
-    """One day forward: concat input, three dilated cells with shortcuts,
-    linear head split into point and interval bounds.
+    """One day forward: the input ``[week; level; E calendar]``, three
+    dilated cells with shortcuts, and the linear head split into point and
+    interval bounds.
 
-    Without a tape this is an evaluation step: a throwaway tape is used and
-    the states are left detached, so no gradient flows between such steps.
+    Without a tape this is an evaluation step: it records on a forward-only
+    tape of its own and leaves the states detached, so no gradient flows
+    between such steps; the states it is given hold no Vars.
     """
     evaluation = tape is None
     if evaluation:
-        tape = Tape()
-        states.detach()
-    u1 = concat([
-        tape.constant(sample_input.week),
-        tape.constant(np.array([sample_input.level])),
-        matvec(model.embedding, tape.constant(sample_input.calendar)),
-    ])
+        tape = Tape(forward_only=True)
+    embedding = tape.leaf(model.embedding)
+    calendar = sample_input.calendar
+    u1 = tape.record(
+        np.concatenate([sample_input.week, [sample_input.level],
+                        model.embedding @ calendar]),
+        (embedding,), lambda g: ([(g[HOURS_PER_WEEK + 1:], calendar)],))
     d1, d2, d3 = model.config.dilations
     y1 = cell_step(model.cells[0], states.layers[0], u1, d1)
     y2 = cell_step(model.cells[1], states.layers[1], y1, d2) + y1
     y3 = cell_step(model.cells[2], states.layers[2], y2, d3) + y2
-    head = matvec(model.head_w, y3) + tape.leaf(model.head_b)
+    w, yv = model.head_w, y3.value
+    head = tape.record(
+        w @ yv + model.head_b,
+        (tape.leaf(w), tape.leaf(model.head_b), y3),
+        lambda g: ([(g, yv)], g, w.T @ g))
     if evaluation:
         states.detach()
-    return StepOutput(
-        point=narrow(head, 0, HORIZON),
-        lower=narrow(head, HORIZON, HORIZON),
-        upper=narrow(head, 2 * HORIZON, HORIZON),
-    )
+    return StepOutput(point=head[:HORIZON], lower=head[HORIZON:2 * HORIZON],
+                      upper=head[2 * HORIZON:])
 
 
 def model_unroll(model: StackedModel, states: ModelState, samples,

@@ -1,20 +1,20 @@
-"""Minimal reverse-mode autodiff on a recorded operation tape.
+"""Minimal reverse-mode autodiff on a recorded node tape.
 
-Everything downstream (fused cell steps, the stacked network, training)
-builds its forward pass out of nodes recorded here.  A :class:`Tape` records
-each node together with a vector-Jacobian closure; :meth:`Tape.backward`
-replays the record once in reverse and accumulates exact gradients for every
-leaf (parameter arrays, inputs).
+The model records a handful of hand-written nodes per day (the input, one
+node per cell step and the head), each with its vector-Jacobian closure;
+:meth:`Tape.backward` replays the record once in reverse and returns exact
+gradients for the parameter arrays it is asked about.
 
 Values are float64 numpy arrays; parameter matrices enter only as leaves.  A
 :class:`Var` names a contiguous part of one node's value, so a node may carry
 several outputs (a cell step's output, h- and c-state) and slicing records
-nothing.  Leaves are cached per tape by array identity, so the same parameter
-array used at every unrolled step accumulates a single gradient.  A vjp may
-hand a leaf its gradient as a rank-1 factor pair ``(u, v)``, standing for
-``np.outer(u, v)``; the backward sweep collects a leaf's pairs and reduces
-them with one matrix product at its end instead of summing one outer product
-per use.
+nothing; ``+`` (the network's shortcuts) is the one node a Var records itself.
+Leaves are cached per tape by array identity, so the same parameter array
+used at every unrolled step accumulates a single gradient.  A vjp may hand a
+leaf its gradient as a list of rank-1 factor pairs ``(u, v)``, each standing
+for ``np.outer(u, v)``; the backward sweep collects a leaf's pairs and
+reduces them with one matrix product at its end instead of summing one outer
+product per use.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ import numpy as np
 
 from .errors import StaleTapeError
 
-__all__ = [
-    "Tape",
-    "Var",
-    "Gradients",
-    "matvec",
-    "exp_clipped",
-    "concat",
-    "narrow",
-]
+__all__ = ["Tape", "Var"]
 
 
 class Var:
@@ -52,11 +44,16 @@ class Var:
     def __len__(self) -> int:
         return self.hi - self.lo
 
-    def __add__(self, other: "Var") -> "Var":
-        return _add(self, other)
+    def __getitem__(self, part: slice) -> "Var":
+        """A contiguous part of this Var; records nothing."""
+        lo, hi, stride = part.indices(len(self))
+        if stride != 1:
+            raise ValueError("a Var slice must be contiguous")
+        return Var(self.tape, self.index, self.lo + lo, self.lo + max(lo, hi))
 
-    def __mul__(self, other: "Var") -> "Var":
-        return _mul(self, other)
+    def __add__(self, other: "Var") -> "Var":
+        return self.tape.record(self.value + other.value, (self, other),
+                                lambda g: (g, g))
 
     def __repr__(self) -> str:
         return f"Var(#{self.index}[{self.lo}:{self.hi}], {self.value!r})"
@@ -67,17 +64,19 @@ def _fingerprint(arr: np.ndarray) -> tuple:
 
 
 class Tape:
-    """Wengert list of nodes with per-node vjp closures."""
+    """Wengert list of nodes with per-node vjp closures.
 
-    def __init__(self):
+    A ``forward_only`` tape (the one an evaluation step builds for itself)
+    takes no leaf fingerprints and refuses :meth:`backward`.
+    """
+
+    def __init__(self, forward_only: bool = False):
         self._values: list[np.ndarray] = []
         self._parents: list[list] = []  # (index, lo, hi) of each parent
         self._vjps: list = []
         self._leaf_cache: dict[int, int] = {}
-        self._leaf_prints: dict[int, tuple] = {}
-        self._leaf_arrays: dict[int, np.ndarray] = {}
-
-    # -- node construction -------------------------------------------------
+        self._leaf_prints: dict[int, tuple] | None = (
+            None if forward_only else {})
 
     def record(self, value: np.ndarray, parents: tuple, vjp) -> Var:
         """Append a node computed from ``parents``: Vars of this tape, or
@@ -85,7 +84,8 @@ class Tape:
 
         ``vjp(g)`` maps the node's adjoint to one gradient per parent: an
         array shaped like the parent's value, None, or, for a leaf parent, a
-        rank-1 factor pair ``(u, v)`` meaning ``np.outer(u, v)``.
+        list of rank-1 factor pairs ``(u, v)``, each meaning
+        ``np.outer(u, v)``.
         """
         parts = []
         for p in parents:
@@ -109,27 +109,25 @@ class Tape:
         arr = np.asarray(arr, dtype=np.float64)
         var = self.record(arr, (), None)
         self._leaf_cache[key] = var.index
-        self._leaf_prints[var.index] = _fingerprint(arr)
-        self._leaf_arrays[var.index] = arr
+        if self._leaf_prints is not None:
+            self._leaf_prints[var.index] = _fingerprint(arr)
         return var
-
-    def constant(self, arr: np.ndarray) -> Var:
-        """Record a value that never needs a gradient (e.g. a day's input)."""
-        return self.record(np.asarray(arr, dtype=np.float64), (), None)
 
     def __len__(self) -> int:
         return len(self._values)
 
-    # -- reverse sweep -----------------------------------------------------
-
-    def backward(self, seeds) -> "Gradients":
-        """Accumulate adjoints for ``seeds`` = iterable of (Var, gradient).
+    def backward(self, seeds, wrt) -> list[np.ndarray]:
+        """Gradients of ``sum(g . var for var, g in seeds)`` with respect to
+        each leaf array in ``wrt``, in order; zeros for an array the seeds
+        do not reach or the tape never registered.
 
         Raises :class:`StaleTapeError` if any leaf array changed since it was
         recorded (e.g. an optimizer update ran before the backward pass).
         """
+        if self._leaf_prints is None:
+            raise ValueError("a forward-only tape cannot run backward")
         for idx, print_ in self._leaf_prints.items():
-            if _fingerprint(self._leaf_arrays[idx]) != print_:
+            if _fingerprint(self._values[idx]) != print_:
                 raise StaleTapeError("leaf array mutated since it was recorded")
 
         adj: dict[int, np.ndarray] = {}
@@ -152,8 +150,8 @@ class Tape:
             for p, pg in zip(parents, self._vjps[idx](g)):
                 if p is None or pg is None:
                     continue
-                if type(pg) is tuple:
-                    factors.setdefault(p[0], []).append(pg)
+                if type(pg) is list:
+                    factors.setdefault(p[0], []).extend(pg)
                 else:
                     self._accumulate(adj, p, pg)
         for idx, pairs in factors.items():
@@ -161,7 +159,12 @@ class Tape:
             total = np.array(us).T @ np.array(vs)
             acc = adj.get(idx)
             adj[idx] = total if acc is None else acc + total
-        return Gradients(self, adj)
+
+        grads = []
+        for arr in wrt:
+            g = adj.get(self._leaf_cache.get(id(arr)))
+            grads.append(np.zeros(np.shape(arr)) if g is None else g)
+        return grads
 
     def _accumulate(self, adj: dict, part: tuple, g: np.ndarray):
         index, lo, hi = part
@@ -169,72 +172,3 @@ class Tape:
         if acc is None:
             acc = adj[index] = np.zeros(self._values[index].shape)
         acc[lo:hi] += g
-
-
-class Gradients:
-    """Read-only view of the adjoints produced by one backward sweep."""
-
-    def __init__(self, tape: Tape, adj: dict[int, np.ndarray]):
-        self._tape = tape
-        self._adj = adj
-
-    def of(self, var: Var) -> np.ndarray:
-        g = self._adj.get(var.index)
-        if g is None:
-            return np.zeros_like(var.value)
-        return g[var.lo:var.hi]
-
-    def of_array(self, arr: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. a leaf registered via ``Tape.leaf(arr)``."""
-        idx = self._tape._leaf_cache.get(id(arr))
-        if idx is None:
-            return np.zeros_like(np.asarray(arr, dtype=np.float64))
-        g = self._adj.get(idx)
-        if g is None:
-            return np.zeros_like(np.asarray(arr, dtype=np.float64))
-        return g
-
-
-# -- elementwise and linear operations ------------------------------------
-
-
-def _add(a: Var, b: Var) -> Var:
-    return a.tape.record(a.value + b.value, (a, b), lambda g: (g, g))
-
-
-def _mul(a: Var, b: Var) -> Var:
-    av, bv = a.value, b.value
-    return a.tape.record(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-
-def matvec(w: np.ndarray, x: Var) -> Var:
-    """``w @ x`` where ``w`` is a parameter matrix (auto-registered leaf)."""
-    t = x.tape
-    wv = t.leaf(w)
-    wa, xv = wv.value, x.value
-    return t.record(wa @ xv, (wv, x), lambda g: ((g, xv), wa.T @ g))
-
-
-def exp_clipped(a: Var, lo: float, hi: float) -> Var:
-    """``exp(clip(a, lo, hi))``; gradient is zero on the clipped region."""
-    av = a.value
-    inside = (av >= lo) & (av <= hi)
-    y = np.exp(np.clip(av, lo, hi))
-    return a.tape.record(y, (a,), lambda g: (g * y * inside,))
-
-
-def concat(parts: list[Var]) -> Var:
-    bounds = np.cumsum([0] + [len(p) for p in parts])
-
-    def vjp(g):
-        return tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-
-    return parts[0].tape.record(
-        np.concatenate([p.value for p in parts]), tuple(parts), vjp)
-
-
-def narrow(a: Var, start: int, size: int) -> Var:
-    """The part ``[start, start + size)`` of ``a``; records nothing."""
-    if start < 0 or start + size > len(a):
-        raise ValueError("narrow out of range")
-    return Var(a.tape, a.index, a.lo + start, a.lo + start + size)

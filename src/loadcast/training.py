@@ -223,8 +223,7 @@ def _window_group_update(model, blocks, optimizer, entries, states, lr,
         seed_list.append((out.point, g_point / pairs))
         seed_list.append((out.lower, g_lower / pairs))
         seed_list.append((out.upper, g_upper / pairs))
-    grads_view = tape.backward(seed_list)
-    grads = {k: grads_view.of_array(block) for k, block in enumerate(blocks)}
+    grads = dict(enumerate(tape.backward(seed_list, blocks)))
     clip_global_norm(grads, clip_norm)
     optimizer.step(grads, lr)
     return loss_sum, pairs

@@ -344,6 +344,83 @@ def test_attention_saturates_at_clamp():
     assert state.lower.h_lag(1).value[0] == pytest.approx(25.0)
 
 
+# -- the fused attentive node against its composition ----------------------
+
+
+def clip_exp(a):
+    """Test-local ``exp(clip(a, +-ATTENTION_CLAMP))`` node."""
+    av = a.value
+    inside = (av >= -ATTENTION_CLAMP) & (av <= ATTENTION_CLAMP)
+    y = np.exp(np.clip(av, -ATTENTION_CLAMP, ATTENTION_CLAMP))
+    return a.tape.record(y, (a,), lambda g: (g * y * inside,))
+
+
+def product(a, b):
+    """Test-local elementwise product node."""
+    av, bv = a.value, b.value
+    return a.tape.record(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+
+def composed_adrnn_step(params, state, x, dilation):
+    attention = drnn_step(params.lower, state.lower, x, dilation)
+    return drnn_step(params.upper, state.upper,
+                     product(x, clip_exp(attention)), dilation)
+
+
+def unroll_with_gradients(step, params, state, xs, upstream, dilation):
+    """Outputs of a recorded unroll and the gradients of
+    ``sum_t upstream[t] . y_t`` for the blocks, then each input."""
+    tape = Tape()
+    xs = [x.copy() for x in xs]
+    seeds = [(step(params, state, tape.leaf(x), dilation), g)
+             for x, g in zip(xs, upstream)]
+    outs = [y.value.copy() for y, _ in seeds]
+    return outs, tape.backward(seeds, params.blocks() + xs)
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 7])
+def test_fused_adrnn_matches_its_composition(dilation):
+    params, _ = cell_init(CellKind.ADRNN, 3, hidden_size=2, out_size=4,
+                          upper_hidden_size=3, seed=31)
+    rng = np.random.default_rng(32)
+    xs = random_inputs(rng, 9, 3)
+    upstream = random_inputs(rng, 9, 4)
+    fused, g_fused = unroll_with_gradients(
+        cell_step, params, new_state(params, dilation), xs, upstream, dilation)
+    ref, g_ref = unroll_with_gradients(
+        composed_adrnn_step, params, new_state(params, dilation), xs,
+        upstream, dilation)
+    for a, b in zip(fused, ref):
+        np.testing.assert_array_equal(a, b)
+    assert len(g_fused) == len(g_ref) == 2 + 9
+    for a, b in zip(g_fused, g_ref):
+        assert np.any(b != 0.0)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_clamped_attention_passes_no_gradient_to_the_lower_stage():
+    # large fabricated c-states drive every attention component past the
+    # clamp, in both directions: the clamp's gradient is zero there, so a
+    # one-step unroll leaves every lower-stage block without gradient
+    params, state = cell_init(CellKind.ADRNN, 2, hidden_size=1, out_size=2,
+                              seed=34)
+    state.lower.push(np.zeros(1), np.array([0.0, 1000.0, -1000.0]))
+    x = np.array([3e-5, -7e-5])  # the upper stage sees x * exp(+-10)
+    probe = copy.deepcopy(state.lower)
+    attention = drnn_step(params.lower, probe, Tape().leaf(x), 1).value
+    assert attention[0] > ATTENTION_CLAMP and attention[1] < -ATTENTION_CLAMP
+
+    _, grads = unroll_with_gradients(cell_step, params, state, [x],
+                                     [np.ones(2)], 1)
+    named = params.named_arrays(blocks=grads[:2])
+    assert len(named) == 2 * 4 * 4
+    for name, g in named:
+        if name.startswith("lower."):
+            np.testing.assert_array_equal(g, 0.0, err_msg=name)
+    g_upper, g_x = grads[1], grads[2]
+    assert np.any(g_upper != 0.0) and np.any(g_x != 0.0)
+
+
 # -- state buffers ---------------------------------------------------------
 
 
@@ -576,3 +653,9 @@ def test_cell_gradient_shapes_and_determinism():
         np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
         cell_gradient(params, xs, 2, ups[:-1])
+    # one array passed at two steps still gets one gradient per step
+    _, gi_shared = cell_gradient(params, [xs[0]] * 5, 2, ups)
+    _, gi_copies = cell_gradient(params, [xs[0].copy() for _ in range(5)], 2,
+                                 ups)
+    for a, b in zip(gi_shared, gi_copies):
+        np.testing.assert_array_equal(a, b)

@@ -3,9 +3,13 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loadcast
 from loadcast.cli import build_parser, main
 from loadcast.dataset import ingest_csv, load_store
 from loadcast.evaluation import TABLE1_COLUMNS, TABLE2_COLUMNS
@@ -298,3 +302,32 @@ def test_invalid_cli_input_is_clean_error(workspace, tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_model_bytes_at_one_and_two_blas_threads(workspace, tmp_path,
+                                                  record_property):
+    # OpenBLAS reads its thread count when numpy loads, so each run is its
+    # own process; layer 1's stacked matrices (708 x 182 for the lower stage)
+    # are large enough for OpenBLAS to split their products over threads
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"cell_variant": "adrnn", "hidden_size": 4, "embed_size": 4},
+        "recipe": {"epochs": 2, "seeds": [0]}}), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(loadcast.__file__))
+    digests = {}
+    for threads in ("1", "1", "2", "2"):
+        out = tmp_path / f"t{threads}-{len(digests.get(threads, []))}.model"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "loadcast", "train",
+             "--store", workspace["store"], "--out", str(out),
+             "--config", str(config), "--train-range", "2015-01-08:2015-02-28"],
+            env=env, check=True, capture_output=True, timeout=300)
+        digests.setdefault(threads, []).append(
+            hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests["1"][0] == digests["1"][1]
+    assert digests["2"][0] == digests["2"][1]
+    # not a requirement: README states what this host showed
+    record_property("blas_thread_counts_agree", digests["1"] == digests["2"])
