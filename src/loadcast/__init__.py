@@ -15,7 +15,9 @@ Modules:
     network: the dilated three-layer stack with embedding and linear head.
     preprocess: weekly standardization, day encoding, sample construction.
     loss: pinball loss and the composite training objective.
-    training: Adam, truncated-BPTT training loop, ensembling, forecasting.
+    training: Adam, truncated-BPTT training loop (each window of a
+        series-batch unrolled as one batch, series as rows), ensembling,
+        forecasting.
     gradcheck: finite-difference verification of every gradient path.
     evaluation: metrics, predictive-ability test, rankings, report files.
     dataset: CSV ingestion, binary stores, synthetic series generation.

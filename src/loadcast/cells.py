@@ -2,13 +2,16 @@
 
 Each cell step is recorded on a :class:`~loadcast.tape.Tape` as one node.
 Three pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
-``_drnn``) compute all gate pre-activations with one matrix-vector product of
-the cell's stacked gate matrix with ``[x; h_recent; h_delayed; 1]`` and
+``_drnn``) compute all gate pre-activations with one product of
+``[x; h_recent; h_delayed; 1]`` and the cell's stacked gate matrix, and
 return the step's value with its hand-written backward pass, so reverse-mode
-gradients through any number of steps come from the tape.  Cells with
-dilation read both the most recent state and the state from ``d`` steps ago;
-plain LSTM/GRU run in one of two connection variants, fed either by the
-recent state only or by the delayed state only.
+gradients through any number of steps come from the tape.  A step takes one
+series' input vector, or a batch of series as rows (``z @ W.T``), with the
+state buffers holding one row per series; the matrix's gradient is then one
+product over all the rows of a window.  Cells with dilation read both the
+most recent state and the state from ``d`` steps ago; plain LSTM/GRU run in
+one of two connection variants, fed either by the recent state only or by
+the delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
@@ -20,6 +23,7 @@ rescales the input of the second.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -58,9 +62,6 @@ GATE_NAMES = {
 
 #: cells whose gates read both the recent and the delayed state
 _DILATED = (CellKind.DLSTM, CellKind.DRNN)
-
-_ONE = np.ones(1)
-
 
 @dataclass
 class GateBlock:
@@ -152,8 +153,8 @@ class CellState:
     """Ring buffers of recent h- and c-states.
 
     Entries may be raw arrays (detached, e.g. across truncation boundaries) or
-    tape Vars during a recorded unroll.  Lags beyond recorded history read as
-    cold-start zeros.
+    tape Vars during a recorded unroll, one vector or one row per series.
+    Lags beyond recorded history read as cold-start zeros.
     """
 
     def __init__(self, capacity: int, track_c: bool = True):
@@ -189,9 +190,17 @@ class CellState:
 
     def detach(self):
         """Replace any recorded Vars by their values (truncation boundary)."""
-        self._h = deque((_value_of(h) for h in self._h), maxlen=self.capacity)
+        self._map(_value_of)
+
+    def regroup(self, rows: np.ndarray, fresh: np.ndarray):
+        """Row ``i`` of every (detached) entry becomes old row ``rows[i]``,
+        or zeros, which read like a cold start, where ``fresh[i]``."""
+        self._map(lambda entry: _take(entry, rows, fresh))
+
+    def _map(self, fn):
+        self._h = deque(map(fn, self._h), maxlen=self.capacity)
         if self.track_c:
-            self._c = deque((_value_of(c) for c in self._c), maxlen=self.capacity)
+            self._c = deque(map(fn, self._c), maxlen=self.capacity)
 
 
 class AdCellState:
@@ -208,9 +217,19 @@ class AdCellState:
         self.lower.detach()
         self.upper.detach()
 
+    def regroup(self, rows: np.ndarray, fresh: np.ndarray):
+        self.lower.regroup(rows, fresh)
+        self.upper.regroup(rows, fresh)
+
 
 def _value_of(entry):
     return entry.value if isinstance(entry, Var) else entry
+
+
+def _take(entry: np.ndarray, rows: np.ndarray, fresh: np.ndarray):
+    out = entry[rows]
+    out[fresh] = 0.0
+    return out
 
 
 def new_state(params: CellParams, dilation: int):
@@ -306,11 +325,11 @@ def cell_init(
 # gradient of z and one gradient per c-state.
 
 
-def _read(entry, size: int):
+def _read(entry, rows: tuple, size: int):
     """(value, Var or None) of a state entry; cold-start zeros and detached
     arrays carry no gradient."""
     if entry is None:
-        return np.zeros(size), None
+        return np.zeros((*rows, size)), None
     if isinstance(entry, Var):
         return entry.value, entry
     return entry, None
@@ -320,26 +339,40 @@ def _read_state(params: CellParams, state: CellState, x: np.ndarray, lags,
                 c_lags):
     """The stacked gate input ``[x; h at each lag; 1]`` of one step, the
     c-states at ``c_lags`` and the Vars of the entries read (h before c)."""
-    if len(x) != params.input_size:
-        raise ValueError(f"input length {len(x)} != cell input size "
+    if x.shape[-1] != params.input_size:
+        raise ValueError(f"input length {x.shape[-1]} != cell input size "
                          f"{params.input_size}")
-    hs = [_read(state.h_lag(lag), params.hidden_size) for lag in lags]
-    cs = [_read(state.c_lag(lag), params.cell_size) for lag in c_lags]
-    z = np.concatenate([x, *(value for value, _ in hs), _ONE])
+    rows = x.shape[:-1]
+    hs = [_read(state.h_lag(lag), rows, params.hidden_size) for lag in lags]
+    cs = [_read(state.c_lag(lag), rows, params.cell_size) for lag in c_lags]
+    z = np.concatenate([x, *(value for value, _ in hs), _ones(rows)], axis=-1)
     return z, [value for value, _ in cs], [var for _, var in hs + cs]
+
+
+@functools.cache
+def _ones(rows: tuple) -> np.ndarray:
+    """The bias column of a gate input with leading shape ``rows``; shared,
+    so read-only."""
+    ones = np.ones((*rows, 1))
+    ones.flags.writeable = False
+    return ones
 
 
 def _split_input_grad(params: CellParams, dz: np.ndarray, lags: int) -> list:
     """Gradients of x and of each h read, cut from the gradient of ``z``."""
     i, h = params.input_size, params.hidden_size
-    return [dz[:i]] + [dz[i + k * h:i + (k + 1) * h] for k in range(lags)]
+    return [dz[..., :i]] + [dz[..., i + k * h:i + (k + 1) * h]
+                            for k in range(lags)]
 
 
 def _push(params: CellParams, state: CellState, node: Var) -> Var:
-    """Store the h (and c) held in a step's value ``node``; returns the
-    step's output y."""
-    h = node[:params.hidden_size]
-    state.push(h, node[params.cell_size:])  # a GRU state keeps no c
+    """Store the h (and c) held in a step's value ``node``, as plain arrays
+    when its tape is forward-only; returns the step's output y."""
+    h, c = node[:params.hidden_size], node[params.cell_size:]
+    if node.tape.forward_only:
+        state.push(h.value, c.value)  # a GRU state keeps no c
+    else:
+        state.push(h, c)
     if params.kind in _DILATED:
         return node[params.hidden_size:params.cell_size]
     return h
@@ -357,24 +390,24 @@ def _lstm(params: CellParams, w: np.ndarray, z: np.ndarray, c_prev):
     """LSTM-type gates (forget, input, output, candidate): the raw activation
     ``output * tanh(c)`` and c."""
     n = params.cell_size
-    pre = w @ z
-    sig = expit(pre[:3 * n])
-    forget, infl, out = sig[:n], sig[n:2 * n], sig[2 * n:]
-    cand = np.tanh(pre[3 * n:])
+    pre = z @ w.T
+    sig = expit(pre[..., :3 * n])
+    forget, infl, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
+    cand = np.tanh(pre[..., 3 * n:])
     c = forget * c_prev + infl * cand
     tc = np.tanh(c)
 
     def back(g):
-        dhp = g[:n]
-        dc = g[n:] + dhp * out * (1.0 - tc * tc)
+        dhp = g[..., :n]
+        dc = g[..., n:] + dhp * out * (1.0 - tc * tc)
         dpre = np.concatenate((
             dc * c_prev * forget * (1.0 - forget),
             dc * cand * infl * (1.0 - infl),
             dhp * tc * out * (1.0 - out),
-            dc * infl * (1.0 - cand * cand)))
-        return [(dpre, z)], w.T @ dpre, (dc * forget,)
+            dc * infl * (1.0 - cand * cand)), axis=-1)
+        return [(dpre, z)], dpre @ w, (dc * forget,)
 
-    return np.concatenate((out * tc, c)), back
+    return np.concatenate((out * tc, c), axis=-1), back
 
 
 def _gru(params: CellParams, w: np.ndarray, z: np.ndarray):
@@ -382,24 +415,26 @@ def _gru(params: CellParams, w: np.ndarray, z: np.ndarray):
     rows read ``[x; r*h; 1]``, so the matrix's gradient is two factor
     pairs."""
     i, n = params.input_size, params.hidden_size
-    h = z[i:i + n]
-    gates = expit(w[:2 * n] @ z)
-    reset, update = gates[:n], gates[n:]
+    h = z[..., i:i + n]
+    gates = expit(z @ w[:2 * n].T)
+    reset, update = gates[..., :n], gates[..., n:]
     zc = z.copy()
-    zc[i:i + n] = reset * h
-    cand = np.tanh(w[2 * n:] @ zc)
+    zc[..., i:i + n] = reset * h
+    cand = np.tanh(zc @ w[2 * n:].T)
 
     def back(g):
         dpre_c = g * update * (1.0 - cand * cand)
-        dzc = w[2 * n:].T @ dpre_c
-        drh = dzc[i:i + n]
+        dzc = dpre_c @ w[2 * n:]
+        drh = dzc[..., i:i + n]
         dpre = np.concatenate((drh * h * reset * (1.0 - reset),
-                               g * (cand - h) * update * (1.0 - update)))
-        dzc[i:i + n] *= reset  # r*h's gradient, passed on to h
-        dz = w[:2 * n].T @ dpre + dzc
-        dz[i:i + n] += g * (1.0 - update)
-        return ([(np.concatenate((dpre, np.zeros(n))), z),
-                 (np.concatenate((np.zeros(2 * n), dpre_c)), zc)], dz, ())
+                               g * (cand - h) * update * (1.0 - update)),
+                              axis=-1)
+        dzc[..., i:i + n] *= reset  # r*h's gradient, passed on to h
+        dz = dpre @ w[:2 * n] + dzc
+        dz[..., i:i + n] += g * (1.0 - update)
+        return ([(np.concatenate((dpre, np.zeros_like(g)), axis=-1), z),
+                 (np.concatenate((np.zeros_like(dpre), dpre_c), axis=-1), zc)],
+                dz, ())
 
     return (1.0 - update) * h + update * cand, back
 
@@ -409,25 +444,25 @@ def _drnn(params: CellParams, w: np.ndarray, z: np.ndarray, c1, cd):
     mixed with the candidate; the raw activation is ``output_gate * c``
     with no tanh."""
     n = params.cell_size
-    pre = w @ z
-    sig = expit(pre[:3 * n])
-    fusion, update, out = sig[:n], sig[n:2 * n], sig[2 * n:]
-    cand = np.tanh(pre[3 * n:])
+    pre = z @ w.T
+    sig = expit(pre[..., :3 * n])
+    fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
+    cand = np.tanh(pre[..., 3 * n:])
     mix = fusion * c1 + (1.0 - fusion) * cd
     c = update * mix + (1.0 - update) * cand
 
     def back(g):
-        dhp = g[:n]
-        dc = g[n:] + dhp * out
+        dhp = g[..., :n]
+        dc = g[..., n:] + dhp * out
         dmix = dc * update
         dpre = np.concatenate((
             dmix * (c1 - cd) * fusion * (1.0 - fusion),
             dc * (mix - cand) * update * (1.0 - update),
             dhp * c * out * (1.0 - out),
-            dc * (1.0 - update) * (1.0 - cand * cand)))
-        return [(dpre, z)], w.T @ dpre, (dmix * fusion, dmix * (1.0 - fusion))
+            dc * (1.0 - update) * (1.0 - cand * cand)), axis=-1)
+        return [(dpre, z)], dpre @ w, (dmix * fusion, dmix * (1.0 - fusion))
 
-    return np.concatenate((out * c, c)), back
+    return np.concatenate((out * c, c), axis=-1), back
 
 
 def _fused_step(params: CellParams, state: CellState, x: Var, lags, c_lags,
@@ -478,7 +513,7 @@ def adrnn_step(params: CellParams, state: AdCellState, x: Var, dilation: int) ->
     xv = x.value
     zl, cl, reads_l = _read_state(lower, state.lower, xv, lags, lags)
     value_l, back_l = _drnn(lower, ml.value, zl, *cl)
-    attention = value_l[lower.hidden_size:lower.cell_size]
+    attention = value_l[..., lower.hidden_size:lower.cell_size]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
     weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
     zu, cu, reads_u = _read_state(upper, state.upper, xv * weights, lags, lags)
@@ -486,16 +521,16 @@ def adrnn_step(params: CellParams, state: AdCellState, x: Var, dilation: int) ->
     split = 2 * lower.cell_size
 
     def vjp(g):
-        dwu, dzu, dcu = back_u(g[split:])
-        dxu = dzu[:upper.input_size]
-        gl = g[:split].copy()
-        gl[lower.hidden_size:lower.cell_size] += dxu * xv * weights * inside
+        dwu, dzu, dcu = back_u(g[..., split:])
+        dxu = dzu[..., :upper.input_size]
+        gl = g[..., :split].copy()
+        gl[..., lower.hidden_size:lower.cell_size] += dxu * xv * weights * inside
         dwl, dzl, dcl = back_l(gl)
-        return (dwl, dwu, dxu * weights + dzl[:lower.input_size],
+        return (dwl, dwu, dxu * weights + dzl[..., :lower.input_size],
                 *_split_input_grad(lower, dzl, 2)[1:], *dcl,
                 *_split_input_grad(upper, dzu, 2)[1:], *dcu)
 
-    node = tape.record(np.concatenate((value_l, value_u)),
+    node = tape.record(np.concatenate((value_l, value_u), axis=-1),
                        (ml, mu, x, *reads_l, *reads_u), vjp)
     _push(lower, state.lower, node[:split])
     return _push(upper, state.upper, node[split:])

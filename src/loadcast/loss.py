@@ -2,7 +2,8 @@
 
 The training objective for one forecasted day averages, over the horizon,
 the pinball loss of the central forecast plus a weighted sum of the pinball
-losses of the two interval bounds at their respective quantiles.
+losses of the two interval bounds at their respective quantiles.  It takes
+one day, or a batch of days as rows, one horizon mean per row.
 """
 
 from __future__ import annotations
@@ -58,28 +59,31 @@ def _check_lengths(target, point, lower, upper):
     upper = np.asarray(upper, dtype=np.float64)
     if not target.shape == point.shape == lower.shape == upper.shape:
         raise ValueError("target and forecast components must share one shape")
-    if target.ndim != 1 or target.size == 0:
-        raise ValueError("expected non-empty 1-d arrays")
+    if target.ndim not in (1, 2) or target.size == 0:
+        raise ValueError("expected non-empty 1-d arrays or rows of them")
     return target, point, lower, upper
 
 
 def composite_loss(target, point, lower, upper,
-                   config: LossConfig = LossConfig()) -> float:
-    """Mean over the horizon of central pinball plus weighted bound pinballs."""
+                   config: LossConfig = LossConfig()):
+    """Mean over the horizon of central pinball plus weighted bound pinballs:
+    a float for one day, one mean per row for rows of days."""
     target, point, lower, upper = _check_lengths(target, point, lower, upper)
     per_hour = (
         pinball(target, point, config.central_quantile)
         + config.interval_weight * (pinball(target, lower, config.lower_quantile)
                                     + pinball(target, upper, config.upper_quantile))
     )
-    return float(np.mean(per_hour))
+    means = np.mean(per_hour, axis=-1)
+    return means if means.ndim else float(means)
 
 
 def composite_loss_grad(target, point, lower, upper,
                         config: LossConfig = LossConfig()):
-    """Gradients of :func:`composite_loss` wrt point, lower, upper."""
+    """Gradients of :func:`composite_loss` wrt point, lower, upper; each row
+    of days has its own horizon mean."""
     target, point, lower, upper = _check_lengths(target, point, lower, upper)
-    scale = 1.0 / target.size
+    scale = 1.0 / target.shape[-1]
     g_point = scale * pinball_grad(target, point, config.central_quantile)
     g_lower = scale * config.interval_weight * pinball_grad(
         target, lower, config.lower_quantile)

@@ -7,6 +7,10 @@ embedding of the calendar one-hots.  A linear head maps the top layer output
 to 72 numbers: 24 hourly point forecasts and 24 lower and upper interval
 bounds, all in standardized space.  No ordering among point and bounds is
 imposed; crossings are measured downstream, not prevented.
+
+A step serves one series, or a group of series stacked as rows: training
+unrolls each truncation window of a group as one batch, so every layer runs
+one cell step per day for the whole group.
 """
 
 from __future__ import annotations
@@ -122,12 +126,29 @@ class ModelState:
         for layer in self.layers:
             layer.detach()
 
+    def regroup(self, rows, fresh):
+        """Re-index the rows of a detached batched state: new row ``i`` is
+        old row ``rows[i]``, or a cold start where ``fresh[i]``."""
+        rows, fresh = np.asarray(rows), np.asarray(fresh, dtype=bool)
+        for layer in self.layers:
+            layer.regroup(rows, fresh)
+
 
 @dataclass
 class StepOutput:
-    point: Var  # 24 standardized hourly values
-    lower: Var
-    upper: Var
+    head: Var  # point, lower and upper, 24 standardized hourly values each
+
+    @property
+    def point(self) -> Var:
+        return self.head[:HORIZON]
+
+    @property
+    def lower(self) -> Var:
+        return self.head[HORIZON:2 * HORIZON]
+
+    @property
+    def upper(self) -> Var:
+        return self.head[2 * HORIZON:]
 
 
 def _cell_layouts(config: ModelConfig) -> list[CellParams]:
@@ -184,50 +205,64 @@ def model_step(model: StackedModel, states: ModelState,
     dilated cells with shortcuts, and the linear head split into point and
     interval bounds.
 
-    Without a tape this is an evaluation step: it records on a forward-only
-    tape of its own and leaves the states detached, so no gradient flows
-    between such steps; the states it is given hold no Vars.
+    ``sample_input`` holds one series' day, or a batch of series as rows
+    (``week`` (B, 168), ``level`` (B,), ``calendar`` (B, 90)), and the
+    outputs follow its shape.  Without a tape this is an evaluation step: it
+    records on a forward-only tape of its own, whose cells push plain arrays
+    into the states, so no gradient flows between such steps; the states it
+    is given hold no Vars.
     """
-    evaluation = tape is None
-    if evaluation:
+    if tape is None:
         tape = Tape(forward_only=True)
     embedding = tape.leaf(model.embedding)
     calendar = sample_input.calendar
     u1 = tape.record(
-        np.concatenate([sample_input.week, [sample_input.level],
-                        model.embedding @ calendar]),
-        (embedding,), lambda g: ([(g[HOURS_PER_WEEK + 1:], calendar)],))
+        np.concatenate([sample_input.week,
+                        np.asarray(sample_input.level)[..., None],
+                        calendar @ model.embedding.T], axis=-1),
+        (embedding,), lambda g: ([(g[..., HOURS_PER_WEEK + 1:], calendar)],))
     d1, d2, d3 = model.config.dilations
     y1 = cell_step(model.cells[0], states.layers[0], u1, d1)
     y2 = cell_step(model.cells[1], states.layers[1], y1, d2) + y1
     y3 = cell_step(model.cells[2], states.layers[2], y2, d3) + y2
     w, yv = model.head_w, y3.value
     head = tape.record(
-        w @ yv + model.head_b,
+        yv @ w.T + model.head_b,
         (tape.leaf(w), tape.leaf(model.head_b), y3),
-        lambda g: ([(g, yv)], g, w.T @ g))
-    if evaluation:
-        states.detach()
-    return StepOutput(point=head[:HORIZON], lower=head[HORIZON:2 * HORIZON],
-                      upper=head[2 * HORIZON:])
+        lambda g: ([(g, yv)], g if g.ndim == 1 else g.sum(axis=0), g @ w))
+    return StepOutput(head)
 
 
-def model_unroll(model: StackedModel, states: ModelState, samples,
+def model_unroll(model: StackedModel, states: ModelState, windows,
                  tape: Tape | None = None):
-    """Forward over chronologically contiguous samples of one series.
+    """Forward over one window per series, each of chronologically
+    contiguous samples, with the series stacked as rows of ``states``.
 
-    Returns the per-day outputs and the recorded tape; gradients for any
-    loss of the outputs come from ``tape.backward``.
+    A window shorter than the longest repeats its last day to the end; the
+    caller gives those rows zero loss weight, and the state they leave must
+    not be carried on.  Returns the per-day outputs, each with one row per
+    window, and the recorded tape; gradients for any loss of the outputs
+    come from ``tape.backward``.
     """
     if tape is None:
         tape = Tape()
-    samples = list(samples)
-    for prev, cur in zip(samples, samples[1:]):
-        if cur.series_id != prev.series_id:
-            raise ValueError("unroll window spans more than one series")
-        if cur.target_date - prev.target_date != timedelta(days=1):
-            raise ValueError(
-                f"samples not contiguous: {prev.target_date} then "
-                f"{cur.target_date}")
-    outputs = [model_step(model, states, s.input, tape) for s in samples]
+    windows = [list(samples) for samples in windows]
+    for samples in windows:
+        if not samples:
+            raise ValueError("empty unroll window")
+        for prev, cur in zip(samples, samples[1:]):
+            if cur.series_id != prev.series_id:
+                raise ValueError("unroll window spans more than one series")
+            if cur.target_date - prev.target_date != timedelta(days=1):
+                raise ValueError(
+                    f"samples not contiguous: {prev.target_date} then "
+                    f"{cur.target_date}")
+    days = [[samples[min(t, len(samples) - 1)].input for samples in windows]
+            for t in range(max(map(len, windows)))]
+    weeks = np.array([[ext.week for ext in day] for day in days])
+    levels = np.array([[ext.level for ext in day] for day in days])
+    calendars = np.array([[ext.calendar for ext in day] for day in days])
+    outputs = [model_step(model, states, ExtendedInput(
+        weeks[t], levels[t], calendars[t], coding=None), tape)
+        for t in range(len(days))]
     return outputs, tape

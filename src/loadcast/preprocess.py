@@ -130,13 +130,15 @@ def standardize_week(week) -> tuple[np.ndarray, CodingVariables]:
     week = np.asarray(week, dtype=np.float64)
     if week.shape != (HOURS_PER_WEEK,):
         raise ValueError(f"weekly window must have {HOURS_PER_WEEK} hours")
-    if not np.all(np.isfinite(week)):
+    if not np.isfinite(week).all():
         raise ValueError("weekly window contains non-finite values")
-    mean = float(np.mean(week))
-    std = float(np.std(week))
+    # np.mean and np.std, spelled out so the deviations are computed once
+    mean = float(week.sum() / HOURS_PER_WEEK)
+    dev = week - mean
+    std = float(np.sqrt((dev * dev).sum() / HOURS_PER_WEEK))
     if std < STD_FLOOR:
         raise ConstantWeekError(f"constant week (std {std:.3e} < {STD_FLOOR})")
-    return (week - mean) / std, CodingVariables(mean, std)
+    return dev / std, CodingVariables(mean, std)
 
 
 def encode_day(day, coding: CodingVariables) -> np.ndarray:
@@ -144,7 +146,7 @@ def encode_day(day, coding: CodingVariables) -> np.ndarray:
     day = np.asarray(day, dtype=np.float64)
     if day.shape != (HOURS_PER_DAY,):
         raise ValueError(f"daily window must have {HOURS_PER_DAY} hours")
-    if not np.all(np.isfinite(day)):
+    if not np.isfinite(day).all():
         raise ValueError("daily window contains non-finite values")
     return (day - coding.week_mean) / coding.week_std
 

@@ -6,15 +6,17 @@ node per cell step and the head), each with its vector-Jacobian closure;
 gradients for the parameter arrays it is asked about.
 
 Values are float64 numpy arrays; parameter matrices enter only as leaves.  A
-:class:`Var` names a contiguous part of one node's value, so a node may carry
-several outputs (a cell step's output, h- and c-state) and slicing records
-nothing; ``+`` (the network's shortcuts) is the one node a Var records itself.
-Leaves are cached per tape by array identity, so the same parameter array
-used at every unrolled step accumulates a single gradient.  A vjp may hand a
-leaf its gradient as a list of rank-1 factor pairs ``(u, v)``, each standing
-for ``np.outer(u, v)``; the backward sweep collects a leaf's pairs and
-reduces them with one matrix product at its end instead of summing one outer
-product per use.
+node's value is one vector, or a batch of them as rows (one row per series
+of a training window group).  A :class:`Var` names a contiguous part of the
+last axis of one node's value, so a node may carry several outputs (a cell
+step's output, h- and c-state) and slicing records nothing; ``+`` (the
+network's shortcuts) is the one node a Var records itself.  Leaves are cached
+per tape by array identity, so the same parameter array used at every
+unrolled step accumulates a single gradient.  A vjp may hand a leaf its
+gradient as a list of factor pairs ``(u, v)``: vectors standing for
+``np.outer(u, v)``, or row batches standing for ``u.T @ v``.  The backward
+sweep collects a leaf's pairs and reduces them with one matrix product over
+all their rows at its end, instead of summing one outer product per use.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = ["Tape", "Var"]
 
 
 class Var:
-    """Handle to the part ``[lo, hi)`` of one recorded value on a tape."""
+    """Handle to the part ``[..., lo:hi]`` of one recorded value on a tape."""
 
     __slots__ = ("tape", "index", "lo", "hi")
 
@@ -39,13 +41,13 @@ class Var:
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape._values[self.index][self.lo:self.hi]
+        return self.tape._values[self.index][..., self.lo:self.hi]
 
     def __len__(self) -> int:
         return self.hi - self.lo
 
     def __getitem__(self, part: slice) -> "Var":
-        """A contiguous part of this Var; records nothing."""
+        """A contiguous part of this Var's last axis; records nothing."""
         lo, hi, stride = part.indices(len(self))
         if stride != 1:
             raise ValueError("a Var slice must be contiguous")
@@ -78,14 +80,18 @@ class Tape:
         self._leaf_prints: dict[int, tuple] | None = (
             None if forward_only else {})
 
+    @property
+    def forward_only(self) -> bool:
+        return self._leaf_prints is None
+
     def record(self, value: np.ndarray, parents: tuple, vjp) -> Var:
         """Append a node computed from ``parents``: Vars of this tape, or
         None for inputs that carry no gradient.
 
         ``vjp(g)`` maps the node's adjoint to one gradient per parent: an
         array shaped like the parent's value, None, or, for a leaf parent, a
-        list of rank-1 factor pairs ``(u, v)``, each meaning
-        ``np.outer(u, v)``.
+        list of factor pairs ``(u, v)``, each meaning ``np.outer(u, v)``,
+        or ``u.T @ v`` when they are row batches.
         """
         parts = []
         for p in parents:
@@ -98,14 +104,14 @@ class Tape:
         self._values.append(value)
         self._parents.append(parts)
         self._vjps.append(vjp)
-        return Var(self, len(self._values) - 1, 0, value.shape[0])
+        return Var(self, len(self._values) - 1, 0, value.shape[-1])
 
     def leaf(self, arr: np.ndarray) -> Var:
         """Register ``arr`` as a gradient-tracked input, cached by identity."""
         key = id(arr)
         idx = self._leaf_cache.get(key)
         if idx is not None:
-            return Var(self, idx, 0, arr.shape[0])
+            return Var(self, idx, 0, arr.shape[-1])
         arr = np.asarray(arr, dtype=np.float64)
         var = self.record(arr, (), None)
         self._leaf_cache[key] = var.index
@@ -124,7 +130,7 @@ class Tape:
         Raises :class:`StaleTapeError` if any leaf array changed since it was
         recorded (e.g. an optimizer update ran before the backward pass).
         """
-        if self._leaf_prints is None:
+        if self.forward_only:
             raise ValueError("a forward-only tape cannot run backward")
         for idx, print_ in self._leaf_prints.items():
             if _fingerprint(self._values[idx]) != print_:
@@ -156,7 +162,7 @@ class Tape:
                     self._accumulate(adj, p, pg)
         for idx, pairs in factors.items():
             us, vs = zip(*pairs)
-            total = np.array(us).T @ np.array(vs)
+            total = np.vstack(us).T @ np.vstack(vs)
             acc = adj.get(idx)
             adj[idx] = total if acc is None else acc + total
 
@@ -170,5 +176,9 @@ class Tape:
         index, lo, hi = part
         acc = adj.get(index)
         if acc is None:
-            acc = adj[index] = np.zeros(self._values[index].shape)
-        acc[lo:hi] += g
+            shape = self._values[index].shape
+            if lo == 0 and hi == shape[-1]:
+                adj[index] = g + 0.0  # a copy, bit for bit ``zeros + g``
+                return
+            acc = adj[index] = np.zeros(shape)
+        acc[..., lo:hi] += g

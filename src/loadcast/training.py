@@ -4,10 +4,12 @@ One model is trained on the pooled samples of every series.  Each epoch
 shuffles the series, groups them into batches of the scheduled size, and
 walks the batch through successive truncated windows: every window-group
 produces one Adam update from the composite loss averaged over all
-(series, day) pairs it contains.  Hidden state carries across windows of
-the same contiguous stretch but is detached between them, so gradients
-never reach past a window boundary.  Ensembling trains one member per
-seed and averages forecasts in megawatt space after decoding.
+(series, day) pairs it contains.  A window-group is unrolled as one batch,
+its series stacked as rows; a short window (the end of a contiguous run) is
+padded to the group's longest with zero loss weight.  Hidden state carries
+across windows of the same contiguous stretch but is detached between them,
+so gradients never reach past a window boundary.  Ensembling trains one
+member per seed and averages forecasts in megawatt space after decoding.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .network import (
     model_unroll,
 )
 from .preprocess import HourlySeries, TrainingSet, build_extended_input, decode_day
-from .tape import Tape
 
 #: days of history unrolled before a forecast when available
 WARMUP_DAYS = 56
@@ -123,19 +124,33 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(arr) for name, arr in self.arrays}
         self._v = {name: np.zeros_like(arr) for name, arr in self.arrays}
+        # one scratch pair for every block, sized to the largest
+        size = max((arr.size for _, arr in self.arrays), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict, lr: float):
+        """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
+        ``arr -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, evaluated in place
+        in that order."""
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
         for name, arr in self.arrays:
             g = grads[name]
             m, v = self._m[name], self._v[name]
+            s, t = (buf[:arr.size].reshape(arr.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            np.multiply(g, g, out=s)
+            v += np.multiply(1.0 - self.beta2, s, out=s)
+            np.divide(m, bc1, out=s)
+            np.multiply(lr, s, out=s)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.epsilon
+            s /= t
+            arr -= s
 
 
 def clip_global_norm(grads: dict, max_norm: float | None) -> float:
@@ -187,6 +202,8 @@ def _contiguous_runs(samples):
 def series_windows(samples, window_days):
     """Non-overlapping truncation windows; second element flags whether the
     window opens a fresh contiguous stretch (cold state)."""
+    if not samples:
+        return []
     out = []
     for run in _contiguous_runs(list(samples)):
         for i in range(0, len(run), window_days):
@@ -194,36 +211,41 @@ def series_windows(samples, window_days):
     return out
 
 
-def _window_group_update(model, blocks, optimizer, entries, states, lr,
+def _group_state(model, states, rows, entries):
+    """The batched state for the window-group ``entries``: carried rows of
+    ``states`` (whose rows are the series ``rows``) re-indexed, zero rows
+    for a series whose window opens a fresh stretch."""
+    fresh = [is_fresh for _, (_, is_fresh) in entries]
+    if all(fresh):
+        return model_new_state(model)
+    states.regroup([0 if is_fresh else rows.index(sid)
+                    for (sid, _), is_fresh in zip(entries, fresh)], fresh)
+    return states
+
+
+def _window_group_update(model, blocks, optimizer, windows, states, lr,
                          clip_norm, loss_config, epoch):
-    """One forward/backward/update over the k-th window of each series."""
-    tape = Tape()
-    seeds = []
-    loss_sum = 0.0
-    pairs = 0
-    for sid, (samples, fresh) in entries:
-        if fresh:
-            states[sid] = model_new_state(model)
-        outputs, _ = model_unroll(model, states[sid], samples, tape)
-        states[sid].detach()
-        for sample, out in zip(samples, outputs):
-            target = sample.target
-            loss_sum += composite_loss(target, out.point.value,
-                                       out.lower.value, out.upper.value,
-                                       loss_config)
-            pairs += 1
-            seeds.append((out, composite_loss_grad(
-                target, out.point.value, out.lower.value, out.upper.value,
-                loss_config)))
+    """One forward/backward/update over the k-th window of each series of a
+    group, unrolled as one batch with the series as rows."""
+    outputs, tape = model_unroll(model, states, windows)
+    states.detach()
+    # the real (series, day) pairs, series by series; padded days get none
+    series = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
+    days = np.concatenate([np.arange(len(w)) for w in windows])
+    heads = np.stack([out.head.value for out in outputs])[days, series]
+    target = np.stack([sample.target for w in windows for sample in w])
+    point, lower, upper = np.split(heads, 3, axis=-1)
+    loss_sum = float(np.sum(composite_loss(target, point, lower, upper,
+                                           loss_config)))
+    pairs = len(target)
     if not np.isfinite(loss_sum):
         raise TrainingDivergedError(
             f"non-finite training loss in epoch {epoch}")
-    seed_list = []
-    for out, (g_point, g_lower, g_upper) in seeds:
-        seed_list.append((out.point, g_point / pairs))
-        seed_list.append((out.lower, g_lower / pairs))
-        seed_list.append((out.upper, g_upper / pairs))
-    grads = dict(enumerate(tape.backward(seed_list, blocks)))
+    seed = np.zeros((len(outputs), len(windows), heads.shape[-1]))
+    seed[days, series] = np.concatenate(composite_loss_grad(
+        target, point, lower, upper, loss_config), axis=-1) / pairs
+    grads = dict(enumerate(tape.backward(
+        [(out.head, g) for out, g in zip(outputs, seed)], blocks)))
     clip_global_norm(grads, clip_norm)
     optimizer.step(grads, lr)
     return loss_sum, pairs
@@ -246,7 +268,7 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
     blocks = model.blocks()
     optimizer = Adam(enumerate(blocks), recipe.beta1, recipe.beta2,
                      recipe.epsilon)
-    series_ids = data.series_ids
+    series_ids = [sid for sid in data.series_ids if data.by_series[sid]]
     windows = {sid: series_windows(data.by_series[sid], recipe.window_days)
                for sid in series_ids}
     epoch_losses = []
@@ -258,13 +280,16 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
         pair_count = 0
         for start in range(0, len(order), batch_size):
             group = order[start:start + batch_size]
-            states = {}
+            states, rows = None, []
             slots = max(len(windows[sid]) for sid in group)
             for k in range(slots):
                 entries = [(sid, windows[sid][k]) for sid in group
                            if k < len(windows[sid])]
+                states = _group_state(model, states, rows, entries)
+                rows = [sid for sid, _ in entries]
                 batch_loss, pairs = _window_group_update(
-                    model, blocks, optimizer, entries, states, lr,
+                    model, blocks, optimizer,
+                    [samples for _, (samples, _) in entries], states, lr,
                     recipe.clip_norm, loss_config, epoch)
                 loss_sum += batch_loss
                 pair_count += pairs

@@ -143,3 +143,17 @@ def test_defaults_are_the_training_quantiles():
     assert (cfg.central_quantile, cfg.lower_quantile, cfg.upper_quantile) == (
         0.5, 0.05, 0.95)
     assert cfg.interval_weight == 0.3
+
+
+def test_rows_of_days_equal_one_day_at_a_time_bitwise():
+    rng = np.random.default_rng(5)
+    target, point, lower, upper = rng.normal(size=(4, 7, 24))
+    cfg = LossConfig(interval_weight=0.4)
+    losses = composite_loss(target, point, lower, upper, cfg)
+    grads = composite_loss_grad(target, point, lower, upper, cfg)
+    assert losses.shape == (7,)
+    for r in range(7):
+        row = (target[r], point[r], lower[r], upper[r])
+        assert losses[r] == composite_loss(*row, cfg)
+        for got, want in zip(grads, composite_loss_grad(*row, cfg)):
+            np.testing.assert_array_equal(got[r], want)

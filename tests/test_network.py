@@ -128,11 +128,11 @@ def test_unroll_window_of_one_equals_step():
     model = model_build(small_config("dlstm"), seed=8)
     inputs = random_day_inputs(np.random.default_rng(9), 1)
     samples = make_samples(inputs)
-    outs, tape = model_unroll(model, model_new_state(model), samples)
+    outs, tape = model_unroll(model, model_new_state(model), [samples])
     ref = model_step(model, model_new_state(model), inputs[0])
     assert len(outs) == 1
-    np.testing.assert_array_equal(outs[0].point.value, ref.point.value)
-    np.testing.assert_array_equal(outs[0].upper.value, ref.upper.value)
+    np.testing.assert_array_equal(outs[0].point.value[0], ref.point.value)
+    np.testing.assert_array_equal(outs[0].upper.value[0], ref.upper.value)
     assert len(tape) > 0
 
 
@@ -141,11 +141,11 @@ def test_unroll_rejects_gaps_and_mixed_series():
     inputs = random_day_inputs(np.random.default_rng(10), 5)
     gappy = make_samples(inputs, skip=(2,))
     with pytest.raises(ValueError, match="not contiguous"):
-        model_unroll(model, model_new_state(model), gappy)
+        model_unroll(model, model_new_state(model), [gappy])
     mixed = make_samples(inputs)
     object.__setattr__(mixed[3], "series_id", "other")
     with pytest.raises(ValueError, match="series"):
-        model_unroll(model, model_new_state(model), mixed)
+        model_unroll(model, model_new_state(model), [mixed])
 
 
 def test_dilation_reach_through_layer3_buffer():
@@ -231,9 +231,129 @@ def test_config_validation():
 def test_unroll_tape_supports_backward():
     model = model_build(small_config("adrnn"), seed=17)
     inputs = random_day_inputs(np.random.default_rng(18), 5)
-    outs, tape = model_unroll(model, model_new_state(model), make_samples(inputs))
-    seeds = [(o.point, np.ones(HORIZON)) for o in outs]
+    outs, tape = model_unroll(model, model_new_state(model),
+                              [make_samples(inputs)])
+    seeds = [(o.point, np.ones((1, HORIZON))) for o in outs]
     g_head, g_embed = tape.backward(seeds, [model.head_w, model.embedding])
     assert g_head.shape == model.head_w.shape
     assert np.any(g_head != 0.0)
     assert np.any(g_embed != 0.0)
+
+
+# -- series stacked as rows ------------------------------------------------
+
+
+def random_window(rng, days, series_id, start=dt.date(2024, 3, 4)):
+    return make_samples(random_day_inputs(rng, days), start=start,
+                        series_id=series_id)
+
+
+def batched_window(model, states, windows, upstream):
+    """Outputs and block gradients of one batched window; ``upstream[b]``
+    holds a (72,) seed per real day of window b, padded days get zeros."""
+    outs, tape = model_unroll(model, states, windows)
+    states.detach()
+    seeds = []
+    for t, out in enumerate(outs):
+        g = np.zeros((len(windows), HEAD_SIZE))
+        for b, gb in enumerate(upstream):
+            if t < len(gb):
+                g[b] = gb[t]
+        seeds.append((out.head, g))
+    return outs, tape.backward(seeds, model.blocks())
+
+
+def single_window(model, state, samples, upstream):
+    """The same through one-series steps on 1-d inputs."""
+    tape = Tape()
+    outs = [model_step(model, state, s.input, tape) for s in samples]
+    state.detach()
+    grads = tape.backward([(o.head, g) for o, g in zip(outs, upstream)],
+                          model.blocks())
+    return outs, grads
+
+
+@pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
+def test_batched_windows_match_per_series_unrolls(variant):
+    # window 0 unrolls three fresh series of 5, 5 and 2 days; window 1
+    # carries series a (3 days, the short end of its run), starts b afresh
+    # (4 days, after a gap) and drops c, which has no second window
+    rng = np.random.default_rng(21)
+    model = model_build(small_config(variant), seed=22)
+    groups = [
+        [("a", random_window(rng, 5, "a"), True),
+         ("b", random_window(rng, 5, "b"), True),
+         ("c", random_window(rng, 2, "c"), True)],
+        [("a", random_window(rng, 3, "a", dt.date(2024, 3, 9)), False),
+         ("b", random_window(rng, 4, "b", dt.date(2024, 3, 20)), True)],
+    ]
+    states, rows = model_new_state(model), []
+    refs = {}
+    for group in groups:
+        if rows:
+            states.regroup([rows.index(sid) for sid, _, _ in group],
+                           [fresh for _, _, fresh in group])
+        rows = [sid for sid, _, _ in group]
+        upstream = [rng.normal(size=(len(w), HEAD_SIZE)) for _, w, _ in group]
+        outs, grads = batched_window(model, states, [w for _, w, _ in group],
+                                     upstream)
+        want = [np.zeros_like(block) for block in model.blocks()]
+        for b, ((sid, samples, fresh), gb) in enumerate(zip(group, upstream)):
+            if fresh:
+                refs[sid] = model_new_state(model)
+            ref_outs, ref_grads = single_window(model, refs[sid], samples, gb)
+            for t, ref in enumerate(ref_outs):
+                np.testing.assert_allclose(outs[t].head.value[b],
+                                           ref.head.value, rtol=1e-12,
+                                           atol=1e-12)
+            want = [w + g for w, g in zip(want, ref_grads)]
+        for got, ref in zip(grads, want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["lstm2", "gru1", "dlstm", "adrnn"])
+def test_padded_rows_contribute_exactly_zero(variant):
+    # a short window is padded by repeating its last day; days with other
+    # inputs in its place, seeded with zeros, change no bit of the outputs
+    # of real days or of any gradient
+    rng = np.random.default_rng(23)
+    model = model_build(small_config(variant), seed=24)
+    long = random_window(rng, 6, "a")
+    extended = random_window(rng, 6, "b")
+    upstream = [rng.normal(size=(6, HEAD_SIZE)), rng.normal(size=(2, HEAD_SIZE))]
+    outs, grads = batched_window(model, model_new_state(model),
+                                 [long, extended[:2]], upstream)
+    ext_outs, ext_grads = batched_window(model, model_new_state(model),
+                                         [long, extended], upstream)
+    for out, ext_out in zip(outs, ext_outs):
+        np.testing.assert_array_equal(out.head.value[0], ext_out.head.value[0])
+    for out, ext_out in zip(outs[:2], ext_outs):
+        np.testing.assert_array_equal(out.head.value[1], ext_out.head.value[1])
+    for got, ref in zip(grads, ext_grads):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
+def test_one_row_batch_equals_one_series_unroll_bitwise(variant):
+    rng = np.random.default_rng(25)
+    model = model_build(small_config(variant), seed=26)
+    samples = random_window(rng, 9, "a")
+    upstream = rng.normal(size=(9, HEAD_SIZE))
+    outs, grads = batched_window(model, model_new_state(model), [samples],
+                                 [upstream])
+    ref_outs, ref_grads = single_window(model, model_new_state(model),
+                                        samples, upstream)
+    for out, ref in zip(outs, ref_outs):
+        np.testing.assert_array_equal(out.head.value, ref.head.value[None])
+    for got, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("variant", ["gru2", "adrnn"])
+def test_window_group_records_as_many_nodes_as_one_series(variant):
+    rng = np.random.default_rng(27)
+    model = model_build(small_config(variant), seed=28)
+    windows = [random_window(rng, 4, sid) for sid in "abcde"]
+    _, one = model_unroll(model, model_new_state(model), windows[:1])
+    _, five = model_unroll(model, model_new_state(model), windows)
+    assert len(five) == len(one)

@@ -120,6 +120,28 @@ def test_adam_first_step_is_lr_sized():
     np.testing.assert_allclose(x, [4.9, -4.9], rtol=1e-6)
 
 
+def test_adam_in_place_step_equals_the_expression_bitwise():
+    # blocks of different shapes share one scratch pair sized to the largest
+    rng = np.random.default_rng(4)
+    arrays = [rng.normal(size=(5, 7)), rng.normal(size=3), rng.normal(size=(2, 2))]
+    ref = [a.copy() for a in arrays]
+    m = [np.zeros_like(a) for a in ref]
+    v = [np.zeros_like(a) for a in ref]
+    opt = Adam(enumerate(arrays), beta1=0.8, beta2=0.99, epsilon=1e-7)
+    for step in range(1, 4):
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        opt.step(dict(enumerate(grads)), lr=0.01)
+        bc1, bc2 = 1.0 - 0.8 ** step, 1.0 - 0.99 ** step
+        for a, mk, vk, g in zip(ref, m, v, grads):
+            mk *= 0.8
+            mk += (1.0 - 0.8) * g
+            vk *= 0.99
+            vk += (1.0 - 0.99) * (g * g)
+            a -= 0.01 * (mk / bc1) / (np.sqrt(vk / bc2) + 1e-7)
+        for got, want in zip(arrays, ref):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_clip_global_norm():
     g1 = np.array([3.0, 4.0])
     grads = {"a": g1}
@@ -155,6 +177,24 @@ def test_series_windows_split_on_gaps_and_length():
     wins = series_windows(build_training_set([s]).by_series["s1"], 7)
     fresh_flags = [fresh for _, fresh in wins]
     assert fresh_flags.count(True) == 2
+
+
+def test_empty_series_has_no_windows_and_is_skipped():
+    assert series_windows([], window_days=7) == []
+    data = build_training_set([wave_series("s1", days=30),
+                               wave_series("s3", days=30, seed=1, noise=1.0)])
+    with_empty = build_training_set([wave_series("s1", days=30),
+                                     wave_series("s3", days=30, seed=1,
+                                                 noise=1.0)])
+    with_empty.by_series["s2"] = []
+    recipe = TrainRecipe(epochs=2, batch_sizes={1: 1, 2: 2}, window_days=10)
+    want = train(data, desk_config(), recipe, seed=3)
+    got = train(with_empty, desk_config(), recipe, seed=3)
+    assert got.epoch_losses == want.epoch_losses
+    assert got.update_count == want.update_count
+    for (_, a), (_, b) in zip(got.model.named_arrays(),
+                              want.model.named_arrays()):
+        np.testing.assert_array_equal(a, b)
 
 
 # -- train -----------------------------------------------------------------
