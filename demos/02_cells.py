@@ -12,7 +12,7 @@ vector that multiplicatively reweights the upper cell's input.
 
 import numpy as np
 
-from loadcast import CELL_VARIANTS, Tape, cell_init, cell_step, new_state
+from loadcast import CELL_VARIANTS, cell_init, cell_step, new_state
 
 rng = np.random.default_rng(0)
 input_size, hidden = 6, 5
@@ -28,11 +28,10 @@ for variant, (kind, connection) in sorted(CELL_VARIANTS.items()):
         out_size=hidden if needs_split else None,
         upper_hidden_size=hidden if variant == "adrnn" else None,
         connection=connection, dilation=3, seed=1)
-    tape = Tape()
     state = new_state(params, dilation=3)
     for x in inputs:
-        out = cell_step(params, state, tape.leaf(x), 3)
-    print(f"{variant:6s} out[:3] = {np.round(out.value[:3], 4)}")
+        out = cell_step(params, state, x, 3)
+    print(f"{variant:6s} out[:3] = {np.round(out[:3], 4)}")
 
 # dilation matters: the same delayed-state cell diverges once the lagged
 # state it reads back is no longer the cold-start zero vector
@@ -40,20 +39,18 @@ print("\nsame cell, different dilations:")
 for dilation in (1, 2, 4, 7):
     params, _ = cell_init(CELL_VARIANTS["drnn"][0], input_size, hidden,
                           out_size=hidden, dilation=dilation, seed=1)
-    tape = Tape()
     state = new_state(params, dilation)
     for x in inputs:
-        out = cell_step(params, state, tape.leaf(x), dilation)
-    print(f"  d={dilation}: final out[0] = {out.value[0]:+.6f}")
+        out = cell_step(params, state, x, dilation)
+    print(f"  d={dilation}: final out[0] = {out[0]:+.6f}")
 
 # the attentive cell's reweighting is exp of a clamped signal, so at a
 # zero-bias cold start every weight is close to exp(0) = 1 and the upper
 # cell sees an almost-unscaled input
 params, _ = cell_init(CELL_VARIANTS["adrnn"][0], input_size, hidden,
                       out_size=hidden, upper_hidden_size=hidden, seed=1)
-tape = Tape()
 state = new_state(params, dilation=2)
-first = cell_step(params, state, tape.leaf(inputs[0]), 2)
-print(f"\nattentive cell, first step: out[:3] = {np.round(first.value[:3], 4)}")
+first = cell_step(params, state, inputs[0], 2)
+print(f"\nattentive cell, first step: out[:3] = {np.round(first[:3], 4)}")
 print("(at the first step the lower cell has only cold-start state, so its")
 print(" attention output is small and the input reweighting is near 1)")

@@ -8,11 +8,12 @@ pinball loss so the bounds are genuine quantile forecasts rather than
 post-hoc error bands.
 
 Modules:
-    tape: the node tape the model records on and its reverse sweep
+    tape: per-layer chains of recorded steps and their reverse sweeps
         (float64 throughout).
-    cells: the five gated recurrent cells, one tape node per step (the
-        attentive cell included) with a hand-written backward.
-    network: the dilated three-layer stack with embedding and linear head.
+    cells: the five gated recurrent cells on plain arrays, one recorded
+        step each (the attentive cell included) with a hand-written backward.
+    network: the dilated three-layer stack with embedding and linear head,
+        and model_backward, which sweeps its chains from the head down.
     preprocess: weekly standardization, day encoding, sample construction.
     loss: pinball loss and the composite training objective.
     training: Adam, truncated-BPTT training loop (each window of a
@@ -77,6 +78,7 @@ from .network import (
     ModelConfig,
     model_build,
     model_new_state,
+    model_backward,
     model_step,
     model_unroll,
 )
@@ -148,6 +150,7 @@ __all__ = [
     "load_store",
     "model_build",
     "model_new_state",
+    "model_backward",
     "model_step",
     "model_unroll",
     "new_state",

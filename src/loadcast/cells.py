@@ -1,22 +1,24 @@
 """The five gated recurrent cells and their exact training gradients.
 
-Each cell step is recorded on a :class:`~loadcast.tape.Tape` as one node.
-Three pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
-``_drnn``) compute all gate pre-activations with one product of
-``[x; h_recent; h_delayed; 1]`` and the cell's stacked gate matrix, and
-return the step's value with its hand-written backward pass, so reverse-mode
-gradients through any number of steps come from the tape.  A step takes one
-series' input vector, or a batch of series as rows (``z @ W.T``), with the
-state buffers holding one row per series; the matrix's gradient is then one
-product over all the rows of a window.  Cells with dilation read both the
-most recent state and the state from ``d`` steps ago; plain LSTM/GRU run in
-one of two connection variants, fed either by the recent state only or by
-the delayed state only.
+A cell step takes and returns plain arrays: it reads the state buffers,
+pushes the new h- and c-states into them and returns the output y.  Given a
+:class:`~loadcast.tape.Tape`, it also records itself as one step on the chain
+of its layer's state, so reverse-mode gradients through any number of steps
+come from sweeping that chain.  Three pure-array kernels (``_lstm`` for LSTM
+and dilated LSTM, ``_gru``, ``_drnn``) compute all gate pre-activations with
+one product of ``[x; h_recent; h_delayed; 1]`` and the cell's stacked gate
+matrix, and return the step's value with its hand-written backward pass.  A
+step takes one series' input vector, or a batch of series as rows
+(``z @ W.T``), with the state buffers holding one row per series; the
+matrix's gradient is then one product over all the rows of a window.  Cells
+with dilation read both the most recent state and the state from ``d`` steps
+ago; plain LSTM/GRU run in one of two connection variants, fed either by the
+recent state only or by the delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
 which feeds the gates of later steps, and an output part that goes to the next
-layer.  The attentive cell stacks two merged-gate kernels in one node: the
+layer.  The attentive cell stacks two merged-gate kernels in one step: the
 first emits a per-component attention vector whose clamped exponential
 rescales the input of the second.
 """
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError
-from .tape import Tape, Var
+from .tape import Tape
 
 #: attention pre-activations are clamped to this band before exponentiation
 ATTENTION_CLAMP = 10.0
@@ -150,12 +152,8 @@ def _gate_views(params: CellParams, stack: np.ndarray) -> dict[str, GateBlock]:
 
 
 class CellState:
-    """Ring buffers of recent h- and c-states.
-
-    Entries may be raw arrays (detached, e.g. across truncation boundaries) or
-    tape Vars during a recorded unroll, one vector or one row per series.
-    Lags beyond recorded history read as cold-start zeros.
-    """
+    """Ring buffers of recent h- and c-states, one vector or one row per
+    series each.  Lags beyond recorded history read as cold-start zeros."""
 
     def __init__(self, capacity: int, track_c: bool = True):
         self.capacity = max(1, capacity)
@@ -166,41 +164,36 @@ class CellState:
     def __len__(self) -> int:
         return len(self._h)
 
-    def push(self, h, c=None):
+    def push(self, h: np.ndarray, c: np.ndarray | None = None):
         self._h.append(h)
         if self.track_c:
             self._c.append(c)
 
-    def h_lag(self, k: int):
+    def h_lag(self, k: int) -> np.ndarray | None:
         """State stored ``k`` steps ago, or None before enough history."""
-        if k < 1 or k > self.capacity:
-            raise ValueError(f"lag {k} outside buffer capacity {self.capacity}")
-        if k > len(self._h):
-            return None
-        return self._h[-k]
+        return self._lag(self._h, k)
 
-    def c_lag(self, k: int):
+    def c_lag(self, k: int) -> np.ndarray | None:
         if not self.track_c:
             raise ValueError("cell has no c-state")
+        return self._lag(self._c, k)
+
+    def _lag(self, ring: deque, k: int) -> np.ndarray | None:
         if k < 1 or k > self.capacity:
             raise ValueError(f"lag {k} outside buffer capacity {self.capacity}")
-        if k > len(self._c):
-            return None
-        return self._c[-k]
-
-    def detach(self):
-        """Replace any recorded Vars by their values (truncation boundary)."""
-        self._map(_value_of)
+        return ring[-k] if k <= len(ring) else None
 
     def regroup(self, rows: np.ndarray, fresh: np.ndarray):
-        """Row ``i`` of every (detached) entry becomes old row ``rows[i]``,
-        or zeros, which read like a cold start, where ``fresh[i]``."""
-        self._map(lambda entry: _take(entry, rows, fresh))
+        """Row ``i`` of every entry becomes old row ``rows[i]``, or zeros,
+        which read like a cold start, where ``fresh[i]``."""
+        def take(entry):
+            out = entry[rows]
+            out[fresh] = 0.0
+            return out
 
-    def _map(self, fn):
-        self._h = deque(map(fn, self._h), maxlen=self.capacity)
+        self._h = deque(map(take, self._h), maxlen=self.capacity)
         if self.track_c:
-            self._c = deque(map(fn, self._c), maxlen=self.capacity)
+            self._c = deque(map(take, self._c), maxlen=self.capacity)
 
 
 class AdCellState:
@@ -213,23 +206,9 @@ class AdCellState:
     def __len__(self) -> int:
         return len(self.lower)
 
-    def detach(self):
-        self.lower.detach()
-        self.upper.detach()
-
     def regroup(self, rows: np.ndarray, fresh: np.ndarray):
         self.lower.regroup(rows, fresh)
         self.upper.regroup(rows, fresh)
-
-
-def _value_of(entry):
-    return entry.value if isinstance(entry, Var) else entry
-
-
-def _take(entry: np.ndarray, rows: np.ndarray, fresh: np.ndarray):
-    out = entry[rows]
-    out[fresh] = 0.0
-    return out
 
 
 def new_state(params: CellParams, dilation: int):
@@ -320,33 +299,39 @@ def cell_init(
 
 # -- fused steps -----------------------------------------------------------
 #
-# A kernel maps (params, stacked matrix, z, c-states...) to the step's value
-# and a closure mapping the value's adjoint to the matrix's factor pairs, the
-# gradient of z and one gradient per c-state.
-
-
-def _read(entry, rows: tuple, size: int):
-    """(value, Var or None) of a state entry; cold-start zeros and detached
-    arrays carry no gradient."""
-    if entry is None:
-        return np.zeros((*rows, size)), None
-    if isinstance(entry, Var):
-        return entry.value, entry
-    return entry, None
+# A kernel maps (params, z, c-states...) to the step's value and a closure
+# mapping the value's adjoint to the stacked matrix's factor pairs, the
+# gradient of z and one gradient per c-state.  A value holds the h-state in
+# ``[:hidden_size]`` and the c-state in ``[cell_size:2 * cell_size]``.
 
 
 def _read_state(params: CellParams, state: CellState, x: np.ndarray, lags,
-                c_lags):
+                c_lags, offset: int = 0):
     """The stacked gate input ``[x; h at each lag; 1]`` of one step, the
-    c-states at ``c_lags`` and the Vars of the entries read (h before c)."""
+    c-states at ``c_lags`` (cold-start zeros before enough history) and the
+    ``(lag, lo, hi)`` parts of earlier values read, h before c, in a value
+    starting at ``offset``."""
     if x.shape[-1] != params.input_size:
         raise ValueError(f"input length {x.shape[-1]} != cell input size "
                          f"{params.input_size}")
     rows = x.shape[:-1]
-    hs = [_read(state.h_lag(lag), rows, params.hidden_size) for lag in lags]
-    cs = [_read(state.c_lag(lag), rows, params.cell_size) for lag in c_lags]
-    z = np.concatenate([x, *(value for value, _ in hs), _ones(rows)], axis=-1)
-    return z, [value for value, _ in cs], [var for _, var in hs + cs]
+
+    def read(entry, size):
+        return np.zeros((*rows, size)) if entry is None else entry
+
+    hs = [read(state.h_lag(lag), params.hidden_size) for lag in lags]
+    cs = [read(state.c_lag(lag), params.cell_size) for lag in c_lags]
+    h, n = offset + params.hidden_size, offset + params.cell_size
+    reads = (tuple((lag, offset, h) for lag in lags)
+             + tuple((lag, n, n + params.cell_size) for lag in c_lags))
+    return np.concatenate([x, *hs, _ones(rows)], axis=-1), cs, reads
+
+
+def _out_part(params: CellParams) -> tuple:
+    """The ``(lo, hi)`` part of a step's value that is its output y."""
+    if params.kind in _DILATED:
+        return params.hidden_size, params.cell_size
+    return 0, params.hidden_size
 
 
 @functools.cache
@@ -365,31 +350,29 @@ def _split_input_grad(params: CellParams, dz: np.ndarray, lags: int) -> list:
                             for k in range(lags)]
 
 
-def _push(params: CellParams, state: CellState, node: Var) -> Var:
-    """Store the h (and c) held in a step's value ``node``, as plain arrays
-    when its tape is forward-only; returns the step's output y."""
-    h, c = node[:params.hidden_size], node[params.cell_size:]
-    if node.tape.forward_only:
-        state.push(h.value, c.value)  # a GRU state keeps no c
-    else:
-        state.push(h, c)
-    if params.kind in _DILATED:
-        return node[params.hidden_size:params.cell_size]
-    return h
+def _push(params: CellParams, state: CellState, value: np.ndarray):
+    """Store the h (and c) held in a step's ``value``; returns its y."""
+    state.push(value[..., :params.hidden_size], value[..., params.cell_size:])
+    lo, hi = _out_part(params)
+    return value[..., lo:hi]
 
 
-def _reference_lag(params: CellParams, dilation: int) -> int:
-    if params.connection is Connection.RECENT_ONLY:
-        return 1
-    if params.connection is Connection.DELAYED_ONLY:
-        return dilation
-    raise ValueError("dilated cells use explicit recent+delayed terms")
+def _lags(params: CellParams, dilation: int) -> tuple:
+    """The lags of the h-states and of the c-states a step reads: dilated
+    cells read the recent and the delayed state, plain LSTM/GRU the one
+    their connection variant picks."""
+    if params.kind is CellKind.DLSTM:
+        return (1, dilation), (1,)
+    if params.kind is CellKind.DRNN:
+        return (1, dilation), (1, dilation)
+    lag = 1 if params.connection is Connection.RECENT_ONLY else dilation
+    return (lag,), (lag,) if params.kind is CellKind.LSTM else ()
 
 
-def _lstm(params: CellParams, w: np.ndarray, z: np.ndarray, c_prev):
+def _lstm(params: CellParams, z: np.ndarray, c_prev):
     """LSTM-type gates (forget, input, output, candidate): the raw activation
     ``output * tanh(c)`` and c."""
-    n = params.cell_size
+    n, w = params.cell_size, params.stack
     pre = z @ w.T
     sig = expit(pre[..., :3 * n])
     forget, infl, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
@@ -410,11 +393,11 @@ def _lstm(params: CellParams, w: np.ndarray, z: np.ndarray, c_prev):
     return np.concatenate((out * tc, c), axis=-1), back
 
 
-def _gru(params: CellParams, w: np.ndarray, z: np.ndarray):
+def _gru(params: CellParams, z: np.ndarray):
     """GRU gates: reset and update rows read ``[x; h; 1]``, the candidate
     rows read ``[x; r*h; 1]``, so the matrix's gradient is two factor
     pairs."""
-    i, n = params.input_size, params.hidden_size
+    i, n, w = params.input_size, params.hidden_size, params.stack
     h = z[..., i:i + n]
     gates = expit(z @ w[:2 * n].T)
     reset, update = gates[..., :n], gates[..., n:]
@@ -439,11 +422,11 @@ def _gru(params: CellParams, w: np.ndarray, z: np.ndarray):
     return (1.0 - update) * h + update * cand, back
 
 
-def _drnn(params: CellParams, w: np.ndarray, z: np.ndarray, c1, cd):
+def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     """Merged gates: c is a gated fusion of the recent and delayed c-states
     mixed with the candidate; the raw activation is ``output_gate * c``
     with no tanh."""
-    n = params.cell_size
+    n, w = params.cell_size, params.stack
     pre = z @ w.T
     sig = expit(pre[..., :3 * n])
     fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
@@ -465,88 +448,71 @@ def _drnn(params: CellParams, w: np.ndarray, z: np.ndarray, c1, cd):
     return np.concatenate((out * c, c), axis=-1), back
 
 
-def _fused_step(params: CellParams, state: CellState, x: Var, lags, c_lags,
-                kernel) -> Var:
-    """One step of ``kernel`` recorded as a single node on ``x``'s tape."""
-    tape = x.tape
-    m = tape.leaf(params.stack)
-    z, cs, reads = _read_state(params, state, x.value, lags, c_lags)
-    value, back = kernel(params, m.value, z, *cs)
+def _fused_step(params: CellParams, state: CellState, x: np.ndarray,
+                dilation: int, tape: Tape | None) -> np.ndarray:
+    """One step of a single-kernel cell, recorded on ``tape`` (if given) as
+    a step of the chain of ``state``."""
+    lags, c_lags = _lags(params, dilation)
+    z, cs, reads = _read_state(params, state, x, lags, c_lags)
+    value, back = _KERNELS[params.kind](params, z, *cs)
+    if tape is not None:
+        def vjp(g):
+            dw, dz, dcs = back(g)
+            return (dw, *_split_input_grad(params, dz, len(lags)), *dcs)
 
-    def vjp(g):
-        dw, dz, dcs = back(g)
-        return (dw, *_split_input_grad(params, dz, len(lags)), *dcs)
-
-    return _push(params, state, tape.record(value, (m, x, *reads), vjp))
-
-
-def lstm_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
-    """Classic LSTM step; the connection variant picks which lag feeds it."""
-    lag = _reference_lag(params, dilation)
-    return _fused_step(params, state, x, (lag,), (lag,), _lstm)
+        tape.record(state, value.shape, _out_part(params), reads,
+                    (params.stack,), vjp)
+    return _push(params, state, value)
 
 
-def gru_step(params: CellParams, state: CellState, x: Var, dilation: int = 1) -> Var:
-    """GRU step; the connection variant picks which lag feeds it."""
-    return _fused_step(params, state, x, (_reference_lag(params, dilation),),
-                       (), _gru)
-
-
-def dlstm_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
-    """LSTM with an extra delayed-state term and a split output."""
-    return _fused_step(params, state, x, (1, dilation), (1,), _lstm)
-
-
-def drnn_step(params: CellParams, state: CellState, x: Var, dilation: int) -> Var:
-    """Merged-gate cell with a split output."""
-    return _fused_step(params, state, x, (1, dilation), (1, dilation), _drnn)
-
-
-def adrnn_step(params: CellParams, state: AdCellState, x: Var, dilation: int) -> Var:
-    """Attentive cell, one node per step: the lower stage's output ``a``
+def adrnn_step(params: CellParams, state: AdCellState, x: np.ndarray,
+               dilation: int, tape: Tape | None = None) -> np.ndarray:
+    """Attentive cell, one recorded step: the lower stage's output ``a``
     rescales the input of the upper stage by ``exp(clip(a))``; both stages
-    advance once per step."""
-    tape = x.tape
+    advance once per step.  The recorded value is the lower stage's value
+    followed by the upper stage's."""
     lower, upper = params.lower, params.upper
-    ml, mu = tape.leaf(lower.stack), tape.leaf(upper.stack)
     lags = (1, dilation)
-    xv = x.value
-    zl, cl, reads_l = _read_state(lower, state.lower, xv, lags, lags)
-    value_l, back_l = _drnn(lower, ml.value, zl, *cl)
+    zl, cl, reads_l = _read_state(lower, state.lower, x, lags, lags)
+    value_l, back_l = _drnn(lower, zl, *cl)
     attention = value_l[..., lower.hidden_size:lower.cell_size]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
     weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
-    zu, cu, reads_u = _read_state(upper, state.upper, xv * weights, lags, lags)
-    value_u, back_u = _drnn(upper, mu.value, zu, *cu)
-    split = 2 * lower.cell_size
+    split = value_l.shape[-1]
+    zu, cu, reads_u = _read_state(upper, state.upper, x * weights, lags, lags,
+                                  split)
+    value_u, back_u = _drnn(upper, zu, *cu)
+    if tape is not None:
 
-    def vjp(g):
-        dwu, dzu, dcu = back_u(g[..., split:])
-        dxu = dzu[..., :upper.input_size]
-        gl = g[..., :split].copy()
-        gl[..., lower.hidden_size:lower.cell_size] += dxu * xv * weights * inside
-        dwl, dzl, dcl = back_l(gl)
-        return (dwl, dwu, dxu * weights + dzl[..., :lower.input_size],
-                *_split_input_grad(lower, dzl, 2)[1:], *dcl,
-                *_split_input_grad(upper, dzu, 2)[1:], *dcu)
+        def vjp(g):
+            dwu, dzu, dcu = back_u(g[..., split:])
+            dxu = dzu[..., :upper.input_size]
+            gl = g[..., :split].copy()
+            gl[..., lower.hidden_size:lower.cell_size] += (
+                dxu * x * weights * inside)
+            dwl, dzl, dcl = back_l(gl)
+            return (dwl, dwu, dxu * weights + dzl[..., :lower.input_size],
+                    *_split_input_grad(lower, dzl, 2)[1:], *dcl,
+                    *_split_input_grad(upper, dzu, 2)[1:], *dcu)
 
-    node = tape.record(np.concatenate((value_l, value_u), axis=-1),
-                       (ml, mu, x, *reads_l, *reads_u), vjp)
-    _push(lower, state.lower, node[:split])
-    return _push(upper, state.upper, node[split:])
-
-
-_STEP_FN = {
-    CellKind.LSTM: lstm_step,
-    CellKind.GRU: gru_step,
-    CellKind.DLSTM: dlstm_step,
-    CellKind.DRNN: drnn_step,
-    CellKind.ADRNN: adrnn_step,
-}
+        lo, hi = _out_part(upper)
+        tape.record(state, (*x.shape[:-1], split + value_u.shape[-1]),
+                    (split + lo, split + hi), reads_l + reads_u,
+                    (lower.stack, upper.stack), vjp)
+    _push(lower, state.lower, value_l)
+    return _push(upper, state.upper, value_u)
 
 
-def cell_step(params: CellParams, state, x: Var, dilation: int) -> Var:
-    return _STEP_FN[params.kind](params, state, x, dilation)
+_KERNELS = {CellKind.LSTM: _lstm, CellKind.GRU: _gru, CellKind.DLSTM: _lstm,
+            CellKind.DRNN: _drnn}
+
+
+def cell_step(params: CellParams, state, x: np.ndarray, dilation: int,
+              tape: Tape | None = None) -> np.ndarray:
+    """One step of any cell kind: reads ``state``, pushes the new states and
+    returns the output y; recorded on ``tape`` when one is given."""
+    step = adrnn_step if params.kind is CellKind.ADRNN else _fused_step
+    return step(params, state, x, dilation, tape)
 
 
 def cell_gradient(
@@ -564,10 +530,9 @@ def cell_gradient(
         raise ValueError("need one upstream gradient per input step")
     tape = Tape()
     state = new_state(params, dilation)
-    xs = [np.array(x, dtype=np.float64) for x in inputs]
-    seeds = [(cell_step(params, state, tape.leaf(x), dilation), g)
-             for x, g in zip(xs, upstream)]
-    blocks = params.blocks()
-    grads = tape.backward(seeds, blocks + xs)
-    return (dict(params.named_arrays(blocks=grads[:len(blocks)])),
-            grads[len(blocks):])
+    for x in inputs:
+        cell_step(params, state, np.asarray(x, dtype=np.float64), dilation,
+                  tape)
+    input_grads = tape.backward(state, upstream)
+    grads = tape.grads(params.blocks())
+    return dict(params.named_arrays(blocks=grads)), input_grads

@@ -63,6 +63,9 @@ def _print_manifest(manifest, out=sys.stdout):
 def cmd_synth(args) -> int:
     if args.series < 1 or args.days < 1:
         raise LoadcastError("synth needs --series and --days of at least 1")
+    if not 0.0 <= args.noise < float("inf"):
+        raise LoadcastError(f"synth needs a finite --noise of at least 0, "
+                            f"not {args.noise}")
     store = synthetic_store(n_series=args.series, days=args.days,
                             start=_parse_date(args.start), seed=args.seed,
                             noise=args.noise)
@@ -224,11 +227,14 @@ def cmd_gradcheck(args) -> int:
     out_size = args.out_size
     if out_size is None and kind not in (CellKind.LSTM, CellKind.GRU):
         out_size = args.hidden_size
-    report = check_cell(
-        kind, args.input_size, args.hidden_size,
-        out_size=out_size, connection=connection,
-        dilation=args.dilation, steps=args.steps, seed=args.seed,
-        corrupt_block=args.corrupt)
+    try:
+        report = check_cell(
+            kind, args.input_size, args.hidden_size,
+            out_size=out_size, connection=connection,
+            dilation=args.dilation, steps=args.steps, seed=args.seed,
+            corrupt_block=args.corrupt)
+    except KeyError as exc:  # an unknown --corrupt block
+        raise LoadcastError(exc.args[0]) from None
     for block in report.blocks:
         flag = "ok" if block.worst_rel_error < report.tolerance else "FAIL"
         print(f"  {block.name:24s} worst {block.worst_rel_error:.3e} "

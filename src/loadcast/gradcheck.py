@@ -16,7 +16,14 @@ import datetime as dt
 
 from .cells import CellKind, cell_gradient, cell_init, cell_step, new_state
 from .errors import ConfigError
-from .network import ModelConfig, model_build, model_new_state, model_step
+from .network import (
+    HEAD_SIZE,
+    ModelConfig,
+    model_backward,
+    model_build,
+    model_new_state,
+    model_step,
+)
 from .preprocess import CodingVariables, ExtendedInput, calendar_features
 from .tape import Tape
 
@@ -80,7 +87,8 @@ def check_gradients(
     analytic = gradient_fn()
     if corrupt_block is not None:
         if corrupt_block not in analytic:
-            raise KeyError(f"no gradient block named {corrupt_block!r}")
+            raise KeyError(f"no gradient block named {corrupt_block!r}; "
+                           f"choose from {', '.join(analytic)}")
         analytic = dict(analytic)
         analytic[corrupt_block] = corrupt_gradient(analytic[corrupt_block])
     reports = []
@@ -146,13 +154,9 @@ def check_cell(
     weights = [rng.uniform(0.5, 1.5, size=params.out_size) for _ in range(steps)]
 
     def value():
-        tape = Tape()
         state = new_state(params, dilation)
-        total = 0.0
-        for x, w in zip(inputs, weights):
-            y = cell_step(params, state, tape.leaf(x), dilation)
-            total += float(w @ y.value)
-        return total
+        return sum(float(w @ cell_step(params, state, x, dilation))
+                   for x, w in zip(inputs, weights))
 
     def gradient():
         param_grads, input_grads = cell_gradient(params, inputs, dilation, weights)
@@ -205,27 +209,19 @@ def check_model(
     rng = np.random.default_rng(seed)
     model = model_build(config, seed=rng)
     inputs = random_day_inputs(rng, steps)
-    weights = [tuple(rng.uniform(0.5, 1.5, size=24) for _ in range(3))
-               for _ in range(steps)]
-
-    def run():
-        tape = Tape()
-        states = model_new_state(model)
-        total = 0.0
-        seeds = []
-        for ext, (wp, wl, wu) in zip(inputs, weights):
-            out = model_step(model, states, ext, tape)
-            total += float(wp @ out.point.value + wl @ out.lower.value
-                           + wu @ out.upper.value)
-            seeds += [(out.point, wp), (out.lower, wl), (out.upper, wu)]
-        return total, tape, seeds
+    weights = [rng.uniform(0.5, 1.5, size=HEAD_SIZE) for _ in range(steps)]
 
     def value():
-        return run()[0]
+        states = model_new_state(model)
+        return sum(float(w @ model_step(model, states, ext))
+                   for ext, w in zip(inputs, weights))
 
     def gradient():
-        _, tape, seeds = run()
-        return dict(model.named_arrays(tape.backward(seeds, model.blocks())))
+        tape, states = Tape(), model_new_state(model)
+        for ext in inputs:
+            model_step(model, states, ext, tape)
+        return dict(model.named_arrays(
+            model_backward(model, states, tape, weights)))
 
     if tolerance is None:
         tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL

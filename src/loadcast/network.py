@@ -10,7 +10,9 @@ imposed; crossings are measured downstream, not prevented.
 
 A step serves one series, or a group of series stacked as rows: training
 unrolls each truncation window of a group as one batch, so every layer runs
-one cell step per day for the whole group.
+one cell step per day for the whole group.  A recorded window is five tape
+chains (input, three layers, head), which :func:`model_backward` sweeps from
+the head down.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ from .cells import (
 )
 from .errors import ConfigError
 from .preprocess import CALENDAR_SIZE, HOURS_PER_WEEK, ExtendedInput
-from .tape import Tape, Var
+from .tape import Tape
 
 #: forecast horizon in hours; the head emits point, lower and upper per hour
 HORIZON = 24
 HEAD_SIZE = 3 * HORIZON
 #: hierarchical dilations of the three layers, in days
 DILATIONS = (2, 4, 7)
+#: names of the tape chains of the per-day input and head steps
+INPUT, HEAD = "input", "head"
 
 #: model-level cell vocabulary: plain cells come in a recent-state and a
 #: delayed-state variant, dilated cells use both connections
@@ -122,33 +126,12 @@ class StackedModel:
 class ModelState:
     layers: list
 
-    def detach(self):
-        for layer in self.layers:
-            layer.detach()
-
     def regroup(self, rows, fresh):
-        """Re-index the rows of a detached batched state: new row ``i`` is
-        old row ``rows[i]``, or a cold start where ``fresh[i]``."""
+        """Re-index the rows of a batched state: new row ``i`` is old row
+        ``rows[i]``, or a cold start where ``fresh[i]``."""
         rows, fresh = np.asarray(rows), np.asarray(fresh, dtype=bool)
         for layer in self.layers:
             layer.regroup(rows, fresh)
-
-
-@dataclass
-class StepOutput:
-    head: Var  # point, lower and upper, 24 standardized hourly values each
-
-    @property
-    def point(self) -> Var:
-        return self.head[:HORIZON]
-
-    @property
-    def lower(self) -> Var:
-        return self.head[HORIZON:2 * HORIZON]
-
-    @property
-    def upper(self) -> Var:
-        return self.head[2 * HORIZON:]
 
 
 def _cell_layouts(config: ModelConfig) -> list[CellParams]:
@@ -200,52 +183,66 @@ def model_new_state(model: StackedModel) -> ModelState:
 
 
 def model_step(model: StackedModel, states: ModelState,
-               sample_input: ExtendedInput, tape: Tape | None = None) -> StepOutput:
+               sample_input: ExtendedInput, tape: Tape | None = None
+               ) -> np.ndarray:
     """One day forward: the input ``[week; level; E calendar]``, three
-    dilated cells with shortcuts, and the linear head split into point and
-    interval bounds.
+    dilated cells with shortcuts, and the linear head, whose ``(..., 72)``
+    output (point, lower and upper, 24 standardized hours each) it returns.
 
     ``sample_input`` holds one series' day, or a batch of series as rows
-    (``week`` (B, 168), ``level`` (B,), ``calendar`` (B, 90)), and the
-    outputs follow its shape.  Without a tape this is an evaluation step: it
-    records on a forward-only tape of its own, whose cells push plain arrays
-    into the states, so no gradient flows between such steps; the states it
-    is given hold no Vars.
+    (``week`` (B, 168), ``level`` (B,), ``calendar`` (B, 90)).  Each step is
+    recorded on ``tape``'s input, layer and head chains.  Without a tape
+    this is an evaluation step: it registers the parameters on a
+    forward-only tape of its own and records no step.
     """
     if tape is None:
         tape = Tape(forward_only=True)
-    embedding = tape.leaf(model.embedding)
     calendar = sample_input.calendar
-    u1 = tape.record(
-        np.concatenate([sample_input.week,
-                        np.asarray(sample_input.level)[..., None],
-                        calendar @ model.embedding.T], axis=-1),
-        (embedding,), lambda g: ([(g[..., HOURS_PER_WEEK + 1:], calendar)],))
+    u1 = np.concatenate([sample_input.week,
+                         np.asarray(sample_input.level)[..., None],
+                         calendar @ model.embedding.T], axis=-1)
+    tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
+                lambda g: ([(g[..., HOURS_PER_WEEK + 1:], calendar)], None))
     d1, d2, d3 = model.config.dilations
-    y1 = cell_step(model.cells[0], states.layers[0], u1, d1)
-    y2 = cell_step(model.cells[1], states.layers[1], y1, d2) + y1
-    y3 = cell_step(model.cells[2], states.layers[2], y2, d3) + y2
-    w, yv = model.head_w, y3.value
-    head = tape.record(
-        yv @ w.T + model.head_b,
-        (tape.leaf(w), tape.leaf(model.head_b), y3),
-        lambda g: ([(g, yv)], g if g.ndim == 1 else g.sum(axis=0), g @ w))
-    return StepOutput(head)
+    y1 = cell_step(model.cells[0], states.layers[0], u1, d1, tape)
+    y2 = cell_step(model.cells[1], states.layers[1], y1, d2, tape) + y1
+    y3 = cell_step(model.cells[2], states.layers[2], y2, d3, tape) + y2
+    w = model.head_w
+    head = y3 @ w.T + model.head_b
+    tape.record(HEAD, head.shape, (0, HEAD_SIZE), (), (w, model.head_b),
+                lambda g: ([(g, y3)], g if g.ndim == 1 else g.sum(axis=0),
+                           g @ w))
+    return head
 
 
-def model_unroll(model: StackedModel, states: ModelState, windows,
-                 tape: Tape | None = None):
+def model_backward(model: StackedModel, states: ModelState, tape: Tape,
+                   head_grads) -> list[np.ndarray]:
+    """Gradients of ``sum_t head_grads[t] . head_t`` over the days recorded
+    on ``tape`` with ``states``, for :meth:`StackedModel.blocks` in order.
+
+    Sweeps the head, layer 3, layer 2, layer 1 and input chains in turn.  A
+    layer's output adjoint adds what its shortcut sends, then what the layer
+    above sends; another order rounds every gradient differently.
+    """
+    layer1, layer2, layer3 = states.layers
+    dy3 = tape.backward(HEAD, head_grads)
+    dy2 = [a + b for a, b in zip(dy3, tape.backward(layer3, dy3))]
+    dx2 = tape.backward(layer2, dy2)
+    tape.backward(INPUT, tape.backward(layer1, dy2, dx2))
+    return tape.grads(model.blocks())
+
+
+def model_unroll(model: StackedModel, states: ModelState, windows):
     """Forward over one window per series, each of chronologically
     contiguous samples, with the series stacked as rows of ``states``.
 
     A window shorter than the longest repeats its last day to the end; the
     caller gives those rows zero loss weight, and the state they leave must
-    not be carried on.  Returns the per-day outputs, each with one row per
-    window, and the recorded tape; gradients for any loss of the outputs
-    come from ``tape.backward``.
+    not be carried on.  Returns the per-day heads, each with one row per
+    window, and the recorded tape; gradients for any loss of the heads
+    come from :func:`model_backward`.
     """
-    if tape is None:
-        tape = Tape()
+    tape = Tape()
     windows = [list(samples) for samples in windows]
     for samples in windows:
         if not samples:
@@ -262,7 +259,7 @@ def model_unroll(model: StackedModel, states: ModelState, windows,
     weeks = np.array([[ext.week for ext in day] for day in days])
     levels = np.array([[ext.level for ext in day] for day in days])
     calendars = np.array([[ext.calendar for ext in day] for day in days])
-    outputs = [model_step(model, states, ExtendedInput(
+    heads = [model_step(model, states, ExtendedInput(
         weeks[t], levels[t], calendars[t], coding=None), tape)
         for t in range(len(days))]
-    return outputs, tape
+    return heads, tape

@@ -1,22 +1,21 @@
-"""Minimal reverse-mode autodiff on a recorded node tape.
+"""Per-layer chains of recorded steps and their reverse sweeps.
 
-The model records a handful of hand-written nodes per day (the input, one
-node per cell step and the head), each with its vector-Jacobian closure;
-:meth:`Tape.backward` replays the record once in reverse and returns exact
-gradients for the parameter arrays it is asked about.
+Each day of the model is an input step, one step per recurrent layer and a
+head step, and the only links between days are a layer's reads of its own
+earlier states.  A :class:`Tape` records each step on the *chain* of its
+owner (a layer's state, or the name of the input or head chain): the shape of
+its value, the part ``[lo:hi]`` of the last axis that is its output, the
+``(lag, lo, hi)`` parts of earlier steps of the chain it read, the parameter
+arrays it used and its vector-Jacobian closure.  :meth:`Tape.backward` sweeps
+one chain in reverse, sending each read's adjoint to step ``t - lag``; a read
+from before the chain's first step hit carried state and passes none.
 
-Values are float64 numpy arrays; parameter matrices enter only as leaves.  A
-node's value is one vector, or a batch of them as rows (one row per series
-of a training window group).  A :class:`Var` names a contiguous part of the
-last axis of one node's value, so a node may carry several outputs (a cell
-step's output, h- and c-state) and slicing records nothing; ``+`` (the
-network's shortcuts) is the one node a Var records itself.  Leaves are cached
-per tape by array identity, so the same parameter array used at every
-unrolled step accumulates a single gradient.  A vjp may hand a leaf its
-gradient as a list of factor pairs ``(u, v)``: vectors standing for
-``np.outer(u, v)``, or row batches standing for ``u.T @ v``.  The backward
-sweep collects a leaf's pairs and reduces them with one matrix product over
-all their rows at its end, instead of summing one outer product per use.
+Values are float64 arrays, one vector or a batch of them as rows.  Parameter
+arrays are registered by identity, so an array used at every step
+accumulates one gradient.  A vjp hands a parameter a dense gradient or a list
+of factor pairs ``(u, v)``, standing for ``np.outer(u, v)`` or, as row
+batches, ``u.T @ v``; :meth:`Tape.grads` reduces a parameter's pairs with
+one matrix product over all their rows.
 """
 
 from __future__ import annotations
@@ -25,40 +24,7 @@ import numpy as np
 
 from .errors import StaleTapeError
 
-__all__ = ["Tape", "Var"]
-
-
-class Var:
-    """Handle to the part ``[..., lo:hi]`` of one recorded value on a tape."""
-
-    __slots__ = ("tape", "index", "lo", "hi")
-
-    def __init__(self, tape: "Tape", index: int, lo: int, hi: int):
-        self.tape = tape
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape._values[self.index][..., self.lo:self.hi]
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def __getitem__(self, part: slice) -> "Var":
-        """A contiguous part of this Var's last axis; records nothing."""
-        lo, hi, stride = part.indices(len(self))
-        if stride != 1:
-            raise ValueError("a Var slice must be contiguous")
-        return Var(self.tape, self.index, self.lo + lo, self.lo + max(lo, hi))
-
-    def __add__(self, other: "Var") -> "Var":
-        return self.tape.record(self.value + other.value, (self, other),
-                                lambda g: (g, g))
-
-    def __repr__(self) -> str:
-        return f"Var(#{self.index}[{self.lo}:{self.hi}], {self.value!r})"
+__all__ = ["Tape"]
 
 
 def _fingerprint(arr: np.ndarray) -> tuple:
@@ -66,119 +32,90 @@ def _fingerprint(arr: np.ndarray) -> tuple:
 
 
 class Tape:
-    """Wengert list of nodes with per-node vjp closures.
+    """Chains of recorded steps, and the gradients their sweeps produced.
 
     A ``forward_only`` tape (the one an evaluation step builds for itself)
-    takes no leaf fingerprints and refuses :meth:`backward`.
+    registers parameters but takes no fingerprints, keeps no steps and
+    refuses :meth:`backward`.
     """
 
     def __init__(self, forward_only: bool = False):
-        self._values: list[np.ndarray] = []
-        self._parents: list[list] = []  # (index, lo, hi) of each parent
-        self._vjps: list = []
-        self._leaf_cache: dict[int, int] = {}
-        self._leaf_prints: dict[int, tuple] | None = (
-            None if forward_only else {})
+        self._leaves: dict[int, np.ndarray] = {}
+        self._prints: dict[int, tuple] | None = None if forward_only else {}
+        self._chains: dict = {}
+        self._leaf_grads: dict[int, list] = {}
 
-    @property
-    def forward_only(self) -> bool:
-        return self._leaf_prints is None
-
-    def record(self, value: np.ndarray, parents: tuple, vjp) -> Var:
-        """Append a node computed from ``parents``: Vars of this tape, or
-        None for inputs that carry no gradient.
-
-        ``vjp(g)`` maps the node's adjoint to one gradient per parent: an
-        array shaped like the parent's value, None, or, for a leaf parent, a
-        list of factor pairs ``(u, v)``, each meaning ``np.outer(u, v)``,
-        or ``u.T @ v`` when they are row batches.
-        """
-        parts = []
-        for p in parents:
-            if p is None:
-                parts.append(None)
-            elif p.tape is not self:
-                raise ValueError("Var belongs to a different tape")
-            else:  # no Var: a tape holding its own Vars is a reference cycle
-                parts.append((p.index, p.lo, p.hi))
-        self._values.append(value)
-        self._parents.append(parts)
-        self._vjps.append(vjp)
-        return Var(self, len(self._values) - 1, 0, value.shape[-1])
-
-    def leaf(self, arr: np.ndarray) -> Var:
-        """Register ``arr`` as a gradient-tracked input, cached by identity."""
+    def leaf(self, arr: np.ndarray):
+        """Register the parameter array ``arr``, cached by identity."""
         key = id(arr)
-        idx = self._leaf_cache.get(key)
-        if idx is not None:
-            return Var(self, idx, 0, arr.shape[-1])
-        arr = np.asarray(arr, dtype=np.float64)
-        var = self.record(arr, (), None)
-        self._leaf_cache[key] = var.index
-        if self._leaf_prints is not None:
-            self._leaf_prints[var.index] = _fingerprint(arr)
-        return var
+        if key not in self._leaves:
+            self._leaves[key] = arr
+            if self._prints is not None:
+                self._prints[key] = _fingerprint(arr)
 
     def __len__(self) -> int:
-        return len(self._values)
+        """Registered parameters plus recorded steps."""
+        return len(self._leaves) + sum(map(len, self._chains.values()))
 
-    def backward(self, seeds, wrt) -> list[np.ndarray]:
-        """Gradients of ``sum(g . var for var, g in seeds)`` with respect to
-        each leaf array in ``wrt``, in order; zeros for an array the seeds
-        do not reach or the tape never registered.
+    def record(self, chain, shape: tuple, out: tuple, reads: tuple,
+               leaves: tuple, vjp):
+        """Append a step whose value has ``shape`` to ``chain``, any
+        hashable owner.
 
-        Raises :class:`StaleTapeError` if any leaf array changed since it was
-        recorded (e.g. an optimizer update ran before the backward pass).
+        ``out`` is the ``(lo, hi)`` part of the value that is the step's
+        output and ``reads`` the ``(lag, lo, hi)`` parts of earlier steps it
+        read.  ``vjp(g)`` maps the value's adjoint to one gradient per
+        array of ``leaves`` (dense, or a list of factor pairs), then the
+        adjoint of the step's input (None for a step without one), then one
+        adjoint per read.
         """
-        if self.forward_only:
+        for arr in leaves:
+            self.leaf(arr)
+        if self._prints is not None:
+            self._chains.setdefault(chain, []).append(
+                (shape, out, reads, leaves, vjp))
+
+    def backward(self, chain, *upstream) -> list:
+        """Sweep ``chain`` in reverse and return its steps' input adjoints.
+
+        Each of ``upstream`` holds one adjoint per step for the steps'
+        outputs; they are added in order.  Raises :class:`StaleTapeError` if
+        a parameter the chain used changed since it was registered (e.g. an
+        optimizer update ran before the backward pass).
+        """
+        if self._prints is None:
             raise ValueError("a forward-only tape cannot run backward")
-        for idx, print_ in self._leaf_prints.items():
-            if _fingerprint(self._values[idx]) != print_:
+        steps = self._chains.get(chain, [])
+        for key in {id(arr) for step in steps for arr in step[3]}:
+            if _fingerprint(self._leaves[key]) != self._prints[key]:
                 raise StaleTapeError("leaf array mutated since it was recorded")
 
-        adj: dict[int, np.ndarray] = {}
-        for var, g in seeds:
-            if var.tape is not self:
-                raise ValueError("seed Var belongs to a different tape")
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != var.value.shape:
-                raise ValueError("seed gradient shape mismatch")
-            self._accumulate(adj, (var.index, var.lo, var.hi), g)
+        adj = [np.zeros(step[0]) for step in steps]
+        dxs = [None] * len(steps)
+        for t in range(len(steps) - 1, -1, -1):
+            _, (lo, hi), reads, leaves, vjp = steps[t]
+            for terms in upstream:
+                adj[t][..., lo:hi] += terms[t]
+            grads = vjp(adj[t])
+            for arr, lg in zip(leaves, grads):
+                self._leaf_grads.setdefault(id(arr), []).append(lg)
+            dxs[t] = grads[len(leaves)]
+            for (lag, rlo, rhi), rg in zip(reads, grads[len(leaves) + 1:]):
+                if lag <= t:
+                    adj[t - lag][..., rlo:rhi] += rg
+        return dxs
 
-        factors: dict[int, list] = {}
-        for idx in range(len(self._values) - 1, -1, -1):
-            g = adj.get(idx)
-            if g is None:
-                continue
-            parents = self._parents[idx]
-            if not parents:
-                continue
-            for p, pg in zip(parents, self._vjps[idx](g)):
-                if p is None or pg is None:
-                    continue
-                if type(pg) is list:
-                    factors.setdefault(p[0], []).extend(pg)
-                else:
-                    self._accumulate(adj, p, pg)
-        for idx, pairs in factors.items():
-            us, vs = zip(*pairs)
-            total = np.vstack(us).T @ np.vstack(vs)
-            acc = adj.get(idx)
-            adj[idx] = total if acc is None else acc + total
-
-        grads = []
+    def grads(self, wrt) -> list[np.ndarray]:
+        """Gradients of the arrays in ``wrt``, in order, summed over every
+        sweep so far; zeros for an array no sweep reached."""
+        out = []
         for arr in wrt:
-            g = adj.get(self._leaf_cache.get(id(arr)))
-            grads.append(np.zeros(np.shape(arr)) if g is None else g)
-        return grads
-
-    def _accumulate(self, adj: dict, part: tuple, g: np.ndarray):
-        index, lo, hi = part
-        acc = adj.get(index)
-        if acc is None:
-            shape = self._values[index].shape
-            if lo == 0 and hi == shape[-1]:
-                adj[index] = g + 0.0  # a copy, bit for bit ``zeros + g``
-                return
-            acc = adj[index] = np.zeros(shape)
-        acc[..., lo:hi] += g
+            parts = self._leaf_grads.get(id(arr), [])
+            total = sum((p for p in parts if type(p) is not list),
+                        np.zeros(np.shape(arr)))
+            pairs = [pair for p in parts if type(p) is list for pair in p]
+            if pairs:
+                us, vs = zip(*pairs)
+                total += np.vstack(us).T @ np.vstack(vs)
+            out.append(total)
+        return out

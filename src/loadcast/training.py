@@ -7,9 +7,10 @@ produces one Adam update from the composite loss averaged over all
 (series, day) pairs it contains.  A window-group is unrolled as one batch,
 its series stacked as rows; a short window (the end of a contiguous run) is
 padded to the group's longest with zero loss weight.  Hidden state carries
-across windows of the same contiguous stretch but is detached between them,
-so gradients never reach past a window boundary.  Ensembling trains one
-member per seed and averages forecasts in megawatt space after decoding.
+across windows of the same contiguous stretch, but each window records on a
+fresh tape, so gradients never reach past a window boundary.  Ensembling
+trains one member per seed and averages forecasts in megawatt space after
+decoding.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .loss import LossConfig, composite_loss, composite_loss_grad
 from .network import (
     ModelConfig,
     StackedModel,
+    model_backward,
     model_build,
     model_new_state,
     model_step,
@@ -223,16 +225,15 @@ def _group_state(model, states, rows, entries):
     return states
 
 
-def _window_group_update(model, blocks, optimizer, windows, states, lr,
+def _window_group_update(model, optimizer, windows, states, lr,
                          clip_norm, loss_config, epoch):
     """One forward/backward/update over the k-th window of each series of a
     group, unrolled as one batch with the series as rows."""
     outputs, tape = model_unroll(model, states, windows)
-    states.detach()
     # the real (series, day) pairs, series by series; padded days get none
     series = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
     days = np.concatenate([np.arange(len(w)) for w in windows])
-    heads = np.stack([out.head.value for out in outputs])[days, series]
+    heads = np.stack(outputs)[days, series]
     target = np.stack([sample.target for w in windows for sample in w])
     point, lower, upper = np.split(heads, 3, axis=-1)
     loss_sum = float(np.sum(composite_loss(target, point, lower, upper,
@@ -244,8 +245,7 @@ def _window_group_update(model, blocks, optimizer, windows, states, lr,
     seed = np.zeros((len(outputs), len(windows), heads.shape[-1]))
     seed[days, series] = np.concatenate(composite_loss_grad(
         target, point, lower, upper, loss_config), axis=-1) / pairs
-    grads = dict(enumerate(tape.backward(
-        [(out.head, g) for out, g in zip(outputs, seed)], blocks)))
+    grads = dict(enumerate(model_backward(model, states, tape, seed)))
     clip_global_norm(grads, clip_norm)
     optimizer.step(grads, lr)
     return loss_sum, pairs
@@ -288,7 +288,7 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
                 states = _group_state(model, states, rows, entries)
                 rows = [sid for sid, _ in entries]
                 batch_loss, pairs = _window_group_update(
-                    model, blocks, optimizer,
+                    model, optimizer,
                     [samples for _, (samples, _) in entries], states, lr,
                     recipe.clip_norm, loss_config, epoch)
                 loss_sum += batch_loss
@@ -326,9 +326,8 @@ def _warmup_inputs(series: HourlySeries, day: dt.date, warmup_days: int):
 
 
 def _decoded_step(member, state, ext):
-    out = model_step(member, state, ext)
-    return tuple(decode_day(v.value, ext.coding)
-                 for v in (out.point, out.lower, out.upper))
+    return tuple(decode_day(v, ext.coding)
+                 for v in model_step(member, state, ext).reshape(3, -1))
 
 
 def forecast(ensemble: EnsembleModel, series: HourlySeries,

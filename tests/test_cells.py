@@ -1,7 +1,7 @@
 """Cell forward passes against independent scalar-loop re-implementations.
 
 The oracles below unroll each cell with explicit Python index loops and
-``math`` scalar functions, sharing no code with the vectorized tape path.
+``math`` scalar functions, sharing no code with the vectorized cell steps.
 """
 
 import copy
@@ -19,7 +19,6 @@ from loadcast.cells import (
     cell_gradient,
     cell_init,
     cell_step,
-    drnn_step,
     new_state,
 )
 from loadcast.errors import ConfigError
@@ -149,12 +148,11 @@ class AdrnnOracle:
 
 
 def run_cell(params, inputs, dilation):
-    tape = Tape()
     state = new_state(params, dilation)
     outs = []
     for x in inputs:
-        v = tape.leaf(np.array(x, dtype=np.float64))
-        outs.append(cell_step(params, state, v, dilation).value.copy())
+        v = np.array(x, dtype=np.float64)
+        outs.append(cell_step(params, state, v, dilation).copy())
     return outs
 
 
@@ -243,10 +241,9 @@ def test_lstm_zero_params_frozen_value():
     params, state = cell_init(CellKind.LSTM, 2, 3, seed=0)
     zero_params(params)
     state.push(np.zeros(3), np.ones(3))
-    tape = Tape()
-    y = cell_step(params, state, tape.leaf(np.array([7.0, -2.0])), 1)
-    np.testing.assert_allclose(y.value, 0.23105857863000487, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(state.c_lag(1).value, 0.5, rtol=0, atol=0)
+    y = cell_step(params, state, np.array([7.0, -2.0]), 1)
+    np.testing.assert_allclose(y, 0.23105857863000487, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(state.c_lag(1), 0.5, rtol=0, atol=0)
 
 
 def test_gru_zero_params_halves_state():
@@ -254,9 +251,8 @@ def test_gru_zero_params_halves_state():
     zero_params(params)
     h_prev = np.array([0.8, -1.2, 3.0, 0.0])
     state.push(h_prev.copy())
-    tape = Tape()
-    y = cell_step(params, state, tape.leaf(np.array([1.0, 2.0])), 1)
-    np.testing.assert_array_equal(y.value, 0.5 * h_prev)
+    y = cell_step(params, state, np.array([1.0, 2.0]), 1)
+    np.testing.assert_array_equal(y, 0.5 * h_prev)
 
 
 def test_drnn_zero_params_frozen_value():
@@ -266,10 +262,9 @@ def test_drnn_zero_params_frozen_value():
     zero_params(params)
     state.push(np.ones(2), np.ones(3))
     state.push(np.ones(2), np.ones(3))
-    tape = Tape()
-    y = cell_step(params, state, tape.leaf(np.array([1.0, -1.0])), 2)
-    np.testing.assert_array_equal(y.value, [0.25])
-    np.testing.assert_array_equal(state.c_lag(1).value, [0.5, 0.5, 0.5])
+    y = cell_step(params, state, np.array([1.0, -1.0]), 2)
+    np.testing.assert_array_equal(y, [0.25])
+    np.testing.assert_array_equal(state.c_lag(1), [0.5, 0.5, 0.5])
 
 
 def test_dlstm_split_layout():
@@ -281,12 +276,11 @@ def test_dlstm_split_layout():
     params.gates["input"].b[:] = 50.0
     params.gates["output"].b[:] = 50.0
     params.gates["candidate"].b[:] = [1.0, 2.0, 3.0, 4.0, 5.0]
-    tape = Tape()
-    y = cell_step(params, state, tape.leaf(np.zeros(1)), 1)
+    y = cell_step(params, state, np.zeros(1), 1)
     expected = [sig(50.0) * math.tanh(sig(50.0) * math.tanh(b)) for b in
                 [1.0, 2.0, 3.0, 4.0, 5.0]]
-    np.testing.assert_allclose(y.value, expected[2:], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(state.h_lag(1).value, expected[:2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(y, expected[2:], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(state.h_lag(1), expected[:2], rtol=0, atol=1e-15)
 
 
 # -- attention behaviour ---------------------------------------------------
@@ -298,12 +292,11 @@ def test_zero_attention_leaves_input_unscaled():
     zero_params(params.lower)  # lower stage emits exactly 0 forever
     plain_state = new_state(params.upper, 2)
     rng = np.random.default_rng(0)
-    tape = Tape()
     for _ in range(6):
-        x = tape.leaf(rng.normal(size=3))
+        x = rng.normal(size=3)
         y = cell_step(params, state, x, 2)
-        y_plain = drnn_step(params.upper, plain_state, x, 2)
-        np.testing.assert_array_equal(y.value, y_plain.value)
+        y_plain = cell_step(params.upper, plain_state, x, 2)
+        np.testing.assert_array_equal(y, y_plain)
 
 
 def test_log_weights_scale_input_components():
@@ -319,11 +312,10 @@ def test_log_weights_scale_input_components():
 
     upper_state = new_state(params.upper, 1)
     rng = np.random.default_rng(1)
-    tape = Tape()
     x = rng.normal(size=2)
-    y = cell_step(params, state, tape.leaf(x), 1)
-    y_ref = drnn_step(params.upper, upper_state, tape.leaf(x * weights), 1)
-    np.testing.assert_allclose(y.value, y_ref.value, rtol=1e-12, atol=0)
+    y = cell_step(params, state, x, 1)
+    y_ref = cell_step(params.upper, upper_state, x * weights, 1)
+    np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
     assert weights[0] == pytest.approx(2.0, rel=1e-10)
     assert weights[1] == pytest.approx(1.0, rel=1e-15)
 
@@ -335,47 +327,44 @@ def test_attention_saturates_at_clamp():
     zero_params(params.lower)
     state.lower.push(np.full(1, 100.0), np.full(3, 100.0))
     upper_state = new_state(params.upper, 1)
-    tape = Tape()
     x = np.array([0.3, -0.7])
-    y = cell_step(params, state, tape.leaf(x), 1)
-    y_ref = drnn_step(params.upper, upper_state,
-                      tape.leaf(x * math.exp(ATTENTION_CLAMP)), 1)
-    np.testing.assert_allclose(y.value, y_ref.value, rtol=1e-12, atol=0)
-    assert state.lower.h_lag(1).value[0] == pytest.approx(25.0)
+    y = cell_step(params, state, x, 1)
+    y_ref = cell_step(params.upper, upper_state,
+                      x * math.exp(ATTENTION_CLAMP), 1)
+    np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
+    assert state.lower.h_lag(1)[0] == pytest.approx(25.0)
 
 
-# -- the fused attentive node against its composition ----------------------
+# -- the fused attentive step against its composition ----------------------
 
 
-def clip_exp(a):
-    """Test-local ``exp(clip(a, +-ATTENTION_CLAMP))`` node."""
-    av = a.value
-    inside = (av >= -ATTENTION_CLAMP) & (av <= ATTENTION_CLAMP)
-    y = np.exp(np.clip(av, -ATTENTION_CLAMP, ATTENTION_CLAMP))
-    return a.tape.record(y, (a,), lambda g: (g * y * inside,))
-
-
-def product(a, b):
-    """Test-local elementwise product node."""
-    av, bv = a.value, b.value
-    return a.tape.record(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-
-def composed_adrnn_step(params, state, x, dilation):
-    attention = drnn_step(params.lower, state.lower, x, dilation)
-    return drnn_step(params.upper, state.upper,
-                     product(x, clip_exp(attention)), dilation)
-
-
-def unroll_with_gradients(step, params, state, xs, upstream, dilation):
-    """Outputs of a recorded unroll and the gradients of
+def unroll_with_gradients(params, state, xs, upstream, dilation):
+    """Outputs of a recorded unroll of ``state``'s cell and the gradients of
     ``sum_t upstream[t] . y_t`` for the blocks, then each input."""
     tape = Tape()
-    xs = [x.copy() for x in xs]
-    seeds = [(step(params, state, tape.leaf(x), dilation), g)
-             for x, g in zip(xs, upstream)]
-    outs = [y.value.copy() for y, _ in seeds]
-    return outs, tape.backward(seeds, params.blocks() + xs)
+    outs = [cell_step(params, state, x, dilation, tape).copy() for x in xs]
+    dxs = tape.backward(state, upstream)
+    return outs, tape.grads(params.blocks()) + dxs
+
+
+def composed_adrnn(params, xs, upstream, dilation):
+    """The same for adrnn composed from two recorded drnn chains, the
+    clamped exponential of the attention and its product with the input,
+    those two differentiated here by hand."""
+    tape = Tape()
+    state = new_state(params, dilation)
+    outs, weights, insides = [], [], []
+    for x in xs:
+        a = cell_step(params.lower, state.lower, x, dilation, tape)
+        insides.append((a >= -ATTENTION_CLAMP) & (a <= ATTENTION_CLAMP))
+        weights.append(np.exp(np.clip(a, -ATTENTION_CLAMP, ATTENTION_CLAMP)))
+        outs.append(cell_step(params.upper, state.upper, x * weights[-1],
+                              dilation, tape).copy())
+    dxu = tape.backward(state.upper, upstream)
+    dxl = tape.backward(state.lower, [g * x * w * inside for g, x, w, inside
+                                      in zip(dxu, xs, weights, insides)])
+    dxs = [g * w + gl for g, w, gl in zip(dxu, weights, dxl)]
+    return outs, tape.grads(params.blocks()) + dxs
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 7])
@@ -386,10 +375,8 @@ def test_fused_adrnn_matches_its_composition(dilation):
     xs = random_inputs(rng, 9, 3)
     upstream = random_inputs(rng, 9, 4)
     fused, g_fused = unroll_with_gradients(
-        cell_step, params, new_state(params, dilation), xs, upstream, dilation)
-    ref, g_ref = unroll_with_gradients(
-        composed_adrnn_step, params, new_state(params, dilation), xs,
-        upstream, dilation)
+        params, new_state(params, dilation), xs, upstream, dilation)
+    ref, g_ref = composed_adrnn(params, xs, upstream, dilation)
     for a, b in zip(fused, ref):
         np.testing.assert_array_equal(a, b)
     assert len(g_fused) == len(g_ref) == 2 + 9
@@ -407,11 +394,10 @@ def test_clamped_attention_passes_no_gradient_to_the_lower_stage():
     state.lower.push(np.zeros(1), np.array([0.0, 1000.0, -1000.0]))
     x = np.array([3e-5, -7e-5])  # the upper stage sees x * exp(+-10)
     probe = copy.deepcopy(state.lower)
-    attention = drnn_step(params.lower, probe, Tape().leaf(x), 1).value
+    attention = cell_step(params.lower, probe, x, 1)
     assert attention[0] > ATTENTION_CLAMP and attention[1] < -ATTENTION_CLAMP
 
-    _, grads = unroll_with_gradients(cell_step, params, state, [x],
-                                     [np.ones(2)], 1)
+    _, grads = unroll_with_gradients(params, state, [x], [np.ones(2)], 1)
     named = params.named_arrays(blocks=grads[:2])
     assert len(named) == 2 * 4 * 4
     for name, g in named:
@@ -446,14 +432,33 @@ def test_ring_buffer_matches_full_history():
         state.h_lag(0)
 
 
-def test_detach_strips_recorded_vars():
-    params, state = cell_init(CellKind.DRNN, 2, hidden_size=2, out_size=1, seed=4)
+@pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.DRNN, CellKind.ADRNN],
+                         ids=lambda kind: kind.value)
+def test_state_rings_hold_plain_arrays(kind):
+    # a recorded step pushes plain arrays, so a batched state regroups
+    # between windows as it is: kept rows move, fresh rows read as zeros
+    out_size = None if kind is CellKind.GRU else 1
+    params, state = cell_init(kind, 2, hidden_size=2, out_size=out_size,
+                              dilation=2, seed=4)
+    xs = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, 0.0]])
     tape = Tape()
-    cell_step(params, state, tape.leaf(np.array([1.0, 2.0])), 1)
-    assert not isinstance(state.h_lag(1), np.ndarray)
-    state.detach()
-    assert isinstance(state.h_lag(1), np.ndarray)
-    assert isinstance(state.c_lag(1), np.ndarray)
+    for _ in range(3):
+        cell_step(params, state, xs, 2, tape)
+    rings = [state] if kind is not CellKind.ADRNN else [state.lower,
+                                                         state.upper]
+    entries = [(ring.h_lag(k), ring.c_lag(k) if ring.track_c else None)
+               for ring in rings for k in (1, 2)]
+    for h, c in entries:
+        assert type(h) is np.ndarray and h.shape[0] == 3
+        assert c is None or type(c) is np.ndarray
+    state.regroup(np.array([2, 0]), np.array([False, True]))
+    regrouped = [(ring.h_lag(k), ring.c_lag(k) if ring.track_c else None)
+                 for ring in rings for k in (1, 2)]
+    for (h, c), (h2, c2) in zip(entries, regrouped):
+        assert type(h2) is np.ndarray
+        np.testing.assert_array_equal(h2, [h[2], np.zeros_like(h[2])])
+        if c is not None:
+            np.testing.assert_array_equal(c2, [c[2], np.zeros_like(c[2])])
 
 
 def test_delayed_variant_ignores_recent_push():
@@ -463,11 +468,10 @@ def test_delayed_variant_ignores_recent_push():
     fresh = new_state(params, 3)
     poked = new_state(params, 3)
     poked.push(np.full(3, 9.0), np.full(3, -9.0))
-    tape = Tape()
     x = np.array([0.4, 0.6])
-    y_fresh = cell_step(params, fresh, tape.leaf(x.copy()), 3)
-    y_poked = cell_step(params, poked, tape.leaf(x.copy()), 3)
-    np.testing.assert_array_equal(y_fresh.value, y_poked.value)
+    y_fresh = cell_step(params, fresh, x.copy(), 3)
+    y_poked = cell_step(params, poked, x.copy(), 3)
+    np.testing.assert_array_equal(y_fresh, y_poked)
 
 
 def test_delayed_variant_input_isolation():
@@ -547,8 +551,8 @@ def test_drnn_update_gate_extremes():
     params.gates["update"].b[:] = 50.0
     state.push(np.zeros(1), c_delayed)
     state.push(np.zeros(1), c_recent)
-    cell_step(params, state, Tape().leaf(x.copy()), 2)
-    np.testing.assert_allclose(state.c_lag(1).value,
+    cell_step(params, state, x.copy(), 2)
+    np.testing.assert_allclose(state.c_lag(1),
                                0.5 * (c_recent + c_delayed), rtol=0, atol=1e-12)
 
     params2, state2 = cell_init(CellKind.DRNN, 2, hidden_size=1, out_size=1,
@@ -558,8 +562,8 @@ def test_drnn_update_gate_extremes():
     params2.gates["candidate"].b[:] = [0.3, -0.4]
     state2.push(np.zeros(1), c_delayed)
     state2.push(np.zeros(1), c_recent)
-    cell_step(params2, state2, Tape().leaf(x.copy()), 2)
-    np.testing.assert_allclose(state2.c_lag(1).value,
+    cell_step(params2, state2, x.copy(), 2)
+    np.testing.assert_allclose(state2.c_lag(1),
                                np.tanh([0.3, -0.4]), rtol=0, atol=1e-12)
 
 

@@ -295,13 +295,20 @@ def test_ingest_unreadable_csv_exits_1(tmp_path, capsys, raw):
     ["gradcheck", "--cell", "gru1", "--steps", "0"],
     ["evaluate", "--store", "{store}", "--model", "={model}",
      "--out-dir", "{tmp}/r"],
+    ["synth", "--noise", "-5", "--store", "{tmp}/s"],
+    ["synth", "--noise", "nan", "--store", "{tmp}/s"],
+    ["synth", "--noise", "inf", "--store", "{tmp}/s"],
+    ["gradcheck", "--cell", "drnn", "--corrupt", "nope"],
 ], ids=["alpha-0", "alpha-1", "no-actuals", "zero-days", "zero-series",
-        "zero-steps", "empty-label"])
+        "zero-steps", "empty-label", "negative-noise", "nan-noise",
+        "inf-noise", "unknown-corrupt-block"])
 def test_invalid_cli_input_is_clean_error(workspace, tmp_path, capsys, argv):
     argv = [arg.format(**workspace, tmp=tmp_path) for arg in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    if "--corrupt" in argv:  # the message names the blocks one may corrupt
+        assert "fusion.W" in err
 
 
 def test_model_bytes_at_one_and_two_blas_threads(workspace, tmp_path,

@@ -14,6 +14,7 @@ from loadcast.network import (
     HEAD_SIZE,
     HORIZON,
     ModelConfig,
+    model_backward,
     model_build,
     model_new_state,
     model_param_count,
@@ -59,17 +60,17 @@ def test_step_matches_composition_of_tested_parts(variant):
 
     # independent re-composition from the individually tested pieces
     ref_states = [new_state(c, d) for c, d in zip(model.cells, DILATIONS)]
-    ref_tape = Tape()
     for ext, out in zip(inputs, got):
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
-        y1 = cell_step(model.cells[0], ref_states[0], ref_tape.leaf(u1), 2)
+        y1 = cell_step(model.cells[0], ref_states[0], u1, 2)
         y2 = cell_step(model.cells[1], ref_states[1], y1, 4) + y1
         y3 = cell_step(model.cells[2], ref_states[2], y2, 7) + y2
-        head = model.head_w @ y3.value + model.head_b
-        np.testing.assert_array_equal(out.point.value, head[:HORIZON])
-        np.testing.assert_array_equal(out.lower.value, head[HORIZON:2 * HORIZON])
-        np.testing.assert_array_equal(out.upper.value, head[2 * HORIZON:])
+        head = model.head_w @ y3 + model.head_b
+        np.testing.assert_array_equal(out[:HORIZON], head[:HORIZON])
+        np.testing.assert_array_equal(out[HORIZON:2 * HORIZON],
+                                      head[HORIZON:2 * HORIZON])
+        np.testing.assert_array_equal(out[2 * HORIZON:], head[2 * HORIZON:])
 
 
 def test_zero_head_gives_zero_output():
@@ -79,9 +80,8 @@ def test_zero_head_gives_zero_output():
     states = model_new_state(model)
     for ext in random_day_inputs(np.random.default_rng(2), 4):
         out = model_step(model, states, ext)
-        np.testing.assert_array_equal(out.point.value, 0.0)
-        np.testing.assert_array_equal(out.lower.value, 0.0)
-        np.testing.assert_array_equal(out.upper.value, 0.0)
+        assert out.shape == (HEAD_SIZE,)
+        np.testing.assert_array_equal(out, 0.0)
 
 
 def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
@@ -94,32 +94,30 @@ def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
 
     states = model_new_state(model)
     ref_state = new_state(model.cells[0], DILATIONS[0])
-    tape = Tape()
     for ext in inputs:
         out = model_step(model, states, ext)
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
-        y1 = cell_step(model.cells[0], ref_state, tape.leaf(u1), DILATIONS[0])
-        head = model.head_w @ y1.value + model.head_b
-        np.testing.assert_array_equal(out.point.value, head[:HORIZON])
+        y1 = cell_step(model.cells[0], ref_state, u1, DILATIONS[0])
+        head = model.head_w @ y1 + model.head_b
+        np.testing.assert_array_equal(out[:HORIZON], head[:HORIZON])
 
 
 def test_removing_shortcuts_changes_outputs():
     model = model_build(small_config("drnn"), seed=6)
     inputs = random_day_inputs(np.random.default_rng(7), 3)
     states = model_new_state(model)
-    with_short = [model_step(model, states, ext).point.value for ext in inputs]
+    with_short = [model_step(model, states, ext)[:HORIZON] for ext in inputs]
 
     bare_states = [new_state(c, d) for c, d in zip(model.cells, DILATIONS)]
-    tape = Tape()
     without = []
     for ext in inputs:
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
-        y1 = cell_step(model.cells[0], bare_states[0], tape.leaf(u1), 2)
+        y1 = cell_step(model.cells[0], bare_states[0], u1, 2)
         y2 = cell_step(model.cells[1], bare_states[1], y1, 4)
         y3 = cell_step(model.cells[2], bare_states[2], y2, 7)
-        without.append((model.head_w @ y3.value + model.head_b)[:HORIZON])
+        without.append((model.head_w @ y3 + model.head_b)[:HORIZON])
     diffs = [np.max(np.abs(a - b)) for a, b in zip(with_short, without)]
     assert max(diffs) > 1e-6
 
@@ -131,8 +129,7 @@ def test_unroll_window_of_one_equals_step():
     outs, tape = model_unroll(model, model_new_state(model), [samples])
     ref = model_step(model, model_new_state(model), inputs[0])
     assert len(outs) == 1
-    np.testing.assert_array_equal(outs[0].point.value[0], ref.point.value)
-    np.testing.assert_array_equal(outs[0].upper.value[0], ref.upper.value)
+    np.testing.assert_array_equal(outs[0][0], ref)
     assert len(tape) > 0
 
 
@@ -231,10 +228,11 @@ def test_config_validation():
 def test_unroll_tape_supports_backward():
     model = model_build(small_config("adrnn"), seed=17)
     inputs = random_day_inputs(np.random.default_rng(18), 5)
-    outs, tape = model_unroll(model, model_new_state(model),
-                              [make_samples(inputs)])
-    seeds = [(o.point, np.ones((1, HORIZON))) for o in outs]
-    g_head, g_embed = tape.backward(seeds, [model.head_w, model.embedding])
+    states = model_new_state(model)
+    outs, tape = model_unroll(model, states, [make_samples(inputs)])
+    seeds = [np.ones((1, HEAD_SIZE)) for _ in outs]
+    grads = model_backward(model, states, tape, seeds)
+    g_embed, g_head = grads[0], grads[-2]
     assert g_head.shape == model.head_w.shape
     assert np.any(g_head != 0.0)
     assert np.any(g_embed != 0.0)
@@ -252,25 +250,21 @@ def batched_window(model, states, windows, upstream):
     """Outputs and block gradients of one batched window; ``upstream[b]``
     holds a (72,) seed per real day of window b, padded days get zeros."""
     outs, tape = model_unroll(model, states, windows)
-    states.detach()
     seeds = []
-    for t, out in enumerate(outs):
+    for t in range(len(outs)):
         g = np.zeros((len(windows), HEAD_SIZE))
         for b, gb in enumerate(upstream):
             if t < len(gb):
                 g[b] = gb[t]
-        seeds.append((out.head, g))
-    return outs, tape.backward(seeds, model.blocks())
+        seeds.append(g)
+    return outs, model_backward(model, states, tape, seeds)
 
 
 def single_window(model, state, samples, upstream):
     """The same through one-series steps on 1-d inputs."""
     tape = Tape()
     outs = [model_step(model, state, s.input, tape) for s in samples]
-    state.detach()
-    grads = tape.backward([(o.head, g) for o, g in zip(outs, upstream)],
-                          model.blocks())
-    return outs, grads
+    return outs, model_backward(model, state, tape, upstream)
 
 
 @pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
@@ -303,8 +297,7 @@ def test_batched_windows_match_per_series_unrolls(variant):
                 refs[sid] = model_new_state(model)
             ref_outs, ref_grads = single_window(model, refs[sid], samples, gb)
             for t, ref in enumerate(ref_outs):
-                np.testing.assert_allclose(outs[t].head.value[b],
-                                           ref.head.value, rtol=1e-12,
+                np.testing.assert_allclose(outs[t][b], ref, rtol=1e-12,
                                            atol=1e-12)
             want = [w + g for w, g in zip(want, ref_grads)]
         for got, ref in zip(grads, want):
@@ -326,9 +319,9 @@ def test_padded_rows_contribute_exactly_zero(variant):
     ext_outs, ext_grads = batched_window(model, model_new_state(model),
                                          [long, extended], upstream)
     for out, ext_out in zip(outs, ext_outs):
-        np.testing.assert_array_equal(out.head.value[0], ext_out.head.value[0])
+        np.testing.assert_array_equal(out[0], ext_out[0])
     for out, ext_out in zip(outs[:2], ext_outs):
-        np.testing.assert_array_equal(out.head.value[1], ext_out.head.value[1])
+        np.testing.assert_array_equal(out[1], ext_out[1])
     for got, ref in zip(grads, ext_grads):
         np.testing.assert_array_equal(got, ref)
 
@@ -344,7 +337,7 @@ def test_one_row_batch_equals_one_series_unroll_bitwise(variant):
     ref_outs, ref_grads = single_window(model, model_new_state(model),
                                         samples, upstream)
     for out, ref in zip(outs, ref_outs):
-        np.testing.assert_array_equal(out.head.value, ref.head.value[None])
+        np.testing.assert_array_equal(out, ref[None])
     for got, ref in zip(grads, ref_grads):
         np.testing.assert_array_equal(got, ref)
 

@@ -8,7 +8,13 @@ import pytest
 
 from loadcast.errors import ConfigError, ConstantWeekError, TrainingDivergedError
 from loadcast.evaluation import ForecastRecord
-from loadcast.network import ModelConfig, model_build, model_new_state, model_step
+from loadcast.network import (
+    HORIZON,
+    ModelConfig,
+    model_build,
+    model_new_state,
+    model_step,
+)
 from loadcast.preprocess import (
     HourlySeries,
     build_extended_input,
@@ -379,7 +385,7 @@ def test_decoding_commutes_with_member_average():
         state = model_new_state(member)
         for w in warm:
             model_step(member, state, w)
-        raw_points.append(model_step(member, state, ext).point.value)
+        raw_points.append(model_step(member, state, ext)[:HORIZON])
     averaged_then_decoded = decode_day(np.mean(raw_points, axis=0), coding)
     np.testing.assert_allclose(rec.point, averaged_then_decoded,
                                rtol=1e-10, atol=1e-10)
@@ -430,7 +436,7 @@ def test_constant_week_is_skipped_on_the_day_path():
     ext = build_extended_input(flat, dt.date(2024, 1, 20))
     cold = model_step(member, model_new_state(member), ext)
     np.testing.assert_array_equal(records[2].point,
-                                  decode_day(cold.point.value, ext.coding))
+                                  decode_day(cold[:HORIZON], ext.coding))
     lone = forecast(ens, flat, dt.date(2024, 1, 21))
     np.testing.assert_array_equal(records[3].point, lone.point)
 
