@@ -15,7 +15,7 @@ import numpy as np
 
 from loadcast import (
     build_extended_input,
-    build_sample,
+    build_training_set,
     decode_day,
     encode_day,
     standardize_week,
@@ -50,6 +50,12 @@ print(f"\nextended input: 168 weekly values + level {ext.level:.3f} "
 print(f"total input length: {ext.week.size + 1 + ext.calendar.size}; "
       f"it carries its week's coding, std {ext.coding.week_std:.1f}")
 
-# build_sample adds the target day, encoded with the input's coding
-sample = build_sample(series, target)
-print(f"sample for {sample.target_date}: target shape {sample.target.shape}")
+# the training set stacks every buildable day as one row: its input and
+# its target day, encoded with that input's coding
+data = build_training_set([series])
+row = int(np.flatnonzero(data.date == np.datetime64(target))[0])
+print(f"\ntraining set: {len(data)} rows; row {row} is {data.date[row]}, "
+      f"input week {data.input.week[row].shape}, "
+      f"target {data.target[row].shape}")
+print(f"row target equals the encoded day: "
+      f"{np.array_equal(data.target[row], encoded)}")

@@ -13,12 +13,14 @@ Modules:
     cells: the five gated recurrent cells on plain arrays, one recorded
         step each (the attentive cell included) with a hand-written backward.
     network: the dilated three-layer stack with embedding and linear head,
-        and model_backward, which sweeps its chains from the head down.
-    preprocess: weekly standardization, day encoding, sample construction.
+        model_unroll over a window of stacked days, and model_backward,
+        which sweeps its chains from the head down.
+    preprocess: weekly standardization, day encoding, and the training
+        set as one row table of stacked days.
     loss: pinball loss and the composite training objective.
-    training: Adam, truncated-BPTT training loop (each window of a
-        series-batch unrolled as one batch, series as rows), ensembling,
-        forecasting.
+    training: Adam, truncated-BPTT training loop (each window a row range
+        of the training set; the windows of a series-batch unrolled as one
+        batch, series as rows), ensembling, forecasting.
     gradcheck: finite-difference verification of every gradient path.
     evaluation: metrics, predictive-ability test, rankings, report files.
     dataset: CSV ingestion, binary stores, synthetic series generation.
@@ -86,7 +88,6 @@ from .preprocess import (
     HourlySeries,
     TrainingSet,
     build_extended_input,
-    build_sample,
     build_training_set,
     decode_day,
     encode_day,
@@ -130,7 +131,6 @@ __all__ = [
     "TrainingDivergedError",
     "TrainingSet",
     "build_extended_input",
-    "build_sample",
     "build_training_set",
     "cell_init",
     "cell_step",

@@ -254,7 +254,8 @@ def cell_layout(
         lower = cell_layout(CellKind.DRNN, input_size, hidden_size,
                             out_size=input_size)
         upper = cell_layout(CellKind.DRNN, input_size,
-                            upper_hidden_size or hidden_size, out_size=out_size)
+                            hidden_size if upper_hidden_size is None
+                            else upper_hidden_size, out_size=out_size)
         return CellParams(CellKind.ADRNN, Connection.BOTH, input_size,
                           hidden_size, out_size, upper.cell_size,
                           lower=lower, upper=upper)

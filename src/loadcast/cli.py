@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
         log_lines.append(line)
         print(line)
 
-    log(f"training {config.model.cell_variant} on {len(data.by_series)} "
+    log(f"training {config.model.cell_variant} on {len(data.series_ids)} "
         f"series, {len(data)} samples, {len(config.recipe.seeds)} members")
     started = time.monotonic()
     members = []

@@ -114,7 +114,7 @@ def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     return from_json(RunConfig, raw, "run config")
 

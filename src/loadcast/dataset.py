@@ -176,6 +176,8 @@ def load_store(path) -> DatasetStore:
         raise ModelFileError(
             "store header needs a list of series entries, each with a string "
             "id and start and a positive integer hour count")
+    if not entries:
+        raise ModelFileError("store header lists no series")
     if len({entry["id"] for entry in entries}) != len(entries):
         raise ModelFileError("store header repeats a series id")
     store = DatasetStore()

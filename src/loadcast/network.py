@@ -9,17 +9,16 @@ bounds, all in standardized space.  No ordering among point and bounds is
 imposed; crossings are measured downstream, not prevented.
 
 A step serves one series, or a group of series stacked as rows: training
-unrolls each truncation window of a group as one batch, so every layer runs
-one cell step per day for the whole group.  A recorded window is five tape
-chains (input, three layers, head), which :func:`model_backward` sweeps from
-the head down.
+unrolls each truncation window of a group as one batch of stacked days, so
+every layer runs one cell step per day for the whole group.  A recorded
+window is five tape chains (input, three layers, head), which
+:func:`model_backward` sweeps from the head down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
@@ -232,34 +231,17 @@ def model_backward(model: StackedModel, states: ModelState, tape: Tape,
     return tape.grads(model.blocks())
 
 
-def model_unroll(model: StackedModel, states: ModelState, windows):
-    """Forward over one window per series, each of chronologically
-    contiguous samples, with the series stacked as rows of ``states``.
+def model_unroll(model: StackedModel, states: ModelState,
+                 inputs: ExtendedInput):
+    """Forward over a window of days for the series stacked as rows of
+    ``states``: ``inputs`` holds (T, B, ...) arrays, day ``t`` of row ``b``
+    at ``[t, b]``.
 
-    A window shorter than the longest repeats its last day to the end; the
-    caller gives those rows zero loss weight, and the state they leave must
-    not be carried on.  Returns the per-day heads, each with one row per
-    window, and the recorded tape; gradients for any loss of the heads
-    come from :func:`model_backward`.
+    Returns the T per-day heads, each (B, 72), and the recorded tape;
+    gradients for any loss of the heads come from :func:`model_backward`.
     """
     tape = Tape()
-    windows = [list(samples) for samples in windows]
-    for samples in windows:
-        if not samples:
-            raise ValueError("empty unroll window")
-        for prev, cur in zip(samples, samples[1:]):
-            if cur.series_id != prev.series_id:
-                raise ValueError("unroll window spans more than one series")
-            if cur.target_date - prev.target_date != timedelta(days=1):
-                raise ValueError(
-                    f"samples not contiguous: {prev.target_date} then "
-                    f"{cur.target_date}")
-    days = [[samples[min(t, len(samples) - 1)].input for samples in windows]
-            for t in range(max(map(len, windows)))]
-    weeks = np.array([[ext.week for ext in day] for day in days])
-    levels = np.array([[ext.level for ext in day] for day in days])
-    calendars = np.array([[ext.calendar for ext in day] for day in days])
     heads = [model_step(model, states, ExtendedInput(
-        weeks[t], levels[t], calendars[t], coding=None), tape)
-        for t in range(len(days))]
+        inputs.week[t], inputs.level[t], inputs.calendar[t], None), tape)
+        for t in range(len(inputs.week))]
     return heads, tape

@@ -4,13 +4,15 @@ An hourly series is turned into overlapping (input, target) pairs: the input
 is the standardized 168-hour week preceding a target day, extended with the
 log10 level and calendar one-hots for that day; the target is the day's 24
 hours encoded with the preceding week's mean and standard deviation.  The same
-coding variables invert the network output back to physical units.
+coding variables invert the network output back to physical units.  The
+training set is one row table of these pairs, each series' rows together and
+in date order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,21 +106,14 @@ class ExtendedInput:
 
     ``week`` is the standardized preceding week, ``level`` the log10 of its
     mean, ``calendar`` the target day's one-hots and ``coding`` the week's
-    mean and std.
+    mean and std.  Days stacked along leading axes (rows of a table, or
+    days by series of a window) share one instance with ``coding`` None.
     """
 
-    week: np.ndarray  # (168,)
-    level: float
-    calendar: np.ndarray  # (90,): day-of-week, day-of-month, week-of-year
-    coding: CodingVariables
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    input: ExtendedInput
-    target: np.ndarray  # (24,) the day encoded with ``input.coding``
-    series_id: str
-    target_date: dt.date
+    week: np.ndarray  # (..., 168)
+    level: float | np.ndarray  # (...)
+    calendar: np.ndarray  # (..., 90): day-of-week, day-of-month, week-of-year
+    coding: CodingVariables | None
 
 
 def standardize_week(week) -> tuple[np.ndarray, CodingVariables]:
@@ -181,30 +176,26 @@ def build_extended_input(series: HourlySeries, target_date: dt.date) -> Extended
                          calendar_features(target_date), coding)
 
 
-def build_sample(series: HourlySeries, target_date: dt.date) -> TrainingSample:
-    """One (extended input, encoded target) pair for ``target_date``."""
-    extended = build_extended_input(series, target_date)
-    day = series.window(series.day_start_index(target_date), HOURS_PER_DAY)
-    target = encode_day(day, extended.coding)
-    return TrainingSample(extended, target, series.series_id, target_date)
-
-
-@dataclass
+@dataclass(frozen=True)
 class TrainingSet:
-    """Per-series chronological sample lists built over many series."""
+    """Training days of many series as one row table.
 
-    by_series: dict[str, list[TrainingSample]] = field(default_factory=dict)
+    Row ``i`` is day ``date[i]`` of series ``series_id[i]``: its stacked
+    input and its target day encoded with that input's week.  Each series'
+    rows sit together, in date order.
+    """
+
+    series_id: np.ndarray  # (N,) str
+    date: np.ndarray  # (N,) datetime64[D]
+    input: ExtendedInput  # week (N, 168), level (N,), calendar (N, 90)
+    target: np.ndarray  # (N, 24)
 
     def __len__(self) -> int:
-        return sum(len(samples) for samples in self.by_series.values())
-
-    def __iter__(self):
-        for samples in self.by_series.values():
-            yield from samples
+        return len(self.series_id)
 
     @property
     def series_ids(self) -> list[str]:
-        return sorted(self.by_series)
+        return np.unique(self.series_id).tolist()
 
 
 def candidate_target_dates(series: HourlySeries, train_range=None) -> list[dt.date]:
@@ -223,21 +214,33 @@ def candidate_target_dates(series: HourlySeries, train_range=None) -> list[dt.da
 
 
 def build_training_set(series_list, train_range=None) -> TrainingSet:
-    """Union of per-series sample sets, excluding windows that touch gaps.
+    """The row table of every series' buildable days, in ``series_list``
+    order; days whose input or target windows touch gaps are left out.
 
     ``train_range`` is an inclusive (first_date, last_date) pair of target
-    dates, or None for the full history.
+    dates, or None for the full history.  Series ids must be unique.
     """
-    out = TrainingSet()
+    series_list = list(series_list)
+    if len({series.series_id for series in series_list}) < len(series_list):
+        raise ValueError("series ids must be unique")
+    ids, dates, inputs, targets = [], [], [], []
     for series in series_list:
-        samples = []
         for day in candidate_target_dates(series, train_range):
             try:
-                samples.append(build_sample(series, day))
+                ext = build_extended_input(series, day)
+                target = encode_day(series.window(
+                    series.day_start_index(day), HOURS_PER_DAY), ext.coding)
             except (IncompleteHistoryError, ConstantWeekError, NonPositiveLevelError):
                 continue
-        if samples:
-            out.by_series[series.series_id] = samples
-    if len(out) == 0:
+            ids.append(series.series_id)
+            dates.append(day)
+            inputs.append(ext)
+            targets.append(target)
+    if not ids:
         raise NoTrainableSamplesError("no trainable samples in the given range")
-    return out
+    return TrainingSet(
+        np.array(ids), np.array(dates, dtype="datetime64[D]"),
+        ExtendedInput(np.array([ext.week for ext in inputs]),
+                      np.array([ext.level for ext in inputs]),
+                      np.array([ext.calendar for ext in inputs]), None),
+        np.array(targets))

@@ -1,11 +1,13 @@
 """Cross-learning trainer and day-ahead forecasting.
 
-One model is trained on the pooled samples of every series.  Each epoch
-shuffles the series, groups them into batches of the scheduled size, and
-walks the batch through successive truncated windows: every window-group
-produces one Adam update from the composite loss averaged over all
-(series, day) pairs it contains.  A window-group is unrolled as one batch,
-its series stacked as rows; a short window (the end of a contiguous run) is
+One model is trained on the pooled samples of every series: the rows of the
+training set's table.  A truncation window is a range of one series'
+consecutive rows.  Each epoch shuffles the series, groups them into batches
+of the scheduled size, and walks the batch through successive truncated
+windows: every window-group produces one Adam update from the composite loss
+averaged over all (series, day) pairs it contains.  A window-group is
+gathered from the table by one index matrix and unrolled as one batch, its
+series stacked as rows; a short window (the end of a contiguous run) is
 padded to the group's longest with zero loss weight.  Hidden state carries
 across windows of the same contiguous stretch, but each window records on a
 fresh tape, so gradients never reach past a window boundary.  Ensembling
@@ -37,7 +39,13 @@ from .network import (
     model_step,
     model_unroll,
 )
-from .preprocess import HourlySeries, TrainingSet, build_extended_input, decode_day
+from .preprocess import (
+    ExtendedInput,
+    HourlySeries,
+    TrainingSet,
+    build_extended_input,
+    decode_day,
+)
 
 #: days of history unrolled before a forecast when available
 WARMUP_DAYS = 56
@@ -189,27 +197,19 @@ class EnsembleModel:
         return self.members[0].config
 
 
-def _contiguous_runs(samples):
-    runs, run = [], [samples[0]]
-    for prev, cur in zip(samples, samples[1:]):
-        if cur.target_date - prev.target_date == _DAY:
-            run.append(cur)
-        else:
-            runs.append(run)
-            run = [cur]
-    runs.append(run)
-    return runs
-
-
-def series_windows(samples, window_days):
-    """Non-overlapping truncation windows; second element flags whether the
-    window opens a fresh contiguous stretch (cold state)."""
-    if not samples:
-        return []
-    out = []
-    for run in _contiguous_runs(list(samples)):
-        for i in range(0, len(run), window_days):
-            out.append((run[i:i + window_days], i == 0))
+def series_windows(data: TrainingSet, window_days: int) -> dict:
+    """Each series' non-overlapping truncation windows, as ``(lo, hi,
+    fresh)`` row ranges of ``data``.  A contiguous stretch ends where the
+    series changes or the next row is not the next day; ``fresh`` flags a
+    window that opens one (cold state)."""
+    cuts = (np.flatnonzero((data.series_id[1:] != data.series_id[:-1])
+                           | (np.diff(data.date) != np.timedelta64(1, "D")))
+            + 1).tolist()
+    out = {}
+    for lo, hi in zip([0, *cuts], [*cuts, len(data)]):
+        out.setdefault(str(data.series_id[lo]), []).extend(
+            (i, min(i + window_days, hi), i == lo)
+            for i in range(lo, hi, window_days))
     return out
 
 
@@ -217,7 +217,7 @@ def _group_state(model, states, rows, entries):
     """The batched state for the window-group ``entries``: carried rows of
     ``states`` (whose rows are the series ``rows``) re-indexed, zero rows
     for a series whose window opens a fresh stretch."""
-    fresh = [is_fresh for _, (_, is_fresh) in entries]
+    fresh = [is_fresh for _, (_, _, is_fresh) in entries]
     if all(fresh):
         return model_new_state(model)
     states.regroup([0 if is_fresh else rows.index(sid)
@@ -225,16 +225,22 @@ def _group_state(model, states, rows, entries):
     return states
 
 
-def _window_group_update(model, optimizer, windows, states, lr,
+def _window_group_update(model, optimizer, data, ranges, states, lr,
                          clip_norm, loss_config, epoch):
     """One forward/backward/update over the k-th window of each series of a
-    group, unrolled as one batch with the series as rows."""
-    outputs, tape = model_unroll(model, states, windows)
+    group, unrolled as one batch with the series as rows.  ``ranges`` are
+    the windows' ``(lo, hi)`` rows of ``data``; a short window repeats its
+    last row to the longest's length."""
+    lo, hi = np.array(ranges).T
+    n, t = hi - lo, np.arange(max(hi - lo))
+    rows = lo + np.minimum.outer(t, n - 1)
+    inputs = ExtendedInput(data.input.week[rows], data.input.level[rows],
+                           data.input.calendar[rows], None)
+    outputs, tape = model_unroll(model, states, inputs)
     # the real (series, day) pairs, series by series; padded days get none
-    series = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
-    days = np.concatenate([np.arange(len(w)) for w in windows])
+    series, days = np.nonzero(t < n[:, None])
     heads = np.stack(outputs)[days, series]
-    target = np.stack([sample.target for w in windows for sample in w])
+    target = data.target[rows[days, series]]
     point, lower, upper = np.split(heads, 3, axis=-1)
     loss_sum = float(np.sum(composite_loss(target, point, lower, upper,
                                            loss_config)))
@@ -242,7 +248,7 @@ def _window_group_update(model, optimizer, windows, states, lr,
     if not np.isfinite(loss_sum):
         raise TrainingDivergedError(
             f"non-finite training loss in epoch {epoch}")
-    seed = np.zeros((len(outputs), len(windows), heads.shape[-1]))
+    seed = np.zeros((len(outputs), len(ranges), heads.shape[-1]))
     seed[days, series] = np.concatenate(composite_loss_grad(
         target, point, lower, upper, loss_config), axis=-1) / pairs
     grads = dict(enumerate(model_backward(model, states, tape, seed)))
@@ -268,9 +274,8 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
     blocks = model.blocks()
     optimizer = Adam(enumerate(blocks), recipe.beta1, recipe.beta2,
                      recipe.epsilon)
-    series_ids = [sid for sid in data.series_ids if data.by_series[sid]]
-    windows = {sid: series_windows(data.by_series[sid], recipe.window_days)
-               for sid in series_ids}
+    series_ids = data.series_ids
+    windows = series_windows(data, recipe.window_days)
     epoch_losses = []
     for epoch in range(1, recipe.epochs + 1):
         lr = recipe.lr_at(epoch)
@@ -288,8 +293,8 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
                 states = _group_state(model, states, rows, entries)
                 rows = [sid for sid, _ in entries]
                 batch_loss, pairs = _window_group_update(
-                    model, optimizer,
-                    [samples for _, (samples, _) in entries], states, lr,
+                    model, optimizer, data,
+                    [(lo, hi) for _, (lo, hi, _) in entries], states, lr,
                     recipe.clip_norm, loss_config, epoch)
                 loss_sum += batch_loss
                 pair_count += pairs

@@ -618,6 +618,8 @@ def test_config_validation():
         cell_init(CellKind.LSTM, 0, 4)
     with pytest.raises(ConfigError):
         cell_init(CellKind.DRNN, 3, 4, out_size=2, dilation=0)
+    with pytest.raises(ConfigError):
+        cell_init(CellKind.ADRNN, 3, 4, out_size=2, upper_hidden_size=0)
 
 
 def test_state_types_per_kind():

@@ -11,7 +11,8 @@ import pytest
 
 import loadcast
 from loadcast.cli import build_parser, main
-from loadcast.dataset import ingest_csv, load_store
+from loadcast.dataset import DatasetStore, ingest_csv, load_store, save_store
+from loadcast.errors import ModelFileError
 from loadcast.evaluation import TABLE1_COLUMNS, TABLE2_COLUMNS
 
 
@@ -251,6 +252,19 @@ def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
     assert main(["evaluate", "--store", str(store), "--model",
                  workspace["model"], "--out-dir", str(tmp_path / "r")]) == 1
     assert "store header needs a list of series" in capsys.readouterr().err
+
+
+def test_empty_store_rejected_and_evaluate_exits_1(workspace, tmp_path,
+                                                   capsys):
+    store = tmp_path / "empty.store"
+    save_store(store, DatasetStore())
+    with pytest.raises(ModelFileError, match="no series"):
+        load_store(store)
+    assert main(["evaluate", "--store", str(store), "--model",
+                 workspace["model"], "--out-dir", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "error: store header lists no series" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_oversized_model_header_exits_1(workspace, tmp_path,

@@ -110,6 +110,10 @@ def test_malformed_files_rejected(tmp_path):
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON object"):
         load_run_config(arr)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b'\xff\xfe{"model": {}}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_run_config(utf16)
 
 
 @pytest.mark.parametrize("raw", [

@@ -1,7 +1,5 @@
 """Stack wiring: shortcuts, embedding, head split, state threading."""
 
-import datetime as dt
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from loadcast.network import (
     model_step,
     model_unroll,
 )
-from loadcast.preprocess import TrainingSample
+from loadcast.preprocess import ExtendedInput
 from loadcast.tape import Tape
 
 
@@ -37,15 +35,15 @@ def zero_all(named_arrays):
         arr[:] = 0.0
 
 
-def make_samples(inputs, start=dt.date(2024, 3, 4), series_id="s1", skip=()):
-    samples = []
-    for i, ext in enumerate(inputs):
-        if i in skip:
-            continue
-        samples.append(TrainingSample(
-            input=ext, target=np.zeros(HORIZON), series_id=series_id,
-            target_date=start + dt.timedelta(days=i)))
-    return samples
+def stacked(windows):
+    """The (T, B, ...) input of per-series windows of day inputs; a short
+    window repeats its last day to the longest's length."""
+    days = [[w[min(t, len(w) - 1)] for w in windows]
+            for t in range(max(map(len, windows)))]
+    return ExtendedInput(np.array([[e.week for e in day] for day in days]),
+                         np.array([[e.level for e in day] for day in days]),
+                         np.array([[e.calendar for e in day] for day in days]),
+                         None)
 
 
 @pytest.mark.parametrize("variant", ["lstm1", "gru2", "dlstm", "drnn", "adrnn"])
@@ -125,24 +123,11 @@ def test_removing_shortcuts_changes_outputs():
 def test_unroll_window_of_one_equals_step():
     model = model_build(small_config("dlstm"), seed=8)
     inputs = random_day_inputs(np.random.default_rng(9), 1)
-    samples = make_samples(inputs)
-    outs, tape = model_unroll(model, model_new_state(model), [samples])
+    outs, tape = model_unroll(model, model_new_state(model), stacked([inputs]))
     ref = model_step(model, model_new_state(model), inputs[0])
     assert len(outs) == 1
     np.testing.assert_array_equal(outs[0][0], ref)
     assert len(tape) > 0
-
-
-def test_unroll_rejects_gaps_and_mixed_series():
-    model = model_build(small_config(), seed=10)
-    inputs = random_day_inputs(np.random.default_rng(10), 5)
-    gappy = make_samples(inputs, skip=(2,))
-    with pytest.raises(ValueError, match="not contiguous"):
-        model_unroll(model, model_new_state(model), [gappy])
-    mixed = make_samples(inputs)
-    object.__setattr__(mixed[3], "series_id", "other")
-    with pytest.raises(ValueError, match="series"):
-        model_unroll(model, model_new_state(model), [mixed])
 
 
 def test_dilation_reach_through_layer3_buffer():
@@ -229,7 +214,7 @@ def test_unroll_tape_supports_backward():
     model = model_build(small_config("adrnn"), seed=17)
     inputs = random_day_inputs(np.random.default_rng(18), 5)
     states = model_new_state(model)
-    outs, tape = model_unroll(model, states, [make_samples(inputs)])
+    outs, tape = model_unroll(model, states, stacked([inputs]))
     seeds = [np.ones((1, HEAD_SIZE)) for _ in outs]
     grads = model_backward(model, states, tape, seeds)
     g_embed, g_head = grads[0], grads[-2]
@@ -241,15 +226,10 @@ def test_unroll_tape_supports_backward():
 # -- series stacked as rows ------------------------------------------------
 
 
-def random_window(rng, days, series_id, start=dt.date(2024, 3, 4)):
-    return make_samples(random_day_inputs(rng, days), start=start,
-                        series_id=series_id)
-
-
 def batched_window(model, states, windows, upstream):
     """Outputs and block gradients of one batched window; ``upstream[b]``
     holds a (72,) seed per real day of window b, padded days get zeros."""
-    outs, tape = model_unroll(model, states, windows)
+    outs, tape = model_unroll(model, states, stacked(windows))
     seeds = []
     for t in range(len(outs)):
         g = np.zeros((len(windows), HEAD_SIZE))
@@ -260,10 +240,10 @@ def batched_window(model, states, windows, upstream):
     return outs, model_backward(model, states, tape, seeds)
 
 
-def single_window(model, state, samples, upstream):
+def single_window(model, state, inputs, upstream):
     """The same through one-series steps on 1-d inputs."""
     tape = Tape()
-    outs = [model_step(model, state, s.input, tape) for s in samples]
+    outs = [model_step(model, state, ext, tape) for ext in inputs]
     return outs, model_backward(model, state, tape, upstream)
 
 
@@ -275,11 +255,11 @@ def test_batched_windows_match_per_series_unrolls(variant):
     rng = np.random.default_rng(21)
     model = model_build(small_config(variant), seed=22)
     groups = [
-        [("a", random_window(rng, 5, "a"), True),
-         ("b", random_window(rng, 5, "b"), True),
-         ("c", random_window(rng, 2, "c"), True)],
-        [("a", random_window(rng, 3, "a", dt.date(2024, 3, 9)), False),
-         ("b", random_window(rng, 4, "b", dt.date(2024, 3, 20)), True)],
+        [("a", random_day_inputs(rng, 5), True),
+         ("b", random_day_inputs(rng, 5), True),
+         ("c", random_day_inputs(rng, 2), True)],
+        [("a", random_day_inputs(rng, 3), False),
+         ("b", random_day_inputs(rng, 4), True)],
     ]
     states, rows = model_new_state(model), []
     refs = {}
@@ -292,10 +272,10 @@ def test_batched_windows_match_per_series_unrolls(variant):
         outs, grads = batched_window(model, states, [w for _, w, _ in group],
                                      upstream)
         want = [np.zeros_like(block) for block in model.blocks()]
-        for b, ((sid, samples, fresh), gb) in enumerate(zip(group, upstream)):
+        for b, ((sid, inputs, fresh), gb) in enumerate(zip(group, upstream)):
             if fresh:
                 refs[sid] = model_new_state(model)
-            ref_outs, ref_grads = single_window(model, refs[sid], samples, gb)
+            ref_outs, ref_grads = single_window(model, refs[sid], inputs, gb)
             for t, ref in enumerate(ref_outs):
                 np.testing.assert_allclose(outs[t][b], ref, rtol=1e-12,
                                            atol=1e-12)
@@ -311,8 +291,8 @@ def test_padded_rows_contribute_exactly_zero(variant):
     # of real days or of any gradient
     rng = np.random.default_rng(23)
     model = model_build(small_config(variant), seed=24)
-    long = random_window(rng, 6, "a")
-    extended = random_window(rng, 6, "b")
+    long = random_day_inputs(rng, 6)
+    extended = random_day_inputs(rng, 6)
     upstream = [rng.normal(size=(6, HEAD_SIZE)), rng.normal(size=(2, HEAD_SIZE))]
     outs, grads = batched_window(model, model_new_state(model),
                                  [long, extended[:2]], upstream)
@@ -330,12 +310,12 @@ def test_padded_rows_contribute_exactly_zero(variant):
 def test_one_row_batch_equals_one_series_unroll_bitwise(variant):
     rng = np.random.default_rng(25)
     model = model_build(small_config(variant), seed=26)
-    samples = random_window(rng, 9, "a")
+    inputs = random_day_inputs(rng, 9)
     upstream = rng.normal(size=(9, HEAD_SIZE))
-    outs, grads = batched_window(model, model_new_state(model), [samples],
+    outs, grads = batched_window(model, model_new_state(model), [inputs],
                                  [upstream])
     ref_outs, ref_grads = single_window(model, model_new_state(model),
-                                        samples, upstream)
+                                        inputs, upstream)
     for out, ref in zip(outs, ref_outs):
         np.testing.assert_array_equal(out, ref[None])
     for got, ref in zip(grads, ref_grads):
@@ -346,7 +326,7 @@ def test_one_row_batch_equals_one_series_unroll_bitwise(variant):
 def test_window_group_records_as_many_nodes_as_one_series(variant):
     rng = np.random.default_rng(27)
     model = model_build(small_config(variant), seed=28)
-    windows = [random_window(rng, 4, sid) for sid in "abcde"]
-    _, one = model_unroll(model, model_new_state(model), windows[:1])
-    _, five = model_unroll(model, model_new_state(model), windows)
+    windows = [random_day_inputs(rng, 4) for _ in range(5)]
+    _, one = model_unroll(model, model_new_state(model), stacked(windows[:1]))
+    _, five = model_unroll(model, model_new_state(model), stacked(windows))
     assert len(five) == len(one)

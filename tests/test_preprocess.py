@@ -19,6 +19,7 @@ from loadcast.preprocess import (
     build_extended_input,
     build_training_set,
     calendar_features,
+    candidate_target_dates,
     decode_day,
     encode_day,
     standardize_week,
@@ -192,8 +193,8 @@ def test_fifteen_complete_days_yield_eight_samples():
     series = make_series(15 * 24)
     ts = build_training_set([series])
     assert len(ts) == 8
-    dates = [s.target_date for s in ts.by_series["s"]]
-    assert dates == [MONDAY + dt.timedelta(days=i) for i in range(7, 15)]
+    assert ts.date.tolist() == [MONDAY + dt.timedelta(days=i)
+                                for i in range(7, 15)]
 
 
 def test_two_series_union():
@@ -207,7 +208,7 @@ def test_two_series_union():
 def test_missing_hour_excludes_overlapping_windows():
     series = make_series(15 * 24, missing_hours=[100])
     ts = build_training_set([series])
-    dates = [s.target_date for s in ts.by_series["s"]]
+    dates = ts.date.tolist()
     # windows [day_start-168, day_start+24) covering hour 100 are rejected
     assert dates == [MONDAY + dt.timedelta(days=i) for i in (12, 13, 14)]
 
@@ -231,13 +232,47 @@ def test_train_range_restricts_targets():
     series = make_series(20 * 24)
     lo, hi = MONDAY + dt.timedelta(days=9), MONDAY + dt.timedelta(days=11)
     ts = build_training_set([series], train_range=(lo, hi))
-    assert [s.target_date for s in ts] == [lo, lo + dt.timedelta(days=1), hi]
+    assert ts.date.tolist() == [lo, lo + dt.timedelta(days=1), hi]
 
 
 def test_samples_store_consistent_coding():
     series = make_series(10 * 24)
     ts = build_training_set([series])
-    sample = ts.by_series["s"][0]
-    decoded = decode_day(sample.target, sample.input.coding)
-    start = series.day_start_index(sample.target_date)
+    day = ts.date[0].item()
+    decoded = decode_day(ts.target[0], build_extended_input(series, day).coding)
+    start = series.day_start_index(day)
     np.testing.assert_allclose(decoded, series.values[start : start + 24], rtol=1e-12)
+
+
+def test_rows_equal_the_per_day_builders_bitwise():
+    a = make_series(25 * 24, series_id="a", missing_hours=[100, 400], seed=4)
+    b = make_series(18 * 24, series_id="b", seed=5,
+                    start=dt.datetime(2024, 1, 3, 5))
+    ts = build_training_set([a, b])
+    want = []
+    for series in (a, b):
+        for day in candidate_target_dates(series):
+            try:
+                ext = build_extended_input(series, day)
+                target = encode_day(series.window(
+                    series.day_start_index(day), 24), ext.coding)
+            except IncompleteHistoryError:
+                continue
+            want.append((series.series_id, day, ext, target))
+    assert list(zip(ts.series_id.tolist(), ts.date.tolist())) == [
+        (sid, day) for sid, day, _, _ in want]
+    # the gaps leave series a two stretches: Jan 13-16 and Jan 25
+    assert [day.day for sid, day, _, _ in want if sid == "a"] == [
+        13, 14, 15, 16, 25]
+    for i, (_, _, ext, target) in enumerate(want):
+        np.testing.assert_array_equal(ts.input.week[i], ext.week)
+        assert ts.input.level[i] == ext.level
+        np.testing.assert_array_equal(ts.input.calendar[i], ext.calendar)
+        np.testing.assert_array_equal(ts.target[i], target)
+    assert ts.input.coding is None
+
+
+def test_repeated_series_id_rejected():
+    with pytest.raises(ValueError, match="unique"):
+        build_training_set([make_series(15 * 24, seed=1),
+                             make_series(15 * 24, seed=2)])

@@ -169,38 +169,30 @@ def test_clip_global_norm():
 
 def test_series_windows_split_on_gaps_and_length():
     data = build_training_set([wave_series(days=30)])
-    samples = data.by_series["s1"]  # 23 contiguous target days (Jan 8..30)
-    assert len(samples) == 23
-    wins = series_windows(samples, window_days=7)
-    assert [len(w) for w, _ in wins] == [7, 7, 7, 2]
-    assert [fresh for _, fresh in wins] == [True, False, False, False]
+    assert len(data) == 23  # 23 contiguous target days (Jan 8..30)
+    wins = series_windows(data, window_days=7)["s1"]
+    assert [hi - lo for lo, hi, _ in wins] == [7, 7, 7, 2]
+    assert [fresh for _, _, fresh in wins] == [True, False, False, False]
 
     # a hole in the stored values splits the run and re-flags cold state
     s = wave_series(days=40)
     missing = s.missing.copy()
     missing[24 * 20 + 5] = True  # breaks samples with windows over day 20
     s = HourlySeries(s.series_id, s.start, s.values, missing)
-    wins = series_windows(build_training_set([s]).by_series["s1"], 7)
-    fresh_flags = [fresh for _, fresh in wins]
+    wins = series_windows(build_training_set([s]), 7)["s1"]
+    fresh_flags = [fresh for _, _, fresh in wins]
     assert fresh_flags.count(True) == 2
 
 
-def test_empty_series_has_no_windows_and_is_skipped():
-    assert series_windows([], window_days=7) == []
-    data = build_training_set([wave_series("s1", days=30),
-                               wave_series("s3", days=30, seed=1, noise=1.0)])
-    with_empty = build_training_set([wave_series("s1", days=30),
-                                     wave_series("s3", days=30, seed=1,
-                                                 noise=1.0)])
-    with_empty.by_series["s2"] = []
-    recipe = TrainRecipe(epochs=2, batch_sizes={1: 1, 2: 2}, window_days=10)
-    want = train(data, desk_config(), recipe, seed=3)
-    got = train(with_empty, desk_config(), recipe, seed=3)
-    assert got.epoch_losses == want.epoch_losses
-    assert got.update_count == want.update_count
-    for (_, a), (_, b) in zip(got.model.named_arrays(),
-                              want.model.named_arrays()):
-        np.testing.assert_array_equal(a, b)
+def test_series_windows_never_span_two_series():
+    # a's last target day is Jan 15 and b's first is Jan 16: consecutive
+    # dates in consecutive rows, but two series
+    a = wave_series("a", days=15)
+    b = wave_series("b", days=20, start=dt.date(2024, 1, 9), seed=1, noise=1.0)
+    data = build_training_set([a, b])
+    assert data.date[8] - data.date[7] == np.timedelta64(1, "D")
+    assert series_windows(data, window_days=56) == {
+        "a": [(0, 8, True)], "b": [(8, 21, True)]}
 
 
 # -- train -----------------------------------------------------------------
@@ -419,7 +411,7 @@ def test_constant_week_is_skipped_on_the_day_path():
     flat = HourlySeries(series.series_id, series.start, values, series.missing)
     constant = [dt.date(2024, 1, 18), dt.date(2024, 1, 19)]
 
-    dates = [s.target_date for s in build_training_set([flat]).by_series["s1"]]
+    dates = build_training_set([flat]).date.tolist()
     every_day = [dt.date(2024, 1, 8) + dt.timedelta(days=i) for i in range(33)]
     assert dates == [d for d in every_day if d not in constant]
 
