@@ -11,7 +11,8 @@ Modules:
     tape: per-layer chains of recorded steps and their reverse sweeps
         (float64 throughout).
     cells: the five gated recurrent cells on plain arrays, one recorded
-        step each (the attentive cell included) with a hand-written backward.
+        step each (the attentive cell included) with a hand-written backward;
+        a layer's state is the ring of its recorded step values.
     network: the dilated three-layer stack with embedding and linear head,
         model_unroll over a window of stacked days, and model_backward,
         which sweeps its chains from the head down.

@@ -1,26 +1,31 @@
 """The five gated recurrent cells and their exact training gradients.
 
-A cell step takes and returns plain arrays: it reads the state buffers,
-pushes the new h- and c-states into them and returns the output y.  Given a
-:class:`~loadcast.tape.Tape`, it also records itself as one step on the chain
-of its layer's state, so reverse-mode gradients through any number of steps
-come from sweeping that chain.  Three pure-array kernels (``_lstm`` for LSTM
-and dilated LSTM, ``_gru``, ``_drnn``) compute all gate pre-activations with
-one product of ``[x; h_recent; h_delayed; 1]`` and the cell's stacked gate
-matrix, and return the step's value with its hand-written backward pass.  A
-step takes one series' input vector, or a batch of series as rows
-(``z @ W.T``), with the state buffers holding one row per series; the
-matrix's gradient is then one product over all the rows of a window.  Cells
-with dilation read both the most recent state and the state from ``d`` steps
-ago; plain LSTM/GRU run in one of two connection variants, fed either by the
-recent state only or by the delayed state only.
+A layer's state is the ring of its last ``d`` step values, the same arrays
+the tape records; a value holds the step's h-state, output and c-state as
+parts of its last axis.  A cell step takes and returns plain arrays: it reads
+``(lag, lo, hi)`` parts of earlier values (one table per step, its h reads
+then its c reads), appends its own value and returns the output y.  Given a
+:class:`~loadcast.tape.Tape`, it also records itself, with the same read
+table, as one step on the chain of its layer's state, so reverse-mode
+gradients through any number of steps come from sweeping that chain.  Three
+pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
+``_drnn``) compute all gate pre-activations with one product of ``[x;
+h_recent; h_delayed; 1]`` and the cell's stacked gate matrix, and return the
+step's value with its hand-written backward pass.  A step takes one series'
+input vector, or a batch of series as rows (``z @ W.T``), with the state
+values holding one row per series; the matrix's gradient is then one product
+over all the rows of a window.  Cells with dilation read both the most
+recent state and the state from ``d`` steps ago; plain LSTM/GRU run in one
+of two connection variants, fed either by the recent state only or by the
+delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
 which feeds the gates of later steps, and an output part that goes to the next
 layer.  The attentive cell stacks two merged-gate kernels in one step: the
 first emits a per-component attention vector whose clamped exponential
-rescales the input of the second.
+rescales the input of the second; the step's value is the two stages'
+values end to end.
 """
 
 from __future__ import annotations
@@ -96,9 +101,8 @@ class CellParams:
         """Shapes of the stacked gate matrices, in :meth:`blocks` order."""
         if self.kind is CellKind.ADRNN:
             return self.lower.block_shapes() + self.upper.block_shapes()
-        lags = 2 if self.kind in _DILATED else 1
         return [(len(GATE_NAMES[self.kind]) * self.gate_size,
-                 self.input_size + lags * self.hidden_size + 1)]
+                 self.input_size + _h_reads(self) * self.hidden_size + 1)]
 
     def blocks(self) -> list[np.ndarray]:
         if self.kind is CellKind.ADRNN:
@@ -152,70 +156,39 @@ def _gate_views(params: CellParams, stack: np.ndarray) -> dict[str, GateBlock]:
 
 
 class CellState:
-    """Ring buffers of recent h- and c-states, one vector or one row per
-    series each.  Lags beyond recorded history read as cold-start zeros."""
-
-    def __init__(self, capacity: int, track_c: bool = True):
-        self.capacity = max(1, capacity)
-        self.track_c = track_c
-        self._h = deque(maxlen=self.capacity)
-        self._c = deque(maxlen=self.capacity) if track_c else None
-
-    def __len__(self) -> int:
-        return len(self._h)
-
-    def push(self, h: np.ndarray, c: np.ndarray | None = None):
-        self._h.append(h)
-        if self.track_c:
-            self._c.append(c)
-
-    def h_lag(self, k: int) -> np.ndarray | None:
-        """State stored ``k`` steps ago, or None before enough history."""
-        return self._lag(self._h, k)
-
-    def c_lag(self, k: int) -> np.ndarray | None:
-        if not self.track_c:
-            raise ValueError("cell has no c-state")
-        return self._lag(self._c, k)
-
-    def _lag(self, ring: deque, k: int) -> np.ndarray | None:
-        if k < 1 or k > self.capacity:
-            raise ValueError(f"lag {k} outside buffer capacity {self.capacity}")
-        return ring[-k] if k <= len(ring) else None
-
-    def regroup(self, rows: np.ndarray, fresh: np.ndarray):
-        """Row ``i`` of every entry becomes old row ``rows[i]``, or zeros,
-        which read like a cold start, where ``fresh[i]``."""
-        def take(entry):
-            out = entry[rows]
-            out[fresh] = 0.0
-            return out
-
-        self._h = deque(map(take, self._h), maxlen=self.capacity)
-        if self.track_c:
-            self._c = deque(map(take, self._c), maxlen=self.capacity)
-
-
-class AdCellState:
-    """Paired states of the attentive cell's lower and upper stages."""
+    """A layer's state: the ring of its last ``capacity`` step values, the
+    arrays its steps record on the tape, one vector or one row per series
+    each.  Steps read ``(lag, lo, hi)`` parts of them; lags beyond recorded
+    history read as cold-start zeros."""
 
     def __init__(self, capacity: int):
-        self.lower = CellState(capacity)
-        self.upper = CellState(capacity)
+        self.capacity = max(1, capacity)
+        self.values = deque(maxlen=self.capacity)
 
     def __len__(self) -> int:
-        return len(self.lower)
+        return len(self.values)
+
+    def read(self, rows: tuple, lag: int, lo: int, hi: int) -> np.ndarray:
+        """Part ``[lo:hi]`` of the value stored ``lag`` steps ago, or zeros
+        with leading shape ``rows`` before enough history."""
+        if lag < 1 or lag > self.capacity:
+            raise ValueError(f"lag {lag} outside buffer capacity {self.capacity}")
+        if lag > len(self.values):
+            return np.zeros((*rows, hi - lo))
+        return self.values[-lag][..., lo:hi]
 
     def regroup(self, rows: np.ndarray, fresh: np.ndarray):
-        self.lower.regroup(rows, fresh)
-        self.upper.regroup(rows, fresh)
+        """Row ``i`` of every value becomes old row ``rows[i]``, or zeros,
+        which read like a cold start, where ``fresh[i]``."""
+        for k in range(len(self.values)):
+            value = self.values[k][rows]
+            value[fresh] = 0.0
+            self.values[k] = value
 
 
-def new_state(params: CellParams, dilation: int):
-    """Fresh zeroed state buffers sized for ``dilation``."""
-    if params.kind is CellKind.ADRNN:
-        return AdCellState(dilation)
-    return CellState(dilation, track_c=params.kind is not CellKind.GRU)
+def new_state(params: CellParams, dilation: int) -> CellState:
+    """A fresh state for a cell of any kind, sized for ``dilation``."""
+    return CellState(dilation)
 
 
 def cell_layout(
@@ -283,7 +256,7 @@ def cell_init(
     connection: Connection | None = None,
     dilation: int = 1,
     seed=0,
-) -> tuple[CellParams, "CellState | AdCellState"]:
+) -> tuple[CellParams, CellState]:
     """Build cell parameters (uniform +-1/sqrt(fan_in), zero biases) and state.
 
     Same seed, same sizes: bit-identical parameters.
@@ -303,29 +276,44 @@ def cell_init(
 # A kernel maps (params, z, c-states...) to the step's value and a closure
 # mapping the value's adjoint to the stacked matrix's factor pairs, the
 # gradient of z and one gradient per c-state.  A value holds the h-state in
-# ``[:hidden_size]`` and the c-state in ``[cell_size:2 * cell_size]``.
+# ``[:hidden_size]`` and the c-state in ``[cell_size:2 * cell_size]``; an
+# attentive step's value is its lower stage's value followed by its upper
+# stage's.
 
 
-def _read_state(params: CellParams, state: CellState, x: np.ndarray, lags,
-                c_lags, offset: int = 0):
-    """The stacked gate input ``[x; h at each lag; 1]`` of one step, the
-    c-states at ``c_lags`` (cold-start zeros before enough history) and the
-    ``(lag, lo, hi)`` parts of earlier values read, h before c, in a value
-    starting at ``offset``."""
+def _h_reads(params: CellParams) -> int:
+    """How many h-states a step reads: the recent and the delayed one in a
+    dilated cell, the one its connection variant picks otherwise."""
+    return 2 if params.kind in _DILATED else 1
+
+
+def _reads(params: CellParams, dilation: int, offset: int = 0) -> tuple:
+    """The ``(lag, lo, hi)`` parts of earlier values a step reads, its h
+    reads first, then its c reads, for a value part starting at
+    ``offset``."""
+    if params.kind in _DILATED:
+        h_lags = (1, dilation)
+        c_lags = (1,) if params.kind is CellKind.DLSTM else h_lags
+    else:
+        h_lags = (1 if params.connection is Connection.RECENT_ONLY
+                  else dilation,)
+        c_lags = h_lags if params.kind is CellKind.LSTM else ()
+    h, c = offset + params.hidden_size, offset + params.cell_size
+    return (tuple((lag, offset, h) for lag in h_lags)
+            + tuple((lag, c, c + params.cell_size) for lag in c_lags))
+
+
+def _read_state(params: CellParams, state: CellState, x: np.ndarray,
+                reads: tuple):
+    """The stacked gate input ``[x; h reads; 1]`` of one step and its c
+    reads, fetched by :meth:`CellState.read`."""
     if x.shape[-1] != params.input_size:
         raise ValueError(f"input length {x.shape[-1]} != cell input size "
                          f"{params.input_size}")
     rows = x.shape[:-1]
-
-    def read(entry, size):
-        return np.zeros((*rows, size)) if entry is None else entry
-
-    hs = [read(state.h_lag(lag), params.hidden_size) for lag in lags]
-    cs = [read(state.c_lag(lag), params.cell_size) for lag in c_lags]
-    h, n = offset + params.hidden_size, offset + params.cell_size
-    reads = (tuple((lag, offset, h) for lag in lags)
-             + tuple((lag, n, n + params.cell_size) for lag in c_lags))
-    return np.concatenate([x, *hs, _ones(rows)], axis=-1), cs, reads
+    parts = [state.read(rows, *part) for part in reads]
+    n = _h_reads(params)
+    return np.concatenate([x, *parts[:n], _ones(rows)], axis=-1), parts[n:]
 
 
 def _out_part(params: CellParams) -> tuple:
@@ -344,30 +332,11 @@ def _ones(rows: tuple) -> np.ndarray:
     return ones
 
 
-def _split_input_grad(params: CellParams, dz: np.ndarray, lags: int) -> list:
+def _split_input_grad(params: CellParams, dz: np.ndarray) -> list:
     """Gradients of x and of each h read, cut from the gradient of ``z``."""
     i, h = params.input_size, params.hidden_size
     return [dz[..., :i]] + [dz[..., i + k * h:i + (k + 1) * h]
-                            for k in range(lags)]
-
-
-def _push(params: CellParams, state: CellState, value: np.ndarray):
-    """Store the h (and c) held in a step's ``value``; returns its y."""
-    state.push(value[..., :params.hidden_size], value[..., params.cell_size:])
-    lo, hi = _out_part(params)
-    return value[..., lo:hi]
-
-
-def _lags(params: CellParams, dilation: int) -> tuple:
-    """The lags of the h-states and of the c-states a step reads: dilated
-    cells read the recent and the delayed state, plain LSTM/GRU the one
-    their connection variant picks."""
-    if params.kind is CellKind.DLSTM:
-        return (1, dilation), (1,)
-    if params.kind is CellKind.DRNN:
-        return (1, dilation), (1, dilation)
-    lag = 1 if params.connection is Connection.RECENT_ONLY else dilation
-    return (lag,), (lag,) if params.kind is CellKind.LSTM else ()
+                            for k in range(_h_reads(params))]
 
 
 def _lstm(params: CellParams, z: np.ndarray, c_prev):
@@ -450,70 +419,67 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
 
 
 def _fused_step(params: CellParams, state: CellState, x: np.ndarray,
-                dilation: int, tape: Tape | None) -> np.ndarray:
-    """One step of a single-kernel cell, recorded on ``tape`` (if given) as
-    a step of the chain of ``state``."""
-    lags, c_lags = _lags(params, dilation)
-    z, cs, reads = _read_state(params, state, x, lags, c_lags)
+                dilation: int):
+    """One step of a single-kernel cell: its value, output part, reads,
+    parameter arrays and vjp, as :meth:`Tape.record` takes them."""
+    reads = _reads(params, dilation)
+    z, cs = _read_state(params, state, x, reads)
     value, back = _KERNELS[params.kind](params, z, *cs)
-    if tape is not None:
-        def vjp(g):
-            dw, dz, dcs = back(g)
-            return (dw, *_split_input_grad(params, dz, len(lags)), *dcs)
 
-        tape.record(state, value.shape, _out_part(params), reads,
-                    (params.stack,), vjp)
-    return _push(params, state, value)
+    def vjp(g):
+        dw, dz, dcs = back(g)
+        return (dw, *_split_input_grad(params, dz), *dcs)
+
+    return value, _out_part(params), reads, (params.stack,), vjp
 
 
-def adrnn_step(params: CellParams, state: AdCellState, x: np.ndarray,
-               dilation: int, tape: Tape | None = None) -> np.ndarray:
-    """Attentive cell, one recorded step: the lower stage's output ``a``
+def _adrnn_step(params: CellParams, state: CellState, x: np.ndarray,
+                dilation: int):
+    """The same for the attentive cell: the lower stage's output ``a``
     rescales the input of the upper stage by ``exp(clip(a))``; both stages
-    advance once per step.  The recorded value is the lower stage's value
-    followed by the upper stage's."""
+    read their own part of the layer's earlier values."""
     lower, upper = params.lower, params.upper
-    lags = (1, dilation)
-    zl, cl, reads_l = _read_state(lower, state.lower, x, lags, lags)
+    split = 2 * lower.cell_size
+    reads_l, reads_u = _reads(lower, dilation), _reads(upper, dilation, split)
+    zl, cl = _read_state(lower, state, x, reads_l)
     value_l, back_l = _drnn(lower, zl, *cl)
     attention = value_l[..., lower.hidden_size:lower.cell_size]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
     weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
-    split = value_l.shape[-1]
-    zu, cu, reads_u = _read_state(upper, state.upper, x * weights, lags, lags,
-                                  split)
+    zu, cu = _read_state(upper, state, x * weights, reads_u)
     value_u, back_u = _drnn(upper, zu, *cu)
-    if tape is not None:
 
-        def vjp(g):
-            dwu, dzu, dcu = back_u(g[..., split:])
-            dxu = dzu[..., :upper.input_size]
-            gl = g[..., :split].copy()
-            gl[..., lower.hidden_size:lower.cell_size] += (
-                dxu * x * weights * inside)
-            dwl, dzl, dcl = back_l(gl)
-            return (dwl, dwu, dxu * weights + dzl[..., :lower.input_size],
-                    *_split_input_grad(lower, dzl, 2)[1:], *dcl,
-                    *_split_input_grad(upper, dzu, 2)[1:], *dcu)
+    def vjp(g):
+        dwu, dzu, dcu = back_u(g[..., split:])
+        dxu = dzu[..., :upper.input_size]
+        gl = g[..., :split].copy()
+        gl[..., lower.hidden_size:lower.cell_size] += dxu * x * weights * inside
+        dwl, dzl, dcl = back_l(gl)
+        return (dwl, dwu, dxu * weights + dzl[..., :lower.input_size],
+                *_split_input_grad(lower, dzl)[1:], *dcl,
+                *_split_input_grad(upper, dzu)[1:], *dcu)
 
-        lo, hi = _out_part(upper)
-        tape.record(state, (*x.shape[:-1], split + value_u.shape[-1]),
-                    (split + lo, split + hi), reads_l + reads_u,
-                    (lower.stack, upper.stack), vjp)
-    _push(lower, state.lower, value_l)
-    return _push(upper, state.upper, value_u)
+    lo, hi = _out_part(upper)
+    return (np.concatenate((value_l, value_u), axis=-1),
+            (split + lo, split + hi), reads_l + reads_u,
+            (lower.stack, upper.stack), vjp)
 
 
 _KERNELS = {CellKind.LSTM: _lstm, CellKind.GRU: _gru, CellKind.DLSTM: _lstm,
             CellKind.DRNN: _drnn}
 
 
-def cell_step(params: CellParams, state, x: np.ndarray, dilation: int,
-              tape: Tape | None = None) -> np.ndarray:
-    """One step of any cell kind: reads ``state``, pushes the new states and
-    returns the output y; recorded on ``tape`` when one is given."""
-    step = adrnn_step if params.kind is CellKind.ADRNN else _fused_step
-    return step(params, state, x, dilation, tape)
+def cell_step(params: CellParams, state: CellState, x: np.ndarray,
+              dilation: int, tape: Tape | None = None) -> np.ndarray:
+    """One step of any cell kind: reads ``state``, appends the step's value
+    to it and returns the output y; recorded on ``tape``, when one is
+    given, as a step of the chain of ``state``."""
+    step = _adrnn_step if params.kind is CellKind.ADRNN else _fused_step
+    value, (lo, hi), reads, leaves, vjp = step(params, state, x, dilation)
+    if tape is not None:
+        tape.record(state, value.shape, (lo, hi), reads, leaves, vjp)
+    state.values.append(value)
+    return value[..., lo:hi]
 
 
 def cell_gradient(

@@ -66,9 +66,12 @@ def cmd_synth(args) -> int:
     if not 0.0 <= args.noise < float("inf"):
         raise LoadcastError(f"synth needs a finite --noise of at least 0, "
                             f"not {args.noise}")
+    start = _parse_date(args.start)
+    if args.days > (dt.date.max - start).days + 1:
+        raise LoadcastError(f"synth: {args.days} days from {start} run past "
+                            f"{dt.date.max}")
     store = synthetic_store(n_series=args.series, days=args.days,
-                            start=_parse_date(args.start), seed=args.seed,
-                            noise=args.noise)
+                            start=start, seed=args.seed, noise=args.noise)
     if args.csv is None and args.store is None:
         raise LoadcastError("synth needs --csv and/or --store")
     if args.csv:

@@ -25,6 +25,7 @@ import numpy as np
 from .cells import (
     CellKind,
     CellParams,
+    CellState,
     Connection,
     cell_layout,
     cell_step,
@@ -83,6 +84,9 @@ class ModelConfig:
                 raise ConfigError(
                     f"{self.cell_variant} emits its hidden state; out_size "
                     "must match hidden_size")
+        if kind is not CellKind.ADRNN and self.upper_hidden_size is not None:
+            raise ConfigError(f"{self.cell_variant} has no upper stage; "
+                              "upper_hidden_size applies to adrnn only")
 
     @property
     def effective_out_size(self) -> int:
@@ -123,7 +127,7 @@ class StackedModel:
 
 @dataclass
 class ModelState:
-    layers: list
+    layers: list[CellState]
 
     def regroup(self, rows, fresh):
         """Re-index the rows of a batched state: new row ``i`` is old row

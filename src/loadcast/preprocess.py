@@ -199,18 +199,17 @@ class TrainingSet:
 
 
 def candidate_target_dates(series: HourlySeries, train_range=None) -> list[dt.date]:
-    """All dates whose 168h input + 24h target windows fit in the series."""
-    first_day = series.start.date()
-    if dt.datetime.combine(first_day, dt.time()) < series.start:
-        first_day += dt.timedelta(days=1)
-    first_target = first_day + dt.timedelta(days=7)
-    last_target = series.timestamp(len(series)).date() - dt.timedelta(days=1)
+    """All dates whose 168h input + 24h target windows fit in the series.
+
+    Works in day ordinals, so a series may end on the last day of the
+    calendar."""
+    start, end = series.start, series.end
+    first = start.toordinal() + (start.time() != dt.time()) + 7
+    last = end.toordinal() - (end.hour != 23)
     if train_range is not None:
-        lo, hi = train_range
-        first_target = max(first_target, lo)
-        last_target = min(last_target, hi)
-    days = (last_target - first_target).days
-    return [first_target + dt.timedelta(days=i) for i in range(days + 1)]
+        first = max(first, train_range[0].toordinal())
+        last = min(last, train_range[1].toordinal())
+    return [dt.date.fromordinal(day) for day in range(first, last + 1)]
 
 
 def build_training_set(series_list, train_range=None) -> TrainingSet:

@@ -370,13 +370,12 @@ def forecast_range(ensemble: EnsembleModel, series: HourlySeries,
         label = ensemble.config.cell_variant
     records = []
     states = None
-    day = first_date
-    while day <= last_date:
+    for offset in range((last_date - first_date).days + 1):
+        day = first_date + dt.timedelta(days=offset)
         try:
             ext = build_extended_input(series, day)
         except LoadcastError:
             states = None
-            day += _DAY
             continue
         if states is None:
             states = [model_new_state(m) for m in ensemble.members]
@@ -389,5 +388,4 @@ def forecast_range(ensemble: EnsembleModel, series: HourlySeries,
         point, lower, upper = (np.mean(d, axis=0) for d in zip(*decoded))
         records.append(ForecastRecord(series.series_id, day, point, lower,
                                       upper, model=label))
-        day += _DAY
     return records

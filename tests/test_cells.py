@@ -12,7 +12,6 @@ import pytest
 
 from loadcast.cells import (
     ATTENTION_CLAMP,
-    AdCellState,
     CellKind,
     CellState,
     Connection,
@@ -160,6 +159,12 @@ def random_inputs(rng, steps, size):
     return [rng.normal(size=size) for _ in range(steps)]
 
 
+def c_read(params, state, lag):
+    """The c-state a step of ``params`` stored ``lag`` steps ago."""
+    n = params.cell_size
+    return state.read((), lag, n, 2 * n)
+
+
 # -- oracle agreement ------------------------------------------------------
 
 
@@ -240,17 +245,17 @@ def test_lstm_zero_params_frozen_value():
     # so c = 1/2 and h = tanh(1/2) / 2
     params, state = cell_init(CellKind.LSTM, 2, 3, seed=0)
     zero_params(params)
-    state.push(np.zeros(3), np.ones(3))
+    state.values.append(np.r_[np.zeros(3), np.ones(3)])  # h = 0, c = 1
     y = cell_step(params, state, np.array([7.0, -2.0]), 1)
     np.testing.assert_allclose(y, 0.23105857863000487, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(state.c_lag(1), 0.5, rtol=0, atol=0)
+    np.testing.assert_allclose(c_read(params, state, 1), 0.5, rtol=0, atol=0)
 
 
 def test_gru_zero_params_halves_state():
     params, state = cell_init(CellKind.GRU, 2, 4, seed=0)
     zero_params(params)
     h_prev = np.array([0.8, -1.2, 3.0, 0.0])
-    state.push(h_prev.copy())
+    state.values.append(h_prev.copy())
     y = cell_step(params, state, np.array([1.0, 2.0]), 1)
     np.testing.assert_array_equal(y, 0.5 * h_prev)
 
@@ -260,11 +265,11 @@ def test_drnn_zero_params_frozen_value():
     params, state = cell_init(CellKind.DRNN, 2, hidden_size=2, out_size=1,
                               dilation=2, seed=0)
     zero_params(params)
-    state.push(np.ones(2), np.ones(3))
-    state.push(np.ones(2), np.ones(3))
+    state.values.append(np.ones(6))  # h, output and c all ones
+    state.values.append(np.ones(6))
     y = cell_step(params, state, np.array([1.0, -1.0]), 2)
     np.testing.assert_array_equal(y, [0.25])
-    np.testing.assert_array_equal(state.c_lag(1), [0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(c_read(params, state, 1), [0.5, 0.5, 0.5])
 
 
 def test_dlstm_split_layout():
@@ -280,7 +285,8 @@ def test_dlstm_split_layout():
     expected = [sig(50.0) * math.tanh(sig(50.0) * math.tanh(b)) for b in
                 [1.0, 2.0, 3.0, 4.0, 5.0]]
     np.testing.assert_allclose(y, expected[2:], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(state.h_lag(1), expected[:2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(state.read((), 1, 0, 2), expected[:2], rtol=0,
+                               atol=1e-15)
 
 
 # -- attention behaviour ---------------------------------------------------
@@ -325,14 +331,15 @@ def test_attention_saturates_at_clamp():
     # weight must cap at exp(10)
     params, state = cell_init(CellKind.ADRNN, 2, hidden_size=1, out_size=2, seed=23)
     zero_params(params.lower)
-    state.lower.push(np.full(1, 100.0), np.full(3, 100.0))
+    # the lower stage's value all 100, the upper stage's a cold start
+    state.values.append(np.r_[np.full(6, 100.0), np.zeros(6)])
     upper_state = new_state(params.upper, 1)
     x = np.array([0.3, -0.7])
     y = cell_step(params, state, x, 1)
     y_ref = cell_step(params.upper, upper_state,
                       x * math.exp(ATTENTION_CLAMP), 1)
     np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
-    assert state.lower.h_lag(1)[0] == pytest.approx(25.0)
+    assert state.read((), 1, 0, 1)[0] == pytest.approx(25.0)  # lower h
 
 
 # -- the fused attentive step against its composition ----------------------
@@ -348,21 +355,22 @@ def unroll_with_gradients(params, state, xs, upstream, dilation):
 
 
 def composed_adrnn(params, xs, upstream, dilation):
-    """The same for adrnn composed from two recorded drnn chains, the
-    clamped exponential of the attention and its product with the input,
-    those two differentiated here by hand."""
+    """The same for adrnn composed from two recorded drnn chains on two
+    plain drnn states, the clamped exponential of the attention and its
+    product with the input, those two differentiated here by hand."""
     tape = Tape()
-    state = new_state(params, dilation)
+    lower = new_state(params.lower, dilation)
+    upper = new_state(params.upper, dilation)
     outs, weights, insides = [], [], []
     for x in xs:
-        a = cell_step(params.lower, state.lower, x, dilation, tape)
+        a = cell_step(params.lower, lower, x, dilation, tape)
         insides.append((a >= -ATTENTION_CLAMP) & (a <= ATTENTION_CLAMP))
         weights.append(np.exp(np.clip(a, -ATTENTION_CLAMP, ATTENTION_CLAMP)))
-        outs.append(cell_step(params.upper, state.upper, x * weights[-1],
+        outs.append(cell_step(params.upper, upper, x * weights[-1],
                               dilation, tape).copy())
-    dxu = tape.backward(state.upper, upstream)
-    dxl = tape.backward(state.lower, [g * x * w * inside for g, x, w, inside
-                                      in zip(dxu, xs, weights, insides)])
+    dxu = tape.backward(upper, upstream)
+    dxl = tape.backward(lower, [g * x * w * inside for g, x, w, inside
+                                in zip(dxu, xs, weights, insides)])
     dxs = [g * w + gl for g, w, gl in zip(dxu, weights, dxl)]
     return outs, tape.grads(params.blocks()) + dxs
 
@@ -391,9 +399,11 @@ def test_clamped_attention_passes_no_gradient_to_the_lower_stage():
     # one-step unroll leaves every lower-stage block without gradient
     params, state = cell_init(CellKind.ADRNN, 2, hidden_size=1, out_size=2,
                               seed=34)
-    state.lower.push(np.zeros(1), np.array([0.0, 1000.0, -1000.0]))
+    lower_value = np.r_[np.zeros(3), 0.0, 1000.0, -1000.0]  # h, output, c
+    state.values.append(np.r_[lower_value, np.zeros(6)])
     x = np.array([3e-5, -7e-5])  # the upper stage sees x * exp(+-10)
-    probe = copy.deepcopy(state.lower)
+    probe = new_state(params.lower, 1)
+    probe.values.append(lower_value)
     attention = cell_step(params.lower, probe, x, 1)
     assert attention[0] > ATTENTION_CLAMP and attention[1] < -ATTENTION_CLAMP
 
@@ -413,29 +423,46 @@ def test_clamped_attention_passes_no_gradient_to_the_lower_stage():
 def test_ring_buffer_matches_full_history():
     rng = np.random.default_rng(3)
     state = CellState(capacity=7)
-    full_h, full_c = [], []
+    np.testing.assert_array_equal(state.read((2,), 7, 4, 10), np.zeros((2, 6)))
+    full = []
     for step in range(30):
-        h, c = rng.normal(size=4), rng.normal(size=6)
-        state.push(h, c)
-        full_h.append(h)
-        full_c.append(c)
+        value = rng.normal(size=10)
+        state.values.append(value)
+        full.append(value)
         for k in range(1, 8):
-            if k <= step + 1:
-                np.testing.assert_array_equal(state.h_lag(k), full_h[-k])
-                np.testing.assert_array_equal(state.c_lag(k), full_c[-k])
-            else:
-                assert state.h_lag(k) is None
-                assert state.c_lag(k) is None
+            for lo, hi in ((0, 4), (4, 10)):
+                if k <= step + 1:
+                    np.testing.assert_array_equal(state.read((), k, lo, hi),
+                                                  full[-k][lo:hi])
+                else:
+                    np.testing.assert_array_equal(state.read((), k, lo, hi),
+                                                  np.zeros(hi - lo))
     with pytest.raises(ValueError):
-        state.h_lag(8)
+        state.read((), 8, 0, 4)
     with pytest.raises(ValueError):
-        state.h_lag(0)
+        state.read((), 0, 0, 4)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    (CellKind.LSTM, {"connection": Connection.DELAYED_ONLY}),
+    (CellKind.GRU, {"connection": Connection.DELAYED_ONLY}),
+    (CellKind.DLSTM, {"out_size": 2}), (CellKind.DRNN, {"out_size": 2}),
+    (CellKind.ADRNN, {"out_size": 2})],
+    ids=["lstm", "gru", "dlstm", "drnn", "adrnn"])
+def test_dilation_beyond_the_state_is_rejected(kind, kwargs):
+    # a step reads its state ``dilation`` steps back; a ring too short for
+    # that must fail rather than read cold-start zeros forever
+    params, state = cell_init(kind, 3, hidden_size=2, dilation=2, seed=0,
+                              **kwargs)
+    with pytest.raises(ValueError, match="lag 5 outside buffer capacity 2"):
+        cell_step(params, state, np.zeros(3), 5)
+    assert len(state) == 0
 
 
 @pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.DRNN, CellKind.ADRNN],
                          ids=lambda kind: kind.value)
 def test_state_rings_hold_plain_arrays(kind):
-    # a recorded step pushes plain arrays, so a batched state regroups
+    # a recorded step appends plain arrays, so a batched state regroups
     # between windows as it is: kept rows move, fresh rows read as zeros
     out_size = None if kind is CellKind.GRU else 1
     params, state = cell_init(kind, 2, hidden_size=2, out_size=out_size,
@@ -444,21 +471,38 @@ def test_state_rings_hold_plain_arrays(kind):
     tape = Tape()
     for _ in range(3):
         cell_step(params, state, xs, 2, tape)
-    rings = [state] if kind is not CellKind.ADRNN else [state.lower,
-                                                         state.upper]
-    entries = [(ring.h_lag(k), ring.c_lag(k) if ring.track_c else None)
-               for ring in rings for k in (1, 2)]
-    for h, c in entries:
-        assert type(h) is np.ndarray and h.shape[0] == 3
-        assert c is None or type(c) is np.ndarray
+    values = list(state.values)
+    assert len(values) == 2
+    for value in values:
+        assert type(value) is np.ndarray and value.shape[0] == 3
     state.regroup(np.array([2, 0]), np.array([False, True]))
-    regrouped = [(ring.h_lag(k), ring.c_lag(k) if ring.track_c else None)
-                 for ring in rings for k in (1, 2)]
-    for (h, c), (h2, c2) in zip(entries, regrouped):
-        assert type(h2) is np.ndarray
-        np.testing.assert_array_equal(h2, [h[2], np.zeros_like(h[2])])
-        if c is not None:
-            np.testing.assert_array_equal(c2, [c[2], np.zeros_like(c[2])])
+    for value, moved in zip(values, state.values):
+        assert type(moved) is np.ndarray
+        np.testing.assert_array_equal(moved, [value[2], np.zeros_like(value[2])])
+
+
+def test_adrnn_value_is_lower_then_upper_stage_value():
+    # one attentive step appends one value, the lower stage's value followed
+    # by the upper stage's, the values two plain drnn states replaying the
+    # stages hold; a regroup moves the rows of both stages, so the next
+    # steps still agree
+    params, state = cell_init(CellKind.ADRNN, 3, hidden_size=2, out_size=4,
+                              upper_hidden_size=3, dilation=2, seed=35)
+    lower, upper = new_state(params.lower, 2), new_state(params.upper, 2)
+    rng = np.random.default_rng(36)
+    for t in range(6):
+        if t == 3:
+            for ring in (state, lower, upper):
+                ring.regroup(np.array([1, 0]), np.array([False, True]))
+        x = rng.normal(size=(2, 3))
+        y = cell_step(params, state, x, 2)
+        a = cell_step(params.lower, lower, x, 2)
+        weights = np.exp(np.clip(a, -ATTENTION_CLAMP, ATTENTION_CLAMP))
+        np.testing.assert_array_equal(
+            y, cell_step(params.upper, upper, x * weights, 2))
+        for whole, low, up in zip(state.values, lower.values, upper.values):
+            np.testing.assert_array_equal(
+                whole, np.concatenate((low, up), axis=-1))
 
 
 def test_delayed_variant_ignores_recent_push():
@@ -467,7 +511,7 @@ def test_delayed_variant_ignores_recent_push():
                           connection=Connection.DELAYED_ONLY, seed=24)
     fresh = new_state(params, 3)
     poked = new_state(params, 3)
-    poked.push(np.full(3, 9.0), np.full(3, -9.0))
+    poked.values.append(np.r_[np.full(3, 9.0), np.full(3, -9.0)])  # h, c
     x = np.array([0.4, 0.6])
     y_fresh = cell_step(params, fresh, x.copy(), 3)
     y_poked = cell_step(params, poked, x.copy(), 3)
@@ -549,10 +593,10 @@ def test_drnn_update_gate_extremes():
                               dilation=2, seed=26)
     zero_params(params)
     params.gates["update"].b[:] = 50.0
-    state.push(np.zeros(1), c_delayed)
-    state.push(np.zeros(1), c_recent)
+    state.values.append(np.r_[0.0, 0.0, c_delayed])  # h, output, c
+    state.values.append(np.r_[0.0, 0.0, c_recent])
     cell_step(params, state, x.copy(), 2)
-    np.testing.assert_allclose(state.c_lag(1),
+    np.testing.assert_allclose(c_read(params, state, 1),
                                0.5 * (c_recent + c_delayed), rtol=0, atol=1e-12)
 
     params2, state2 = cell_init(CellKind.DRNN, 2, hidden_size=1, out_size=1,
@@ -560,10 +604,10 @@ def test_drnn_update_gate_extremes():
     zero_params(params2)
     params2.gates["update"].b[:] = -50.0
     params2.gates["candidate"].b[:] = [0.3, -0.4]
-    state2.push(np.zeros(1), c_delayed)
-    state2.push(np.zeros(1), c_recent)
+    state2.values.append(np.r_[0.0, 0.0, c_delayed])
+    state2.values.append(np.r_[0.0, 0.0, c_recent])
     cell_step(params2, state2, x.copy(), 2)
-    np.testing.assert_allclose(state2.c_lag(1),
+    np.testing.assert_allclose(c_read(params2, state2, 1),
                                np.tanh([0.3, -0.4]), rtol=0, atol=1e-12)
 
 
@@ -623,13 +667,14 @@ def test_config_validation():
 
 
 def test_state_types_per_kind():
-    _, s_gru = cell_init(CellKind.GRU, 2, 2, seed=0)
-    assert isinstance(s_gru, CellState) and not s_gru.track_c
-    _, s_lstm = cell_init(CellKind.LSTM, 2, 2, seed=0)
-    assert isinstance(s_lstm, CellState) and s_lstm.track_c
-    _, s_ad = cell_init(CellKind.ADRNN, 2, 2, out_size=2, dilation=4, seed=0)
-    assert isinstance(s_ad, AdCellState)
-    assert s_ad.lower.capacity == 4 and s_ad.upper.capacity == 4
+    # one state type for every kind: an empty ring as deep as the dilation
+    for kind, kwargs in [(CellKind.LSTM, {}), (CellKind.GRU, {}),
+                         (CellKind.DLSTM, {"out_size": 2}),
+                         (CellKind.DRNN, {"out_size": 2}),
+                         (CellKind.ADRNN, {"out_size": 2})]:
+        _, state = cell_init(kind, 2, 2, dilation=4, seed=0, **kwargs)
+        assert type(state) is CellState
+        assert state.capacity == 4 and len(state) == 0
 
 
 def test_named_arrays_cover_all_gates():

@@ -313,16 +313,40 @@ def test_ingest_unreadable_csv_exits_1(tmp_path, capsys, raw):
     ["synth", "--noise", "nan", "--store", "{tmp}/s"],
     ["synth", "--noise", "inf", "--store", "{tmp}/s"],
     ["gradcheck", "--cell", "drnn", "--corrupt", "nope"],
+    # the last day of the calendar: no day after it to step to
+    ["forecast", "--store", "{store}", "--model", "{model}", "--series",
+     "synth1", "--dates", "9999-12-31", "--csv", "{tmp}/f.csv"],
+    ["evaluate", "--store", "{store}", "--model", "{model}",
+     "--test-range", "9999-12-31:9999-12-31", "--out-dir", "{tmp}/r"],
+    ["synth", "--start", "9999-01-01", "--days", "400", "--store", "{tmp}/s"],
 ], ids=["alpha-0", "alpha-1", "no-actuals", "zero-days", "zero-series",
         "zero-steps", "empty-label", "negative-noise", "nan-noise",
-        "inf-noise", "unknown-corrupt-block"])
+        "inf-noise", "unknown-corrupt-block", "forecast-calendar-end",
+        "evaluate-calendar-end", "synth-past-calendar-end"])
 def test_invalid_cli_input_is_clean_error(workspace, tmp_path, capsys, argv):
     argv = [arg.format(**workspace, tmp=tmp_path) for arg in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()  # rejected before writing
     if "--corrupt" in argv:  # the message names the blocks one may corrupt
         assert "fusion.W" in err
+
+
+def test_store_ending_on_the_last_calendar_day_trains_and_forecasts(
+        workspace, tmp_path, capsys):
+    store, model = str(tmp_path / "end.store"), str(tmp_path / "end.model")
+    assert main(["synth", "--series", "1", "--start", "9999-11-01",
+                 "--days", "61", "--store", store]) == 0
+    assert load_store(store).get("synth1").end.isoformat() == (
+        "9999-12-31T23:00:00")
+    assert main(["train", "--store", store, "--out", model,
+                 "--config", workspace["config"]]) == 0
+    assert main(["forecast", "--store", store, "--model", model, "--series",
+                 "synth1", "--dates", "9999-12-25:9999-12-31",
+                 "--csv", str(tmp_path / "f.csv")]) == 0
+    err = capsys.readouterr().err
+    assert "synth1: 7 days" in err and "Traceback" not in err
 
 
 def test_model_bytes_at_one_and_two_blas_threads(workspace, tmp_path,

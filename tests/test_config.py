@@ -180,11 +180,14 @@ def test_arbitrary_json_gives_run_config_or_config_error(raw):
 
 valid_run_configs = st.builds(
     RunConfig,
-    model=st.builds(
-        ModelConfig, cell_variant=st.sampled_from(sorted(CELL_VARIANTS)),
-        hidden_size=st.integers(1, 500), embed_size=st.integers(1, 50),
-        upper_hidden_size=st.none() | st.integers(1, 50),
-        dilations=st.tuples(*[st.integers(1, 30)] * 3)),
+    model=st.sampled_from(sorted(CELL_VARIANTS)).flatmap(
+        lambda variant: st.builds(
+            ModelConfig, cell_variant=st.just(variant),
+            hidden_size=st.integers(1, 500), embed_size=st.integers(1, 50),
+            # only the attentive cell has an upper stage to size
+            upper_hidden_size=(st.none() | st.integers(1, 50)
+                               if variant == "adrnn" else st.none()),
+            dilations=st.tuples(*[st.integers(1, 30)] * 3))),
     loss=st.builds(
         LossConfig, central_quantile=st.floats(0.01, 0.99),
         lower_quantile=st.floats(0.01, 0.49),

@@ -1,4 +1,5 @@
-"""Source hygiene: no module-level import goes unused.
+"""Source hygiene: no module-level import goes unused, and every function
+the benchmark's tracer rebinds exists.
 
 A stdlib ``ast`` scan standing in for a linter.  Package ``__init__.py``
 files are skipped, since their imports are re-exports; instead the package's
@@ -6,6 +7,7 @@ files are skipped, since their imports are re-exports; instead the package's
 """
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,14 @@ def test_package_exports_exactly_its_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(loadcast.__all__) == sorted(imported)
     assert len(loadcast.__all__) == len(set(loadcast.__all__))
+
+
+def test_benchmark_tracer_finds_every_hook():
+    # the tracer rebinds program functions by name; a renamed or dropped one
+    # would otherwise show only as a failed check of a traced benchmark run
+    tracing = runpy.run_path(str(ROOT / "benchmarks" / "tracing.py"))
+    step = loadcast.cells.cell_step
+    with tracing["Tracer"]() as tracer:
+        assert loadcast.cells.cell_step is not step
+    assert tracer.missing == []
+    assert loadcast.cells.cell_step is step  # restored on exit

@@ -134,12 +134,13 @@ def test_dilation_reach_through_layer3_buffer():
     model = model_build(small_config(), seed=12)
     inputs = random_day_inputs(np.random.default_rng(13), 10)
     states = model_new_state(model)
+    layer3, h = states.layers[2], model.cells[2].hidden_size
     layer3_h = []
     for ext in inputs[:9]:
         model_step(model, states, ext)
-        layer3_h.append(np.array(states.layers[2].h_lag(1), copy=True))
+        layer3_h.append(np.array(layer3.read((), 1, 0, h), copy=True))
     # at the next step the top layer's delayed read is the step-3 state
-    delayed = states.layers[2].h_lag(7)
+    delayed = layer3.read((), 7, 0, h)
     np.testing.assert_array_equal(delayed, layer3_h[2])
 
 
@@ -174,6 +175,8 @@ def test_same_seed_builds_identical_model():
 def test_param_count_matches_built_model(variant, sizes):
     if variant[:-1] in ("lstm", "gru") and "out_size" in sizes:
         sizes = {"hidden_size": 6, "embed_size": 2}  # output is the state
+    if variant != "adrnn":  # only the attentive cell has an upper stage
+        sizes = {k: v for k, v in sizes.items() if k != "upper_hidden_size"}
     config = ModelConfig(cell_variant=variant, **sizes)
     built = model_build(config, seed=0).named_arrays()
     assert model_param_count(config) == sum(arr.size for _, arr in built)
@@ -202,6 +205,9 @@ def test_config_validation():
         ModelConfig(cell_variant="rnn")
     with pytest.raises(ConfigError, match="hidden_size"):
         ModelConfig(cell_variant="lstm1", hidden_size=8, out_size=9)
+    with pytest.raises(ConfigError, match="upper_hidden_size"):
+        ModelConfig(cell_variant="drnn", hidden_size=4, embed_size=2,
+                    upper_hidden_size=50)
     with pytest.raises(ConfigError):
         ModelConfig(hidden_size=0)
     with pytest.raises(ConfigError):
