@@ -21,7 +21,7 @@ Modules:
     loss: pinball loss and the composite training objective.
     training: Adam, truncated-BPTT training loop (each window a row range
         of the training set; the windows of a series-batch unrolled as one
-        batch, series as rows), ensembling, forecasting.
+        batch, series as rows), ensembling, forecasting (stretches as rows).
     gradcheck: finite-difference verification of every gradient path.
     evaluation: metrics, predictive-ability test, rankings, report files.
     dataset: CSV ingestion, binary stores, synthetic series generation.

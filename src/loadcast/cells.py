@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -92,6 +92,7 @@ class CellParams:
     stack: np.ndarray | None = None
     lower: "CellParams | None" = None  # attentive cell only
     upper: "CellParams | None" = None
+    read_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def gate_size(self) -> int:
@@ -289,18 +290,22 @@ def _h_reads(params: CellParams) -> int:
 
 def _reads(params: CellParams, dilation: int, offset: int = 0) -> tuple:
     """The ``(lag, lo, hi)`` parts of earlier values a step reads, its h
-    reads first, then its c reads, for a value part starting at
-    ``offset``."""
-    if params.kind in _DILATED:
-        h_lags = (1, dilation)
-        c_lags = (1,) if params.kind is CellKind.DLSTM else h_lags
-    else:
-        h_lags = (1 if params.connection is Connection.RECENT_ONLY
-                  else dilation,)
-        c_lags = h_lags if params.kind is CellKind.LSTM else ()
-    h, c = offset + params.hidden_size, offset + params.cell_size
-    return (tuple((lag, offset, h) for lag in h_lags)
-            + tuple((lag, c, c + params.cell_size) for lag in c_lags))
+    reads first, then its c reads, for a value part starting at ``offset``;
+    built once per layer and kept in ``params.read_tables``."""
+    key = dilation, offset
+    if key not in params.read_tables:
+        if params.kind in _DILATED:
+            h_lags = (1, dilation)
+            c_lags = (1,) if params.kind is CellKind.DLSTM else h_lags
+        else:
+            h_lags = (1 if params.connection is Connection.RECENT_ONLY
+                      else dilation,)
+            c_lags = h_lags if params.kind is CellKind.LSTM else ()
+        h, c = offset + params.hidden_size, offset + params.cell_size
+        params.read_tables[key] = (tuple((lag, offset, h) for lag in h_lags)
+                                   + tuple((lag, c, c + params.cell_size)
+                                           for lag in c_lags))
+    return params.read_tables[key]
 
 
 def _read_state(params: CellParams, state: CellState, x: np.ndarray,

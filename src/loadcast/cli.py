@@ -50,14 +50,14 @@ def _parse_range(text: str):
     return lo, hi
 
 
-def _print_manifest(manifest, out=sys.stdout):
+def _print_manifest(manifest):
     for sid, entry in manifest["series"].items():
         print(f"series {sid}: {entry['hours']} hours from {entry['start']} "
               f"to {entry['end']}, {entry['missing_hours']} missing "
               f"({entry['coverage_pct']:.1f}% coverage), "
-              f"{entry['gap_count']} gaps", file=out)
+              f"{entry['gap_count']} gaps")
     print(f"total: {manifest['total_series']} series, "
-          f"{manifest['total_hours']} hours", file=out)
+          f"{manifest['total_hours']} hours")
 
 
 def cmd_synth(args) -> int:
@@ -213,9 +213,8 @@ def cmd_evaluate(args) -> int:
                                 "use label=path to disambiguate")
         models[label] = ensemble
 
-    records = {label: [rec for series in store.series.values()
-                       for rec in forecast_range(ensemble, series, lo, hi,
-                                                 label=label)]
+    records = {label: forecast_range(ensemble, list(store.series.values()),
+                                     lo, hi, label=label)
                for label, ensemble in models.items()}
     report = build_report(records, store.series, args.alpha, (lo, hi))
     write_report(report, args.out_dir)

@@ -11,8 +11,9 @@ series stacked as rows; a short window (the end of a contiguous run) is
 padded to the group's longest with zero loss weight.  Hidden state carries
 across windows of the same contiguous stretch, but each window records on a
 fresh tape, so gradients never reach past a window boundary.  Ensembling
-trains one member per seed and averages forecasts in megawatt space after
-decoding.
+trains one member per seed.  Serving batches the same way, stretches as
+rows: each run of buildable days of every series is one row, and members
+average their forecasts in megawatt space after decoding.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .network import (
     model_unroll,
 )
 from .preprocess import (
+    CodingVariables,
     ExtendedInput,
     HourlySeries,
     TrainingSet,
@@ -49,8 +51,6 @@ from .preprocess import (
 
 #: days of history unrolled before a forecast when available
 WARMUP_DAYS = 56
-
-_DAY = dt.timedelta(days=1)
 
 
 def _validated_schedule(schedule, name, *, integral=False):
@@ -315,24 +315,25 @@ def train_ensemble(data: TrainingSet, config: ModelConfig,
 # -- forecasting -----------------------------------------------------------
 
 
-def _warmup_inputs(series: HourlySeries, day: dt.date, warmup_days: int):
-    """Inputs for up to ``warmup_days`` days ending the day before ``day``,
-    walking back until the first day whose window cannot be built."""
-    inputs = []
-    cursor = day - _DAY
-    while len(inputs) < warmup_days:
+def _serving_days(series: HourlySeries, first: int, last: int,
+                  warmup_days: int) -> list:
+    """``(ordinal, input)`` of the buildable days of ``series`` from day
+    ordinal ``first`` to ``last``, after the warm-up: when ``first`` is
+    buildable, up to ``warmup_days`` days walked back until one is not."""
+    def built(day):
         try:
-            inputs.append(build_extended_input(series, cursor))
+            return build_extended_input(series, dt.date.fromordinal(day))
         except LoadcastError:
-            break
-        cursor -= _DAY
-    inputs.reverse()
-    return inputs
+            return None
 
-
-def _decoded_step(member, state, ext):
-    return tuple(decode_day(v, ext.coding)
-                 for v in model_step(member, state, ext).reshape(3, -1))
+    days = [(d, ext) for d in range(first, last + 1)
+            if (ext := built(d)) is not None]
+    if days and days[0][0] == first:
+        for d in range(first - 1, max(first - 1 - warmup_days, 0), -1):
+            if (ext := built(d)) is None:
+                break
+            days.insert(0, (d, ext))
+    return days
 
 
 def forecast(ensemble: EnsembleModel, series: HourlySeries,
@@ -351,41 +352,51 @@ def forecast(ensemble: EnsembleModel, series: HourlySeries,
     return records[0]
 
 
-def forecast_range(ensemble: EnsembleModel, series: HourlySeries,
-                   first_date: dt.date, last_date: dt.date, *,
-                   warmup_days: int = WARMUP_DAYS,
+def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
+                   last_date: dt.date, *, warmup_days: int = WARMUP_DAYS,
                    label: str | None = None) -> list:
     """Member-mean forecasts in MW for every buildable day in the inclusive
-    date range.
+    date range, of one :class:`HourlySeries` or of each of a sequence, in
+    series order, then date order.
 
-    Members are warmed by evaluation steps over up to ``warmup_days`` days
-    before each contiguous stretch (fewer when history runs out), then
-    advance one evaluation step per day, decoded with that day's coding
-    variables.  Days whose input cannot be built are skipped and reset the
-    state.
+    Stretches are rows: each run of buildable days, the one holding
+    ``first_date`` starting up to ``warmup_days`` days earlier (fewer when
+    history runs out), is one row of a batch from t = 0, a short one
+    repeating its last day as training pads its windows.  Each member steps
+    the batch from a cold state, one evaluation step per day; the days are
+    decoded with their own coding and the members averaged in MW.
     """
     if last_date < first_date:
         raise ValueError("empty date range")
     if label is None:
         label = ensemble.config.cell_variant
-    records = []
-    states = None
-    for offset in range((last_date - first_date).days + 1):
-        day = first_date + dt.timedelta(days=offset)
-        try:
-            ext = build_extended_input(series, day)
-        except LoadcastError:
-            states = None
-            continue
-        if states is None:
-            states = [model_new_state(m) for m in ensemble.members]
-            warm = _warmup_inputs(series, day, warmup_days)
-            for member, state in zip(ensemble.members, states):
-                for w in warm:
-                    model_step(member, state, w)
-        decoded = [_decoded_step(member, state, ext)
-                   for member, state in zip(ensemble.members, states)]
-        point, lower, upper = (np.mean(d, axis=0) for d in zip(*decoded))
-        records.append(ForecastRecord(series.series_id, day, point, lower,
-                                      upper, model=label))
-    return records
+    series = [series] if isinstance(series, HourlySeries) else list(series)
+    first = first_date.toordinal()
+    table = [(i, day, ext) for i, s in enumerate(series)
+             for day, ext in _serving_days(s, first, last_date.toordinal(),
+                                           warmup_days)]
+    if not table:
+        return []
+    index, day, ext = (np.array(col) for col in zip(*table))
+    cuts = np.flatnonzero((np.diff(index) != 0) | (np.diff(day) != 1)) + 1
+    lo, hi = np.r_[0, cuts], np.r_[cuts, len(table)]
+    rows = lo + np.minimum.outer(np.arange(max(hi - lo)), hi - lo - 1)
+    week, level, calendar = (np.array([getattr(e, k) for e in ext])[rows]
+                             for k in ("week", "level", "calendar"))
+    # each forecast day's (b, t) in the batch, and its coding
+    keep = day >= first
+    b, t = (x[keep] for x in np.nonzero(np.arange(len(rows))
+                                        < (hi - lo)[:, None]))
+    mean, std = np.array([(e.coding.week_mean, e.coding.week_std)
+                          for e in ext[keep]]).T[..., None, None]
+    decoded = []
+    for member in ensemble.members:
+        state = model_new_state(member)
+        heads = np.stack([model_step(member, state, ExtendedInput(
+            week[k], level[k], calendar[k], None)) for k in range(len(rows))])
+        decoded.append(decode_day(heads[t, b].reshape(len(t), 3, -1),
+                                  CodingVariables(mean, std)))
+    point, lower, upper = np.moveaxis(np.mean(decoded, axis=0), 1, 0)
+    return [ForecastRecord(series[i].series_id, dt.date.fromordinal(d), *f,
+                           model=label) for i, d, *f in zip(
+                index[keep].tolist(), day[keep].tolist(), point, lower, upper)]

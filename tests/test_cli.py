@@ -51,6 +51,20 @@ def test_synth_ingest_export_round_trip(workspace, tmp_path):
     assert store_a.manifest() == load_store(store_file).manifest()
 
 
+def test_synth_and_ingest_print_their_manifest(tmp_path, capsys):
+    # the manifest goes to the sys.stdout of the call, not of the import
+    store, csv_path = str(tmp_path / "s.store"), str(tmp_path / "s.csv")
+    assert main(["synth", "--series", "2", "--days", "10", "--store", store,
+                 "--csv", csv_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "series synth1", "series synth2", "total"]
+    assert lines[-1] == "total: 2 series, 480 hours"
+    assert main(["ingest", "--csv", csv_path,
+                 "--store", str(tmp_path / "t.store")]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_ingest_bad_file_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("series_id,timestamp,load_mw\nx,notatime,5\n",

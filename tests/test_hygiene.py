@@ -1,5 +1,5 @@
 """Source hygiene: no module-level import goes unused, and every function
-the benchmark's tracer rebinds exists.
+the benchmark's tracer rebinds exists, with the parameters it binds.
 
 A stdlib ``ast`` scan standing in for a linter.  Package ``__init__.py``
 files are skipped, since their imports are re-exports; instead the package's
@@ -7,6 +7,7 @@ files are skipped, since their imports are re-exports; instead the package's
 """
 
 import ast
+import inspect
 import runpy
 from pathlib import Path
 
@@ -61,3 +62,14 @@ def test_benchmark_tracer_finds_every_hook():
         assert loadcast.cells.cell_step is not step
     assert tracer.missing == []
     assert loadcast.cells.cell_step is step  # restored on exit
+
+
+def test_forecast_range_keeps_the_signature_the_tracer_binds():
+    # the tracer binds forecast_range's arguments by name to count the range
+    # days; the benchmark's workloads call it positionally with one series
+    params = inspect.signature(loadcast.training.forecast_range).parameters
+    assert list(params)[:4] == ["ensemble", "series", "first_date",
+                                "last_date"]
+    kinds = [p.kind for p in params.values()]
+    assert kinds[:4] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 4
+    assert set(kinds[4:]) <= {inspect.Parameter.KEYWORD_ONLY}

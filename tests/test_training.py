@@ -446,5 +446,190 @@ def test_forecast_range_continuity_reuses_state():
         forecast_range(ens, series, dt.date(2024, 1, 23), dt.date(2024, 1, 20))
 
 
+# -- serving a batch of stretches -------------------------------------------
+
+
+def random_ensemble(variant="adrnn", members=3):
+    return EnsembleModel(tuple(model_build(desk_config(variant), seed=s)
+                               for s in range(members)))
+
+
+def days_from(first, last):
+    return [first + dt.timedelta(days=k) for k in range((last - first).days + 1)]
+
+
+def day_by_day(ens, series, warm, days):
+    """The per-day path: each member steps one series' 1-d inputs from a
+    cold state over the ``warm`` days, then the ``days``, decoding each of
+    those with its own coding; members averaged in MW.  (days, 3, 24)."""
+    decoded = []
+    for member in ens.members:
+        state = model_new_state(member)
+        for day in warm:
+            model_step(member, state, build_extended_input(series, day))
+        out = []
+        for day in days:
+            ext = build_extended_input(series, day)
+            out.append([decode_day(v, ext.coding) for v in
+                        model_step(member, state, ext).reshape(3, -1)])
+        decoded.append(out)
+    return np.mean(decoded, axis=0)
+
+
+def stacked(records):
+    return np.array([[r.point, r.lower, r.upper] for r in records])
+
+
+def with_missing_days(series, *days):
+    missing = series.missing.copy()
+    for day in days:
+        start = series.day_start_index(day)
+        missing[start:start + 24] = True
+    values = np.where(missing, np.nan, series.values)
+    return HourlySeries(series.series_id, series.start, values, missing)
+
+
+@pytest.fixture
+def built_days(monkeypatch):
+    """The days whose input forecast_range tried to build, in call order."""
+    from loadcast import training
+    built = []
+
+    def spy(series, day):
+        built.append(day)
+        return build_extended_input(series, day)
+
+    monkeypatch.setattr(training, "build_extended_input", spy)
+    return built
+
+
+@pytest.mark.parametrize("variant", ["adrnn", "gru1", "lstm2", "dlstm"])
+def test_many_series_match_per_series_calls(variant):
+    series = [
+        with_missing_days(wave_series("a", days=60, noise=2.0, seed=0),
+                          dt.date(2024, 1, 20)),
+        wave_series("b", days=45, noise=2.0, seed=1, base=300.0),
+        with_missing_days(wave_series("c", days=60, noise=2.0, seed=2),
+                          dt.date(2024, 1, 30), dt.date(2024, 2, 11)),
+    ]
+    ens = random_ensemble(variant)
+    first, last = dt.date(2024, 1, 15), dt.date(2024, 2, 25)
+    batched = forecast_range(ens, series, first, last, label="m")
+    single = [r for s in series
+              for r in forecast_range(ens, s, first, last, label="m")]
+    key = [(r.series_id, r.target_date, r.model) for r in batched]
+    assert key == [(r.series_id, r.target_date, r.model) for r in single]
+    assert len({sid for sid, _, _ in key}) == 3
+    np.testing.assert_allclose(stacked(batched), stacked(single),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(
+        stacked(forecast_range(ens, tuple(series), first, last)),
+        stacked(batched))
+
+
+@pytest.mark.parametrize("variant", ["lstm1", "lstm2", "gru1", "gru2",
+                                     "dlstm", "drnn", "adrnn"])
+def test_one_clean_series_is_bitwise_the_day_by_day_path(variant):
+    series = wave_series(days=90, noise=2.0)
+    ens = random_ensemble(variant)
+    first, last = dt.date(2024, 3, 10), dt.date(2024, 3, 20)
+    records = forecast_range(ens, series, first, last)
+    warm = days_from(first - dt.timedelta(days=WARMUP_DAYS),
+                     first - dt.timedelta(days=1))
+    days = days_from(first, last)
+    assert [r.target_date for r in records] == days
+    np.testing.assert_array_equal(stacked(records),
+                                  day_by_day(ens, series, warm, days))
+
+
+def test_warmup_is_clipped_and_shorter_when_history_runs_out(built_days):
+    series = wave_series(days=90, noise=2.0)
+    ens = random_ensemble("drnn", members=1)
+    first = dt.date(2024, 3, 10)
+    forecast_range(ens, series, first, first)
+    assert min(built_days) == first - dt.timedelta(days=WARMUP_DAYS)
+    built_days.clear()
+    forecast_range(ens, series, first, first, warmup_days=5)
+    assert min(built_days) == first - dt.timedelta(days=5)
+    built_days.clear()
+    # the walk back stops at Jan 7, whose week starts before the data
+    first = dt.date(2024, 1, 20)
+    records = forecast_range(ens, series, first, first)
+    assert min(built_days) == dt.date(2024, 1, 7)
+    warm = days_from(dt.date(2024, 1, 8), dt.date(2024, 1, 19))
+    np.testing.assert_array_equal(stacked(records),
+                                  day_by_day(ens, series, warm, [first]))
+
+
+def test_gap_and_constant_week_each_start_a_cold_stretch():
+    series = with_missing_days(wave_series(days=60, noise=2.0),
+                               dt.date(2024, 1, 20))
+    values = series.values.copy()
+    start = series.day_start_index(dt.date(2024, 2, 5))
+    values[start:start + 168] = 100.0  # the week before Feb 12
+    series = HourlySeries(series.series_id, series.start, values,
+                          series.missing)
+    ens = random_ensemble("adrnn")
+    first, last = dt.date(2024, 1, 15), dt.date(2024, 2, 20)
+    records = forecast_range(ens, series, first, last)
+    # Jan 21-27 read the gap and Feb 12 the constant week
+    stretches = [(days_from(dt.date(2024, 1, 8), dt.date(2024, 1, 14)),
+                  days_from(first, dt.date(2024, 1, 20))),
+                 ([], days_from(dt.date(2024, 1, 28), dt.date(2024, 2, 11))),
+                 ([], days_from(dt.date(2024, 2, 13), last))]
+    assert [r.target_date for r in records] == [
+        day for _, days in stretches for day in days]
+    expected = np.concatenate([day_by_day(ens, series, warm, days)
+                               for warm, days in stretches])
+    np.testing.assert_allclose(stacked(records), expected, rtol=1e-12,
+                               atol=0)
+
+
+def test_run_ending_before_the_range_contributes_nothing(built_days):
+    # Jan 8-25 is a run inside the warm-up reach, but Jan 26 - Feb 1 read
+    # the gap: the range opens on an unbuildable day, so nothing warms up
+    series = with_missing_days(wave_series(days=40, noise=2.0),
+                               dt.date(2024, 1, 25))
+    ens = random_ensemble("gru2")
+    first, last = dt.date(2024, 1, 30), dt.date(2024, 2, 5)
+    records = forecast_range(ens, series, first, last)
+    days = days_from(dt.date(2024, 2, 2), last)
+    assert [r.target_date for r in records] == days
+    assert min(built_days) == first
+    np.testing.assert_array_equal(stacked(records),
+                                  day_by_day(ens, series, [], days))
+
+
+def test_series_without_a_buildable_day_contributes_nothing():
+    short = wave_series("short", days=6)
+    good = wave_series("good", days=30, noise=2.0)
+    ens = random_ensemble("lstm1")
+    first, last = dt.date(2024, 1, 10), dt.date(2024, 1, 20)
+    assert forecast_range(ens, [short], first, last) == []
+    assert forecast_range(ens, [], first, last) == []
+    records = forecast_range(ens, [short, good, short], first, last)
+    alone = forecast_range(ens, good, first, last)
+    assert [(r.series_id, r.target_date) for r in records] == [
+        (r.series_id, r.target_date) for r in alone]
+    np.testing.assert_array_equal(stacked(records), stacked(alone))
+
+
+def test_ranges_at_the_ends_of_the_calendar():
+    ens = random_ensemble("drnn", members=1)
+    early = wave_series(days=20, start=dt.date(1, 1, 1))
+    records = forecast_range(ens, early, dt.date(1, 1, 1), dt.date(1, 1, 20))
+    assert [r.target_date for r in records] == days_from(dt.date(1, 1, 8),
+                                                         dt.date(1, 1, 20))
+    records = forecast_range(ens, early, dt.date(1, 1, 10), dt.date(1, 1, 10))
+    np.testing.assert_array_equal(stacked(records), day_by_day(
+        ens, early, days_from(dt.date(1, 1, 8), dt.date(1, 1, 9)),
+        [dt.date(1, 1, 10)]))
+    late = wave_series(days=31, start=dt.date(9999, 12, 1))
+    records = forecast_range(ens, [early, late], dt.date(9999, 12, 20),
+                             dt.date.max)
+    assert [r.target_date for r in records] == days_from(
+        dt.date(9999, 12, 20), dt.date.max)
+
+
 def test_warmup_constant_is_eight_weeks():
     assert WARMUP_DAYS == 56
