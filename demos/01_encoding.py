@@ -43,9 +43,15 @@ print(f"\nencoded day range: [{encoded.min():+.2f}, "
       f"{encoded.max():+.2f}]  (dimensionless)")
 print(f"round-trip error: {np.max(np.abs(decoded - day)):.2e} MW")
 
-# the full network input adds a log-level and calendar one-hots
-ext = build_extended_input(series, target)
-print(f"\nextended input: 168 weekly values + level {ext.level:.3f} "
+# the full network input adds a log-level and calendar one-hots; the
+# builder makes it for a range of days at once, stacked as rows, and
+# returns the day ordinals it could build
+days, inputs = build_extended_input(series, target.toordinal() - 2,
+                                    target.toordinal())
+ext = inputs[len(days) - 1]  # the target day's row
+print(f"\nbuilt {len(days)} days up to {dt.date.fromordinal(days[-1])}: "
+      f"week {inputs.week.shape}, calendar {inputs.calendar.shape}")
+print(f"extended input: 168 weekly values + level {ext.level:.3f} "
       f"(log10 of the week mean) + {ext.calendar.size} calendar bits")
 print(f"total input length: {ext.week.size + 1 + ext.calendar.size}; "
       f"it carries its week's coding, std {ext.coding.week_std:.1f}")

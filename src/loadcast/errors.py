@@ -10,15 +10,11 @@ class ConfigError(LoadcastError):
 
 
 class ConstantWeekError(LoadcastError):
-    """Weekly window has (near-)zero variance and carries no shape information."""
+    """Weekly window has no usable spread: (near-)zero or non-finite std."""
 
 
 class IncompleteHistoryError(LoadcastError):
     """The hourly window required for a pattern touches missing or absent data."""
-
-
-class NonPositiveLevelError(LoadcastError):
-    """Weekly mean is not strictly positive, so log10 level is undefined."""
 
 
 class NoTrainableSamplesError(LoadcastError):

@@ -182,7 +182,7 @@ def random_day_inputs(rng: np.random.Generator, steps: int,
         level = float(rng.normal(loc=2.5, scale=0.3))
         inputs.append(ExtendedInput(
             week=week, level=level,
-            calendar=calendar_features(start + dt.timedelta(days=i)),
+            calendar=calendar_features(start.toordinal() + i),
             coding=CodingVariables(10.0 ** level, 1.0)))
     return inputs
 

@@ -245,7 +245,6 @@ def model_unroll(model: StackedModel, states: ModelState,
     gradients for any loss of the heads come from :func:`model_backward`.
     """
     tape = Tape()
-    heads = [model_step(model, states, ExtendedInput(
-        inputs.week[t], inputs.level[t], inputs.calendar[t], None), tape)
-        for t in range(len(inputs.week))]
+    heads = [model_step(model, states, inputs[t], tape)
+             for t in range(len(inputs.week))]
     return heads, tape

@@ -4,9 +4,9 @@ An hourly series is turned into overlapping (input, target) pairs: the input
 is the standardized 168-hour week preceding a target day, extended with the
 log10 level and calendar one-hots for that day; the target is the day's 24
 hours encoded with the preceding week's mean and standard deviation.  The same
-coding variables invert the network output back to physical units.  The
-training set is one row table of these pairs, each series' rows together and
-in date order.
+coding variables invert the network output back to physical units.  One
+builder stacks a range of days' inputs, for training and serving; the training
+set is one row table of these pairs, each series' rows together in date order.
 """
 
 from __future__ import annotations
@@ -19,17 +19,19 @@ import numpy as np
 from .errors import (
     ConstantWeekError,
     IncompleteHistoryError,
-    NonPositiveLevelError,
     NoTrainableSamplesError,
 )
 
 HOURS_PER_DAY = 24
 HOURS_PER_WEEK = 168
-#: weeks with population std below this carry no usable shape and are rejected
+#: a week has a usable spread, and so an input, when its population std is
+#: at least this and finite (the squares of loads near 1e154 overflow)
 STD_FLOOR = 1e-6
 #: raw extended-input length: 168 + 1 + 7 + 31 + 52
 CALENDAR_SIZE = 7 + 31 + 52
 EXTENDED_INPUT_SIZE = HOURS_PER_WEEK + 1 + CALENDAR_SIZE
+#: day ordinal of 1970-01-01, day 0 of ``datetime64[D]``
+_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,19 @@ class HourlySeries:
         """Timestamp of the last stored hour."""
         return self.timestamp(len(self) - 1)
 
-    def day_start_index(self, day: dt.date) -> int:
-        """Index of ``day`` 00:00 within the series (may be out of range)."""
-        delta = dt.datetime.combine(day, dt.time()) - self.start
-        hours = delta / dt.timedelta(hours=1)
-        if hours != int(hours):
-            raise ValueError("series does not start on a whole hour boundary")
-        return int(hours)
+    def day_start_index(self, day):
+        """Index of 00:00 of ``day`` within the series (may be out of range);
+        ``day`` is a date, or day ordinals as an int or an int array."""
+        ordinal = day.toordinal() if isinstance(day, dt.date) else day
+        return (ordinal - self.start.toordinal()) * HOURS_PER_DAY - self.start.hour
+
+    def windows(self, starts, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which ``length``-hour windows from hours ``starts`` are stored in
+        full, and those windows stacked."""
+        present = np.concatenate([[0], np.cumsum(~self.missing)])
+        stored = (present[np.clip(starts + length, 0, len(self))]
+                  - present[np.clip(starts, 0, len(self))] == length)
+        return stored, self.values[starts[stored, None] + np.arange(length)]
 
     def window(self, start_index: int, length: int) -> np.ndarray:
         """Return ``length`` hours from ``start_index``; all must be present."""
@@ -94,10 +102,11 @@ class HourlySeries:
 
 @dataclass(frozen=True)
 class CodingVariables:
-    """Mean/std of the historical week, used to encode and decode days."""
+    """Mean/std of the historical week, used to encode and decode days;
+    arrays, one entry per day, for stacked days."""
 
-    week_mean: float
-    week_std: float
+    week_mean: float | np.ndarray
+    week_std: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,8 @@ class ExtendedInput:
     ``week`` is the standardized preceding week, ``level`` the log10 of its
     mean, ``calendar`` the target day's one-hots and ``coding`` the week's
     mean and std.  Days stacked along leading axes (rows of a table, or
-    days by series of a window) share one instance with ``coding`` None.
+    days by series of a window) share one instance; ``coding`` holds their
+    per-day arrays, or is None where no caller decodes.
     """
 
     week: np.ndarray  # (..., 168)
@@ -115,65 +125,93 @@ class ExtendedInput:
     calendar: np.ndarray  # (..., 90): day-of-week, day-of-month, week-of-year
     coding: CodingVariables | None
 
+    def __getitem__(self, rows) -> ExtendedInput:
+        """The stacked days at ``rows``, an index of the leading axes."""
+        coding = self.coding and CodingVariables(self.coding.week_mean[rows],
+                                                 self.coding.week_std[rows])
+        return ExtendedInput(self.week[rows], self.level[rows],
+                             self.calendar[rows], coding)
+
+
+def concat_inputs(inputs) -> ExtendedInput:
+    """Coded inputs of stacked days joined along their first axis."""
+    week, level, calendar, mean, std = (np.concatenate(column) for column in zip(
+        *((e.week, e.level, e.calendar, e.coding.week_mean, e.coding.week_std)
+          for e in inputs)))
+    return ExtendedInput(week, level, calendar, CodingVariables(mean, std))
+
 
 def standardize_week(week) -> tuple[np.ndarray, CodingVariables]:
-    """Standardize a 168-hour window; rejects (near-)constant weeks.
-
-    Uses the population standard deviation so the output has unit variance
-    exactly.
-    """
+    """Standardize 168-hour windows, ``(..., 168)``, with the population
+    std so the output has unit variance exactly.  One week without a usable
+    spread raises :class:`ConstantWeekError`; a stack leaves such rows for
+    the caller to drop."""
     week = np.asarray(week, dtype=np.float64)
-    if week.shape != (HOURS_PER_WEEK,):
+    if week.shape[-1:] != (HOURS_PER_WEEK,):
         raise ValueError(f"weekly window must have {HOURS_PER_WEEK} hours")
     if not np.isfinite(week).all():
         raise ValueError("weekly window contains non-finite values")
-    # np.mean and np.std, spelled out so the deviations are computed once
-    mean = float(week.sum() / HOURS_PER_WEEK)
-    dev = week - mean
-    std = float(np.sqrt((dev * dev).sum() / HOURS_PER_WEEK))
-    if std < STD_FLOOR:
-        raise ConstantWeekError(f"constant week (std {std:.3e} < {STD_FLOOR})")
-    return dev / std, CodingVariables(mean, std)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # np.mean and np.std, spelled out so the deviations are computed once
+        mean = week.sum(axis=-1) / HOURS_PER_WEEK
+        dev = week - mean[..., None]
+        std = np.sqrt((dev * dev).sum(axis=-1) / HOURS_PER_WEEK)
+        if week.ndim == 1 and not STD_FLOOR <= std < np.inf:
+            raise ConstantWeekError(f"no usable spread (std {std:.3e})")
+        return dev / std[..., None], CodingVariables(mean, std)
 
 
 def encode_day(day, coding: CodingVariables) -> np.ndarray:
-    """Encode 24 hourly values with the preceding week's mean/std."""
+    """Encode 24-hour days, ``(..., 24)``, with their preceding weeks'
+    mean/std."""
     day = np.asarray(day, dtype=np.float64)
-    if day.shape != (HOURS_PER_DAY,):
+    if day.shape[-1:] != (HOURS_PER_DAY,):
         raise ValueError(f"daily window must have {HOURS_PER_DAY} hours")
     if not np.isfinite(day).all():
         raise ValueError("daily window contains non-finite values")
-    return (day - coding.week_mean) / coding.week_std
+    mean, std = (np.expand_dims(x, -1) for x in (coding.week_mean, coding.week_std))
+    return (day - mean) / std
 
 
 def decode_day(pattern, coding: CodingVariables) -> np.ndarray:
-    """Invert :func:`encode_day`: map an encoded day back to physical units."""
-    return np.asarray(pattern, dtype=np.float64) * coding.week_std + coding.week_mean
+    """Invert :func:`encode_day`: map encoded days back to physical units."""
+    mean, std = (np.expand_dims(x, -1) for x in (coding.week_mean, coding.week_std))
+    return np.asarray(pattern, dtype=np.float64) * std + mean
 
 
-def calendar_features(day: dt.date) -> np.ndarray:
-    """The 90 calendar one-hots: day-of-week (Monday=0), day-of-month and
-    ISO week-of-year, in blocks of 7, 31 and 52.
-
-    ISO week 53 is folded into slot 52 to fit the 52-slot encoding.
+def calendar_features(days) -> np.ndarray:
+    """The 90 calendar one-hots of day ordinals ``days``, ``(..., 90)``:
+    day-of-week (Monday=0), day-of-month and ISO week-of-year, in blocks of
+    7, 31 and 52.  The ISO week counts from the day of the year of the
+    week's Thursday; week 53 is folded into slot 52.
     """
-    week = min(day.isocalendar()[1], 52)
-    out = np.zeros(CALENDAR_SIZE)
-    out[[day.weekday(), 7 + day.day - 1, 38 + week - 1]] = 1.0
+    weekday = (np.asarray(days) - 1) % 7  # ordinal 1, 0001-01-01, is a Monday
+    date = (np.asarray(days) - _EPOCH).astype("datetime64[D]")
+    thursday = date + (3 - weekday)
+    cols = np.stack([weekday, 7 + (date - date.astype("datetime64[M]")).astype(int),
+                     38 + np.minimum((thursday - thursday.astype("datetime64[Y]"))
+                                     .astype(int) // 7, 51)], axis=-1)
+    out = np.zeros(weekday.shape + (CALENDAR_SIZE,))
+    np.put_along_axis(out, cols, 1.0, axis=-1)
     return out
 
 
-def build_extended_input(series: HourlySeries, target_date: dt.date) -> ExtendedInput:
-    """The network input for ``target_date``, built from its preceding week."""
-    day_start = series.day_start_index(target_date)
-    week_values = series.window(day_start - HOURS_PER_WEEK, HOURS_PER_WEEK)
-    week, coding = standardize_week(week_values)
-    if coding.week_mean <= 0:
-        raise NonPositiveLevelError(
-            f"{series.series_id}: weekly mean {coding.week_mean} is not positive"
-        )
-    return ExtendedInput(week, float(np.log10(coding.week_mean)),
-                         calendar_features(target_date), coding)
+def build_extended_input(series: HourlySeries, first: int, last: int
+                         ) -> tuple[np.ndarray, ExtendedInput]:
+    """The ordinals of the days from ordinal ``first`` to ``last`` whose
+    preceding week is stored and has a usable spread, and their stacked
+    input."""
+    days = np.arange(max(first, series.start.toordinal()),
+                     min(last, series.end.toordinal() + 1) + 1)
+    stored, weeks = series.windows(series.day_start_index(days)
+                                   - HOURS_PER_WEEK, HOURS_PER_WEEK)
+    days = days[stored]
+    week, coding = standardize_week(weeks)
+    keep = (STD_FLOOR <= coding.week_std) & (coding.week_std < np.inf)
+    mean, std = coding.week_mean[keep], coding.week_std[keep]
+    return days[keep], ExtendedInput(week[keep], np.log10(mean),
+                                     calendar_features(days[keep]),
+                                     CodingVariables(mean, std))
 
 
 @dataclass(frozen=True)
@@ -187,7 +225,7 @@ class TrainingSet:
 
     series_id: np.ndarray  # (N,) str
     date: np.ndarray  # (N,) datetime64[D]
-    input: ExtendedInput  # week (N, 168), level (N,), calendar (N, 90)
+    input: ExtendedInput  # week (N, 168), level, calendar (N, 90), coding
     target: np.ndarray  # (N, 24)
 
     def __len__(self) -> int:
@@ -198,23 +236,9 @@ class TrainingSet:
         return np.unique(self.series_id).tolist()
 
 
-def candidate_target_dates(series: HourlySeries, train_range=None) -> list[dt.date]:
-    """All dates whose 168h input + 24h target windows fit in the series.
-
-    Works in day ordinals, so a series may end on the last day of the
-    calendar."""
-    start, end = series.start, series.end
-    first = start.toordinal() + (start.time() != dt.time()) + 7
-    last = end.toordinal() - (end.hour != 23)
-    if train_range is not None:
-        first = max(first, train_range[0].toordinal())
-        last = min(last, train_range[1].toordinal())
-    return [dt.date.fromordinal(day) for day in range(first, last + 1)]
-
-
 def build_training_set(series_list, train_range=None) -> TrainingSet:
     """The row table of every series' buildable days, in ``series_list``
-    order; days whose input or target windows touch gaps are left out.
+    order: days with an input whose target day is fully stored.
 
     ``train_range`` is an inclusive (first_date, last_date) pair of target
     dates, or None for the full history.  Series ids must be unique.
@@ -222,24 +246,19 @@ def build_training_set(series_list, train_range=None) -> TrainingSet:
     series_list = list(series_list)
     if len({series.series_id for series in series_list}) < len(series_list):
         raise ValueError("series ids must be unique")
-    ids, dates, inputs, targets = [], [], [], []
+    first, last = ((1, dt.date.max.toordinal()) if train_range is None
+                   else (day.toordinal() for day in train_range))
+    ids, days, inputs, targets = [], [], [], []
     for series in series_list:
-        for day in candidate_target_dates(series, train_range):
-            try:
-                ext = build_extended_input(series, day)
-                target = encode_day(series.window(
-                    series.day_start_index(day), HOURS_PER_DAY), ext.coding)
-            except (IncompleteHistoryError, ConstantWeekError, NonPositiveLevelError):
-                continue
-            ids.append(series.series_id)
-            dates.append(day)
-            inputs.append(ext)
-            targets.append(target)
+        day, ext = build_extended_input(series, first, last)
+        stored, target = series.windows(series.day_start_index(day),
+                                        HOURS_PER_DAY)
+        ids += [series.series_id] * len(target)
+        days.append(day[stored])
+        inputs.append(ext[stored])
+        targets.append(encode_day(target, inputs[-1].coding))
     if not ids:
         raise NoTrainableSamplesError("no trainable samples in the given range")
     return TrainingSet(
-        np.array(ids), np.array(dates, dtype="datetime64[D]"),
-        ExtendedInput(np.array([ext.week for ext in inputs]),
-                      np.array([ext.level for ext in inputs]),
-                      np.array([ext.calendar for ext in inputs]), None),
-        np.array(targets))
+        np.array(ids), (np.concatenate(days) - _EPOCH).astype("datetime64[D]"),
+        concat_inputs(inputs), np.concatenate(targets))

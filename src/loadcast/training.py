@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    LoadcastError,
     NoTrainableSamplesError,
     TrainingDivergedError,
 )
@@ -41,12 +40,14 @@ from .network import (
     model_unroll,
 )
 from .preprocess import (
+    HOURS_PER_WEEK,
     CodingVariables,
-    ExtendedInput,
     HourlySeries,
     TrainingSet,
     build_extended_input,
+    concat_inputs,
     decode_day,
+    standardize_week,
 )
 
 #: days of history unrolled before a forecast when available
@@ -197,16 +198,20 @@ class EnsembleModel:
         return self.members[0].config
 
 
+def stretches(key, day):
+    """The ``(lo, hi)`` row range arrays of the runs of rows of one ``key``
+    whose ``day`` steps by one day; rows are in key, then day order."""
+    cuts = np.flatnonzero((key[1:] != key[:-1]) | (np.diff(day) != 1)) + 1
+    return np.r_[0, cuts], np.r_[cuts, len(key)]
+
+
 def series_windows(data: TrainingSet, window_days: int) -> dict:
     """Each series' non-overlapping truncation windows, as ``(lo, hi,
-    fresh)`` row ranges of ``data``.  A contiguous stretch ends where the
-    series changes or the next row is not the next day; ``fresh`` flags a
-    window that opens one (cold state)."""
-    cuts = (np.flatnonzero((data.series_id[1:] != data.series_id[:-1])
-                           | (np.diff(data.date) != np.timedelta64(1, "D")))
-            + 1).tolist()
+    fresh)`` row ranges of ``data``, cut from its contiguous stretches;
+    ``fresh`` flags a window that opens one (cold state)."""
     out = {}
-    for lo, hi in zip([0, *cuts], [*cuts, len(data)]):
+    for lo, hi in zip(*(x.tolist() for x in stretches(data.series_id,
+                                                       data.date))):
         out.setdefault(str(data.series_id[lo]), []).extend(
             (i, min(i + window_days, hi), i == lo)
             for i in range(lo, hi, window_days))
@@ -234,9 +239,7 @@ def _window_group_update(model, optimizer, data, ranges, states, lr,
     lo, hi = np.array(ranges).T
     n, t = hi - lo, np.arange(max(hi - lo))
     rows = lo + np.minimum.outer(t, n - 1)
-    inputs = ExtendedInput(data.input.week[rows], data.input.level[rows],
-                           data.input.calendar[rows], None)
-    outputs, tape = model_unroll(model, states, inputs)
+    outputs, tape = model_unroll(model, states, data.input[rows])
     # the real (series, day) pairs, series by series; padded days get none
     series, days = np.nonzero(t < n[:, None])
     heads = np.stack(outputs)[days, series]
@@ -315,40 +318,20 @@ def train_ensemble(data: TrainingSet, config: ModelConfig,
 # -- forecasting -----------------------------------------------------------
 
 
-def _serving_days(series: HourlySeries, first: int, last: int,
-                  warmup_days: int) -> list:
-    """``(ordinal, input)`` of the buildable days of ``series`` from day
-    ordinal ``first`` to ``last``, after the warm-up: when ``first`` is
-    buildable, up to ``warmup_days`` days walked back until one is not."""
-    def built(day):
-        try:
-            return build_extended_input(series, dt.date.fromordinal(day))
-        except LoadcastError:
-            return None
-
-    days = [(d, ext) for d in range(first, last + 1)
-            if (ext := built(d)) is not None]
-    if days and days[0][0] == first:
-        for d in range(first - 1, max(first - 1 - warmup_days, 0), -1):
-            if (ext := built(d)) is None:
-                break
-            days.insert(0, (d, ext))
-    return days
-
-
 def forecast(ensemble: EnsembleModel, series: HourlySeries,
              target_date: dt.date, *, warmup_days: int = WARMUP_DAYS,
              label: str | None = None) -> ForecastRecord:
     """Member-mean day-ahead forecast in MW: the one-day case of
     :func:`forecast_range`.
 
-    Raises the input builder's :class:`LoadcastError` when ``target_date``
-    has no input.
+    Raises :class:`IncompleteHistoryError` or :class:`ConstantWeekError`
+    when ``target_date`` has no input.
     """
     records = forecast_range(ensemble, series, target_date, target_date,
                              warmup_days=warmup_days, label=label)
-    if not records:
-        build_extended_input(series, target_date)  # raises why it was skipped
+    if not records:  # raise why the day was skipped
+        start = series.day_start_index(target_date) - HOURS_PER_WEEK
+        standardize_week(series.window(start, HOURS_PER_WEEK))
     return records[0]
 
 
@@ -359,12 +342,12 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
     date range, of one :class:`HourlySeries` or of each of a sequence, in
     series order, then date order.
 
-    Stretches are rows: each run of buildable days, the one holding
-    ``first_date`` starting up to ``warmup_days`` days earlier (fewer when
-    history runs out), is one row of a batch from t = 0, a short one
-    repeating its last day as training pads its windows.  Each member steps
-    the batch from a cold state, one evaluation step per day; the days are
-    decoded with their own coding and the members averaged in MW.
+    Stretches are rows: each run of buildable days from ``warmup_days``
+    days before ``first_date`` on, less those ending before ``first_date``,
+    is one row of a batch from t = 0 (its days before ``first_date`` warm
+    up), a short row repeating its last day as training pads its windows.
+    Each member steps the batch from a cold state, one evaluation step per
+    day; the days are decoded with their coding, members averaged in MW.
     """
     if last_date < first_date:
         raise ValueError("empty date range")
@@ -372,31 +355,33 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
         label = ensemble.config.cell_variant
     series = [series] if isinstance(series, HourlySeries) else list(series)
     first = first_date.toordinal()
-    table = [(i, day, ext) for i, s in enumerate(series)
-             for day, ext in _serving_days(s, first, last_date.toordinal(),
-                                           warmup_days)]
-    if not table:
+    built = [build_extended_input(s, max(first - warmup_days, 1),
+                                  last_date.toordinal()) for s in series]
+    index = np.repeat(np.arange(len(series)), [len(d) for d, _ in built])
+    if not len(index):
         return []
-    index, day, ext = (np.array(col) for col in zip(*table))
-    cuts = np.flatnonzero((np.diff(index) != 0) | (np.diff(day) != 1)) + 1
-    lo, hi = np.r_[0, cuts], np.r_[cuts, len(table)]
+    day = np.concatenate([d for d, _ in built])
+    ext = concat_inputs([e for _, e in built])
+    lo, hi = stretches(index, day)
+    lo, hi = lo[day[hi - 1] >= first], hi[day[hi - 1] >= first]
+    if not len(lo):
+        return []
     rows = lo + np.minimum.outer(np.arange(max(hi - lo)), hi - lo - 1)
-    week, level, calendar = (np.array([getattr(e, k) for e in ext])[rows]
-                             for k in ("week", "level", "calendar"))
-    # each forecast day's (b, t) in the batch, and its coding
-    keep = day >= first
-    b, t = (x[keep] for x in np.nonzero(np.arange(len(rows))
-                                        < (hi - lo)[:, None]))
-    mean, std = np.array([(e.coding.week_mean, e.coding.week_std)
-                          for e in ext[keep]]).T[..., None, None]
+    # each forecast day's (b, t) in the batch, and its row of ``ext``
+    b, t = np.nonzero((np.arange(len(rows)) < (hi - lo)[:, None])
+                      & (day[rows.T] >= first))
+    src = rows[t, b]
+    inputs = ext[rows]
+    coding = CodingVariables(ext.coding.week_mean[src],
+                             ext.coding.week_std[src])
     decoded = []
     for member in ensemble.members:
         state = model_new_state(member)
-        heads = np.stack([model_step(member, state, ExtendedInput(
-            week[k], level[k], calendar[k], None)) for k in range(len(rows))])
-        decoded.append(decode_day(heads[t, b].reshape(len(t), 3, -1),
-                                  CodingVariables(mean, std)))
-    point, lower, upper = np.moveaxis(np.mean(decoded, axis=0), 1, 0)
+        heads = np.stack([model_step(member, state, inputs[k])
+                          for k in range(len(rows))])
+        decoded.append(decode_day(np.moveaxis(
+            heads[t, b].reshape(len(t), 3, -1), 1, 0), coding))
+    point, lower, upper = np.mean(decoded, axis=0)
     return [ForecastRecord(series[i].series_id, dt.date.fromordinal(d), *f,
                            model=label) for i, d, *f in zip(
-                index[keep].tolist(), day[keep].tolist(), point, lower, upper)]
+                index[src].tolist(), day[src].tolist(), point, lower, upper)]

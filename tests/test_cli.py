@@ -14,6 +14,7 @@ from loadcast.cli import build_parser, main
 from loadcast.dataset import DatasetStore, ingest_csv, load_store, save_store
 from loadcast.errors import ModelFileError
 from loadcast.evaluation import TABLE1_COLUMNS, TABLE2_COLUMNS
+from loadcast.preprocess import HourlySeries
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +362,24 @@ def test_store_ending_on_the_last_calendar_day_trains_and_forecasts(
                  "--csv", str(tmp_path / "f.csv")]) == 0
     err = capsys.readouterr().err
     assert "synth1: 7 days" in err and "Traceback" not in err
+
+
+def test_overflowing_loads_are_a_clean_error(workspace, tmp_path, capsys):
+    # loads this large are finite and ingest, but their weeks' squared
+    # deviations overflow, so no day has a usable input
+    synth = load_store(workspace["store"]).get("synth1")
+    huge = DatasetStore({"synth1": HourlySeries(
+        "synth1", synth.start, synth.values[:20 * 24] * 1e156,
+        synth.missing[:20 * 24])})
+    store = str(tmp_path / "huge.store")
+    save_store(store, huge)
+    assert main(["forecast", "--store", store, "--model", workspace["model"],
+                 "--series", "synth1", "--dates", "2015-01-10:2015-01-20"]) == 1
+    assert main(["train", "--store", store, "--out", str(tmp_path / "m"),
+                 "--config", workspace["config"]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_model_bytes_at_one_and_two_blas_threads(workspace, tmp_path,

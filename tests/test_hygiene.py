@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import goes unused, and every function
-the benchmark's tracer rebinds exists, with the parameters it binds.
+"""Source hygiene: no module-level import goes unused, every function the
+benchmark's tracer rebinds exists, with the parameters it binds, and fires
+where it must in a tiny traced run of each workload.
 
 A stdlib ``ast`` scan standing in for a linter.  Package ``__init__.py``
 files are skipped, since their imports are re-exports; instead the package's
@@ -8,7 +9,10 @@ files are skipped, since their imports are re-exports; instead the package's
 
 import ast
 import inspect
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,15 @@ def test_forecast_range_keeps_the_signature_the_tracer_binds():
     kinds = [p.kind for p in params.values()]
     assert kinds[:4] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 4
     assert set(kinds[4:]) <= {inspect.Parameter.KEYWORD_ONLY}
+
+
+@pytest.mark.parametrize("workload", ["train-desk", "train-full", "evaluate"])
+def test_tiny_traced_benchmark_run_is_correct(workload):
+    # a hook that stops firing, or a failed output check, marks the run
+    # incorrect; the last line of its output is the result object
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "0", "--trace", "1", "--tiny"],
+        capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), run.stderr

@@ -19,7 +19,6 @@ from loadcast.preprocess import (
     build_extended_input,
     build_training_set,
     calendar_features,
-    candidate_target_dates,
     decode_day,
     encode_day,
     standardize_week,
@@ -91,6 +90,26 @@ def test_standardized_weeks_have_zero_mean_unit_std():
         assert abs(np.std(pattern) - 1.0) < 1e-9
 
 
+def test_stacked_weeks_equal_one_week_at_a_time():
+    rng = np.random.default_rng(7)
+    weeks = rng.uniform(50, 5000, (6, 1)) + rng.normal(0, 40, (6, 168))
+    weeks[2] = 300.0  # a constant row comes back unusable, not raised
+    weeks[4] *= 1e160  # its deviations' squares overflow
+    pattern, coding = standardize_week(weeks)
+    assert coding.week_std[2] == 0.0 and coding.week_std[4] == np.inf
+    for i in (0, 1, 3, 5):
+        one, one_coding = standardize_week(weeks[i])
+        np.testing.assert_array_equal(pattern[i], one)
+        assert coding.week_mean[i] == one_coding.week_mean
+        assert coding.week_std[i] == one_coding.week_std
+
+
+def test_overflowing_week_has_no_usable_spread():
+    week = np.tile([1e160, 2e160], 84)
+    with pytest.raises(ConstantWeekError, match="no usable spread"):
+        standardize_week(week)
+
+
 def test_wrong_length_and_nonfinite_rejected():
     with pytest.raises(ValueError):
         standardize_week(np.ones(24))
@@ -145,10 +164,16 @@ def test_encode_rejects_nonfinite():
 # -- extended inputs -------------------------------------------------------
 
 
+def one_day(series, day):
+    """The built input of ``day`` alone, as 1-d arrays, or None."""
+    days, ext = build_extended_input(series, day.toordinal(), day.toordinal())
+    return ext[0] if len(days) else None
+
+
 def test_monday_one_hot_and_length():
     series = make_series(16 * 24)
     target = MONDAY + dt.timedelta(days=7)  # also a Monday
-    ext = build_extended_input(series, target)
+    ext = one_day(series, target)
     dow, dom, woy = ext.calendar[:7], ext.calendar[7:38], ext.calendar[38:]
     assert dow[0] == 1.0 and dow.sum() == 1.0
     assert dom.sum() == 1.0 and woy.sum() == 1.0
@@ -157,9 +182,28 @@ def test_monday_one_hot_and_length():
 
 
 def test_calendar_one_hot_layout():
-    cal = calendar_features(dt.date(2024, 5, 15))  # Wednesday, day 15, ISO week 20
+    # Wednesday, day 15, ISO week 20
+    cal = calendar_features(dt.date(2024, 5, 15).toordinal())
     assert cal.shape == (90,)
     np.testing.assert_array_equal(np.flatnonzero(cal), [2, 7 + 14, 38 + 19])
+
+
+def iso_columns(day):
+    return [day.weekday(), 7 + day.day - 1,
+            38 + min(day.isocalendar()[1], 52) - 1]
+
+
+@pytest.mark.parametrize("first, last", [
+    (dt.date(1, 1, 1), dt.date(3, 12, 31)),
+    (dt.date(1999, 1, 1), dt.date(2030, 12, 31)),
+    (dt.date(9996, 1, 1), dt.date(9999, 12, 31)),
+])
+def test_calendar_matches_isocalendar_on_every_day(first, last):
+    days = np.arange(first.toordinal(), last.toordinal() + 1)
+    rows, cols = np.nonzero(calendar_features(days))
+    np.testing.assert_array_equal(rows, np.repeat(np.arange(len(days)), 3))
+    np.testing.assert_array_equal(cols.reshape(-1, 3), [
+        iso_columns(dt.date.fromordinal(int(o))) for o in days])
 
 
 def test_level_is_log10_of_week_mean():
@@ -168,22 +212,27 @@ def test_level_is_log10_of_week_mean():
     mean = values[:168].mean()
     series = HourlySeries("s", dt.datetime.combine(MONDAY, dt.time()), values,
                           np.zeros(192, dtype=bool))
-    ext = build_extended_input(series, MONDAY + dt.timedelta(days=7))
+    ext = one_day(series, MONDAY + dt.timedelta(days=7))
     assert ext.level == pytest.approx(np.log10(mean), rel=1e-12)
 
 
 def test_week53_folds_into_last_slot():
     # 2020-12-31 falls in ISO week 53
-    woy = calendar_features(dt.date(2020, 12, 31))[38:]
+    woy = calendar_features(dt.date(2020, 12, 31).toordinal())[38:]
     assert woy[51] == 1.0 and woy.sum() == 1.0
 
 
 def test_missing_history_rejected():
     series = make_series(16 * 24, missing_hours=[30])
-    with pytest.raises(IncompleteHistoryError):
-        build_extended_input(series, MONDAY + dt.timedelta(days=7))
-    with pytest.raises(IncompleteHistoryError):
-        build_extended_input(series, MONDAY)  # no week of history at all
+    assert one_day(series, MONDAY + dt.timedelta(days=7)) is None
+    assert one_day(series, MONDAY) is None  # no week of history at all
+    days, ext = build_extended_input(series, MONDAY.toordinal(),
+                                     (MONDAY + dt.timedelta(days=16)).toordinal())
+    # Jan 10 is the first day whose week starts past hour 30 (Jan 2 06:00),
+    # and Jan 17 the day after the last stored hour
+    assert days.tolist() == [(MONDAY + dt.timedelta(days=k)).toordinal()
+                             for k in range(9, 17)]
+    assert ext.week.shape == (8, 168) and ext.coding.week_mean.shape == (8,)
 
 
 # -- training-set assembly -------------------------------------------------
@@ -239,37 +288,85 @@ def test_samples_store_consistent_coding():
     series = make_series(10 * 24)
     ts = build_training_set([series])
     day = ts.date[0].item()
-    decoded = decode_day(ts.target[0], build_extended_input(series, day).coding)
+    decoded = decode_day(ts.target[0], ts.input[0].coding)
     start = series.day_start_index(day)
     np.testing.assert_allclose(decoded, series.values[start : start + 24], rtol=1e-12)
 
 
-def test_rows_equal_the_per_day_builders_bitwise():
-    a = make_series(25 * 24, series_id="a", missing_hours=[100, 400], seed=4)
-    b = make_series(18 * 24, series_id="b", seed=5,
-                    start=dt.datetime(2024, 1, 3, 5))
-    ts = build_training_set([a, b])
-    want = []
-    for series in (a, b):
-        for day in candidate_target_dates(series):
-            try:
-                ext = build_extended_input(series, day)
-                target = encode_day(series.window(
-                    series.day_start_index(day), 24), ext.coding)
-            except IncompleteHistoryError:
-                continue
-            want.append((series.series_id, day, ext, target))
-    assert list(zip(ts.series_id.tolist(), ts.date.tolist())) == [
-        (sid, day) for sid, day, _, _ in want]
-    # the gaps leave series a two stretches: Jan 13-16 and Jan 25
-    assert [day.day for sid, day, _, _ in want if sid == "a"] == [
-        13, 14, 15, 16, 25]
-    for i, (_, _, ext, target) in enumerate(want):
-        np.testing.assert_array_equal(ts.input.week[i], ext.week)
-        assert ts.input.level[i] == ext.level
-        np.testing.assert_array_equal(ts.input.calendar[i], ext.calendar)
-        np.testing.assert_array_equal(ts.target[i], target)
-    assert ts.input.coding is None
+def reference_rows(series):
+    """Each training row of ``series`` built alone: a day whose week and
+    target windows are stored in full and whose week has a usable spread."""
+    rows = []
+    for ordinal in range(series.start.toordinal(),
+                         series.end.toordinal() + 1):
+        day = dt.date.fromordinal(ordinal)
+        start = series.day_start_index(day)
+        try:
+            week, coding = standardize_week(series.window(start - 168, 168))
+            target = encode_day(series.window(start, 24), coding)
+        except (IncompleteHistoryError, ConstantWeekError):
+            continue
+        calendar = np.zeros(90)
+        calendar[iso_columns(day)] = 1.0
+        rows.append((series.series_id, day, week, np.log10(coding.week_mean),
+                     calendar, target, coding.week_mean, coding.week_std))
+    return rows
+
+
+@st.composite
+def stores(draw):
+    """Up to three series of 1-40 days: gappy, with a constant or an
+    overflowing week, starting mid-day, ending on the last calendar day or
+    spanning ISO week 53."""
+    out = []
+    for k in range(draw(st.integers(1, 3))):
+        hours = 24 * draw(st.integers(1, 40)) + draw(st.integers(0, 23))
+        anchor = draw(st.sampled_from(["plain", "week53", "end"]))
+        if anchor == "end":
+            start = dt.datetime(9999, 12, 31, 23) - dt.timedelta(hours=hours - 1)
+        else:
+            day = dt.date(2020, 12, 5) if anchor == "week53" else MONDAY
+            start = dt.datetime.combine(day, dt.time(draw(st.integers(0, 23))))
+        series = make_series(hours, series_id=f"s{k}", start=start,
+                             seed=draw(st.integers(0, 2**16)))
+        values, missing = series.values.copy(), series.missing.copy()
+        for _ in range(draw(st.integers(0, 3))):
+            lo = draw(st.integers(0, hours - 1))
+            missing[lo:lo + draw(st.integers(1, 48))] = True
+        for level in draw(st.lists(st.sampled_from([500.0, 1e160]),
+                                   max_size=2)):
+            lo = draw(st.integers(0, hours - 1))
+            values[lo:lo + draw(st.integers(24, 200))] = level
+        values[missing] = np.nan
+        out.append(HourlySeries(series.series_id, start, values, missing))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=stores())
+def test_rows_equal_a_per_row_reference_bitwise(series):
+    want = [row for s in series for row in reference_rows(s)]
+    if not want:
+        with pytest.raises(NoTrainableSamplesError):
+            build_training_set(series)
+        return
+    ts = build_training_set(series)
+    assert ts.series_id.tolist() == [row[0] for row in want]
+    assert ts.date.tolist() == [row[1] for row in want]
+    got = (ts.input.week, ts.input.level, ts.input.calendar, ts.target,
+           ts.input.coding.week_mean, ts.input.coding.week_std)
+    for column, array in enumerate(got, start=2):
+        expected = np.array([row[column] for row in want])
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
+
+
+def test_overflowing_loads_leave_no_trainable_samples():
+    series = make_series(20 * 24)
+    huge = HourlySeries("s", series.start, series.values * 1e160,
+                        series.missing)
+    with pytest.raises(NoTrainableSamplesError):
+        build_training_set([huge])
 
 
 def test_repeated_series_id_rejected():

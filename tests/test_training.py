@@ -369,15 +369,15 @@ def test_decoding_commutes_with_member_average():
 
     start = series.day_start_index(day)
     _, coding = standardize_week(series.window(start - 168, 168))
-    warm = [build_extended_input(series, day - dt.timedelta(days=k))
-            for k in range(5, 0, -1)]
-    ext = build_extended_input(series, day)
+    days, ext = build_extended_input(series, day.toordinal() - 5,
+                                     day.toordinal())
+    assert len(days) == 6
     raw_points = []
     for member in ens.members:
         state = model_new_state(member)
-        for w in warm:
-            model_step(member, state, w)
-        raw_points.append(model_step(member, state, ext)[:HORIZON])
+        for k in range(5):
+            model_step(member, state, ext[k])
+        raw_points.append(model_step(member, state, ext[5])[:HORIZON])
     averaged_then_decoded = decode_day(np.mean(raw_points, axis=0), coding)
     np.testing.assert_allclose(rec.point, averaged_then_decoded,
                                rtol=1e-10, atol=1e-10)
@@ -423,9 +423,9 @@ def test_constant_week_is_skipped_on_the_day_path():
                              dt.date(2024, 1, 21))
     assert [r.target_date.day for r in records] == [16, 17, 20, 21]
     # Jan 20 opens a new stretch: a fresh state with no warm-up, because
-    # the walk back stops at the constant Jan 19
+    # the constant Jan 19 ends the stretch before it
     member = ens.members[0]
-    ext = build_extended_input(flat, dt.date(2024, 1, 20))
+    ext = one_day(flat, dt.date(2024, 1, 20))
     cold = model_step(member, model_new_state(member), ext)
     np.testing.assert_array_equal(records[2].point,
                                   decode_day(cold[:HORIZON], ext.coding))
@@ -458,6 +458,13 @@ def days_from(first, last):
     return [first + dt.timedelta(days=k) for k in range((last - first).days + 1)]
 
 
+def one_day(series, day):
+    """The built input of ``day`` alone, as 1-d arrays."""
+    days, ext = build_extended_input(series, day.toordinal(), day.toordinal())
+    assert days.tolist() == [day.toordinal()]
+    return ext[0]
+
+
 def day_by_day(ens, series, warm, days):
     """The per-day path: each member steps one series' 1-d inputs from a
     cold state over the ``warm`` days, then the ``days``, decoding each of
@@ -466,10 +473,10 @@ def day_by_day(ens, series, warm, days):
     for member in ens.members:
         state = model_new_state(member)
         for day in warm:
-            model_step(member, state, build_extended_input(series, day))
+            model_step(member, state, one_day(series, day))
         out = []
         for day in days:
-            ext = build_extended_input(series, day)
+            ext = one_day(series, day)
             out.append([decode_day(v, ext.coding) for v in
                         model_step(member, state, ext).reshape(3, -1)])
         decoded.append(out)
@@ -490,21 +497,23 @@ def with_missing_days(series, *days):
 
 
 @pytest.fixture
-def built_days(monkeypatch):
-    """The days whose input forecast_range tried to build, in call order."""
+def builder_calls(monkeypatch):
+    """The ``(series_id, first, last)`` ranges forecast_range asked the input
+    builder for, in call order, as dates."""
     from loadcast import training
-    built = []
+    calls = []
 
-    def spy(series, day):
-        built.append(day)
-        return build_extended_input(series, day)
+    def spy(series, first, last):
+        calls.append((series.series_id, dt.date.fromordinal(first),
+                      dt.date.fromordinal(last)))
+        return build_extended_input(series, first, last)
 
     monkeypatch.setattr(training, "build_extended_input", spy)
-    return built
+    return calls
 
 
 @pytest.mark.parametrize("variant", ["adrnn", "gru1", "lstm2", "dlstm"])
-def test_many_series_match_per_series_calls(variant):
+def test_many_series_match_per_series_calls(variant, builder_calls):
     series = [
         with_missing_days(wave_series("a", days=60, noise=2.0, seed=0),
                           dt.date(2024, 1, 20)),
@@ -515,6 +524,7 @@ def test_many_series_match_per_series_calls(variant):
     ens = random_ensemble(variant)
     first, last = dt.date(2024, 1, 15), dt.date(2024, 2, 25)
     batched = forecast_range(ens, series, first, last, label="m")
+    assert [sid for sid, _, _ in builder_calls] == ["a", "b", "c"]
     single = [r for s in series
               for r in forecast_range(ens, s, first, last, label="m")]
     key = [(r.series_id, r.target_date, r.model) for r in batched]
@@ -542,20 +552,22 @@ def test_one_clean_series_is_bitwise_the_day_by_day_path(variant):
                                   day_by_day(ens, series, warm, days))
 
 
-def test_warmup_is_clipped_and_shorter_when_history_runs_out(built_days):
+def test_warmup_is_clipped_and_shorter_when_history_runs_out(builder_calls):
     series = wave_series(days=90, noise=2.0)
     ens = random_ensemble("drnn", members=1)
     first = dt.date(2024, 3, 10)
     forecast_range(ens, series, first, first)
-    assert min(built_days) == first - dt.timedelta(days=WARMUP_DAYS)
-    built_days.clear()
+    assert builder_calls == [
+        ("s1", first - dt.timedelta(days=WARMUP_DAYS), first)]
+    builder_calls.clear()
     forecast_range(ens, series, first, first, warmup_days=5)
-    assert min(built_days) == first - dt.timedelta(days=5)
-    built_days.clear()
-    # the walk back stops at Jan 7, whose week starts before the data
+    assert builder_calls == [("s1", first - dt.timedelta(days=5), first)]
+    builder_calls.clear()
+    # the warm-up starts at Jan 8, the first day with a week of data
     first = dt.date(2024, 1, 20)
     records = forecast_range(ens, series, first, first)
-    assert min(built_days) == dt.date(2024, 1, 7)
+    assert builder_calls == [
+        ("s1", first - dt.timedelta(days=WARMUP_DAYS), first)]
     warm = days_from(dt.date(2024, 1, 8), dt.date(2024, 1, 19))
     np.testing.assert_array_equal(stacked(records),
                                   day_by_day(ens, series, warm, [first]))
@@ -585,7 +597,7 @@ def test_gap_and_constant_week_each_start_a_cold_stretch():
                                atol=0)
 
 
-def test_run_ending_before_the_range_contributes_nothing(built_days):
+def test_run_ending_before_the_range_contributes_nothing(builder_calls):
     # Jan 8-25 is a run inside the warm-up reach, but Jan 26 - Feb 1 read
     # the gap: the range opens on an unbuildable day, so nothing warms up
     series = with_missing_days(wave_series(days=40, noise=2.0),
@@ -595,7 +607,8 @@ def test_run_ending_before_the_range_contributes_nothing(built_days):
     records = forecast_range(ens, series, first, last)
     days = days_from(dt.date(2024, 2, 2), last)
     assert [r.target_date for r in records] == days
-    assert min(built_days) == first
+    assert builder_calls == [
+        ("s1", first - dt.timedelta(days=WARMUP_DAYS), last)]
     np.testing.assert_array_equal(stacked(records),
                                   day_by_day(ens, series, [], days))
 
