@@ -1,8 +1,10 @@
 """Pinball and composite loss against worked values and scalar oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadcast.errors import ConfigError
@@ -112,11 +114,18 @@ def test_grad_at_kink_takes_actual_ge_predicted_branch():
     yhat=st.floats(-1e6, 1e6),
     q=st.floats(0.001, 0.999),
 )
+@example(y=0.0, yhat=5e-324, q=0.5)
 def test_pinball_nonnegative_and_zero_only_at_match(y, yhat, q):
     val = float(pinball(y, yhat, q))
     assert val >= 0.0
     if y != yhat:
-        assert val > 0.0
+        # the product of a nonzero difference and a slope can still round
+        # to 0.0 when its exact value is at most half the smallest
+        # subnormal (0.5 * 5e-324 ties to even, which is zero)
+        d = y - yhat
+        exact = abs(Fraction(d) * Fraction(q if d >= 0 else q - 1.0))
+        half_ulp = Fraction(np.finfo(np.float64).smallest_subnormal) / 2
+        assert (val > 0.0) == (exact > half_ulp)
 
 
 @given(q1=st.floats(0.01, 0.98), dq=st.floats(0.001, 0.01))
