@@ -13,11 +13,11 @@ pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
 h_recent; h_delayed; 1]`` and the cell's stacked gate matrix, and return the
 step's value with its hand-written backward pass.  A step takes one series'
 input vector, or a batch of series as rows (``z @ W.T``), with the state
-values holding one row per series; the matrix's gradient is then one product
-over all the rows of a window.  Cells with dilation read both the most
-recent state and the state from ``d`` steps ago; plain LSTM/GRU run in one
-of two connection variants, fed either by the recent state only or by the
-delayed state only.
+values holding one row per series, the matrix's gradient then being one
+product over a window's rows; matrices with a leading member axis step one
+batch per member.  Cells with dilation read both the most recent state and
+the state from ``d`` steps ago; plain LSTM/GRU run in one of two connection
+variants, fed either by the recent state only or by the delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
@@ -117,7 +117,7 @@ class CellParams:
             self.upper.bind(blocks)
             return
         self.stack = next(blocks)
-        if self.stack.shape != self.block_shapes()[0]:
+        if self.stack.shape[-2:] != self.block_shapes()[0]:
             raise ValueError("stacked gate matrix has the wrong shape")
 
     @property
@@ -348,7 +348,7 @@ def _lstm(params: CellParams, z: np.ndarray, c_prev):
     """LSTM-type gates (forget, input, output, candidate): the raw activation
     ``output * tanh(c)`` and c."""
     n, w = params.cell_size, params.stack
-    pre = z @ w.T
+    pre = z @ w.swapaxes(-1, -2)
     sig = expit(pre[..., :3 * n])
     forget, infl, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])
@@ -374,11 +374,11 @@ def _gru(params: CellParams, z: np.ndarray):
     pairs."""
     i, n, w = params.input_size, params.hidden_size, params.stack
     h = z[..., i:i + n]
-    gates = expit(z @ w[:2 * n].T)
+    gates = expit(z @ w[..., :2 * n, :].swapaxes(-1, -2))
     reset, update = gates[..., :n], gates[..., n:]
     zc = z.copy()
     zc[..., i:i + n] = reset * h
-    cand = np.tanh(zc @ w[2 * n:].T)
+    cand = np.tanh(zc @ w[..., 2 * n:, :].swapaxes(-1, -2))
 
     def back(g):
         dpre_c = g * update * (1.0 - cand * cand)
@@ -402,7 +402,7 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     mixed with the candidate; the raw activation is ``output_gate * c``
     with no tanh."""
     n, w = params.cell_size, params.stack
-    pre = z @ w.T
+    pre = z @ w.swapaxes(-1, -2)
     sig = expit(pre[..., :3 * n])
     fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])

@@ -17,6 +17,7 @@ preset shrinks the network and shortens training for laptop-scale runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
@@ -44,6 +45,8 @@ class RunConfig:
 _SCALARS = {int: ((int,), "an integer"),
             float: ((int, float), "a finite number"),
             str: ((str,), "a string")}
+
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _key(f: Field) -> str:
@@ -74,7 +77,7 @@ def from_json(cls, raw, section: str):
     unknown = sorted(set(raw) - set(names))
     if unknown:
         raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     return cls(**{names[key]: _decode(hints[names[key]], value, key, section)
                   for key, value in raw.items()})
 

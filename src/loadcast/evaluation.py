@@ -17,7 +17,7 @@ import json
 import os
 import typing
 from dataclasses import asdict, dataclass, field, fields
-from itertools import groupby
+from itertools import compress, groupby
 
 import numpy as np
 from scipy import stats
@@ -47,7 +47,7 @@ class ForecastRecord:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (HORIZON,):
                 raise ValueError(f"{name} must hold {HORIZON} hourly values")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
 
@@ -93,6 +93,8 @@ def _table_fields(cls) -> list:
 TABLE1_COLUMNS, TABLE2_COLUMNS = (
     ("Cell type",) + tuple(f.metadata["column"] for f in _table_fields(cls))
     for cls in (PointMetrics, PiMetrics))
+#: the resolved type of each field, which sets how :func:`summarize` merges it
+_METRIC_TYPES = typing.get_type_hints(MetricsReport)
 
 
 def _paired(actual, forecast):
@@ -287,11 +289,14 @@ def sort_records(records) -> list[ForecastRecord]:
 
 def _scored(records, series_by_id: dict[str, HourlySeries]):
     """(record, stored actual) in series and date order, for the records
-    whose day has a complete stored actual."""
-    for rec in sort_records(records):
-        actual = day_actual(series_by_id[rec.series_id], rec.target_date)
-        if actual is not None:
-            yield rec, actual
+    whose day has a complete stored actual: :func:`day_actual` of every
+    record, with one :meth:`HourlySeries.windows` call per series."""
+    for sid, group in groupby(sort_records(records), lambda r: r.series_id):
+        group, series = list(group), series_by_id[sid]
+        days = np.array([r.target_date.toordinal() for r in group])
+        stored, actuals = series.windows(series.day_start_index(days),
+                                         HOURS_PER_DAY)
+        yield from zip(compress(group, stored), actuals)
 
 
 class NoActualsError(ValueError):
@@ -337,7 +342,7 @@ def evaluate_forecasts(records, series_by_id: dict[str, HourlySeries],
 def summarize(reports) -> MetricsReport:
     """Float metrics averaged over ``reports``, integer counts summed."""
     merged = {}
-    for name, tp in typing.get_type_hints(MetricsReport).items():
+    for name, tp in _METRIC_TYPES.items():
         values = [getattr(r, name) for r in reports]
         merged[name] = (int(sum(values)) if tp is int
                         else float(np.mean(values)))

@@ -161,14 +161,28 @@ def model_param_count(config: ModelConfig) -> int:
                for shape in _block_shapes(config, _cell_layouts(config)))
 
 
-def model_allocate(config: ModelConfig) -> StackedModel:
-    """A model for ``config`` whose arrays are allocated but not filled."""
-    cells = _cell_layouts(config)
-    blocks = iter([np.empty(shape) for shape in _block_shapes(config, cells)])
+def _bind(config: ModelConfig, blocks) -> StackedModel:
+    """A model for ``config`` holding ``blocks`` in their stored order."""
+    blocks = iter(blocks)
     embedding = next(blocks)
+    cells = _cell_layouts(config)
     for cell in cells:
         cell.bind(blocks)
     return StackedModel(config, embedding, cells, next(blocks), next(blocks))
+
+
+def model_allocate(config: ModelConfig) -> StackedModel:
+    """A model for ``config`` whose arrays are allocated but not filled."""
+    return _bind(config, [np.empty(shape) for shape in
+                          _block_shapes(config, _cell_layouts(config))])
+
+
+def model_stack(models) -> StackedModel:
+    """A serving view of ``models`` (of one config): every block stacked
+    along a leading member axis, so a step serves an (M, B) batch; the head
+    bias is (M, 1, 72), to broadcast over a member's rows."""
+    *blocks, head_b = (np.stack(b) for b in zip(*(m.blocks() for m in models)))
+    return _bind(models[0].config, blocks + [head_b[:, None]])
 
 
 def model_build(config: ModelConfig, seed=0) -> StackedModel:
@@ -193,7 +207,8 @@ def model_step(model: StackedModel, states: ModelState,
     output (point, lower and upper, 24 standardized hours each) it returns.
 
     ``sample_input`` holds one series' day, or a batch of series as rows
-    (``week`` (B, 168), ``level`` (B,), ``calendar`` (B, 90)).  Each step is
+    (``week`` (B, 168), ``level`` (B,), ``calendar`` (B, 90)); a
+    :func:`model_stack` steps it for each member, (M, B, 72).  Each step is
     recorded on ``tape``'s input, layer and head chains.  Without a tape
     this is an evaluation step: it registers the parameters on a
     forward-only tape of its own and records no step.
@@ -201,9 +216,12 @@ def model_step(model: StackedModel, states: ModelState,
     if tape is None:
         tape = Tape(forward_only=True)
     calendar = sample_input.calendar
-    u1 = np.concatenate([sample_input.week,
-                         np.asarray(sample_input.level)[..., None],
-                         calendar @ model.embedding.T], axis=-1)
+    embedded = calendar @ model.embedding.swapaxes(-1, -2)
+    # filled part by part, so a member axis broadcasts over the day's input
+    u1 = np.empty(embedded.shape[:-1] + (model.config.layer1_input_size,))
+    u1[..., :HOURS_PER_WEEK] = sample_input.week
+    u1[..., HOURS_PER_WEEK] = sample_input.level
+    u1[..., HOURS_PER_WEEK + 1:] = embedded
     tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
                 lambda g: ([(g[..., HOURS_PER_WEEK + 1:], calendar)], None))
     d1, d2, d3 = model.config.dilations
@@ -211,7 +229,7 @@ def model_step(model: StackedModel, states: ModelState,
     y2 = cell_step(model.cells[1], states.layers[1], y1, d2, tape) + y1
     y3 = cell_step(model.cells[2], states.layers[2], y2, d3, tape) + y2
     w = model.head_w
-    head = y3 @ w.T + model.head_b
+    head = y3 @ w.swapaxes(-1, -2) + model.head_b
     tape.record(HEAD, head.shape, (0, HEAD_SIZE), (), (w, model.head_b),
                 lambda g: ([(g, y3)], g if g.ndim == 1 else g.sum(axis=0),
                            g @ w))

@@ -134,4 +134,7 @@ def load_ensemble(path):
                                      offset).reshape(arr.shape)
             offset += arr.size * 8
         members.append(model)
-    return EnsembleModel(tuple(members)), metadata
+    try:
+        return EnsembleModel(tuple(members)), metadata
+    except ConfigError as exc:
+        raise ModelFileError(f"bad members in model header: {exc}") from None

@@ -12,8 +12,8 @@ padded to the group's longest with zero loss weight.  Hidden state carries
 across windows of the same contiguous stretch, but each window records on a
 fresh tape, so gradients never reach past a window boundary.  Ensembling
 trains one member per seed.  Serving batches the same way, stretches as
-rows: each run of buildable days of every series is one row, and members
-average their forecasts in megawatt space after decoding.
+rows: each run of buildable days of every series is one row, stepped by
+every member at once; members average their forecasts in MW after decoding.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .network import (
     model_backward,
     model_build,
     model_new_state,
+    model_stack,
     model_step,
     model_unroll,
 )
@@ -192,6 +193,8 @@ class EnsembleModel:
         if not self.members:
             raise ConfigError("ensemble needs at least one member")
         object.__setattr__(self, "members", tuple(self.members))
+        if any(m.config != self.members[0].config for m in self.members):
+            raise ConfigError("ensemble members must share one model config")
 
     @property
     def config(self) -> ModelConfig:
@@ -346,8 +349,8 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
     days before ``first_date`` on, less those ending before ``first_date``,
     is one row of a batch from t = 0 (its days before ``first_date`` warm
     up), a short row repeating its last day as training pads its windows.
-    Each member steps the batch from a cold state, one evaluation step per
-    day; the days are decoded with their coding, members averaged in MW.
+    The stacked members step the batch from a cold state, one evaluation step
+    per day; the days are decoded with their coding, members averaged in MW.
     """
     if last_date < first_date:
         raise ValueError("empty date range")
@@ -374,14 +377,12 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
     inputs = ext[rows]
     coding = CodingVariables(ext.coding.week_mean[src],
                              ext.coding.week_std[src])
-    decoded = []
-    for member in ensemble.members:
-        state = model_new_state(member)
-        heads = np.stack([model_step(member, state, inputs[k])
-                          for k in range(len(rows))])
-        decoded.append(decode_day(np.moveaxis(
-            heads[t, b].reshape(len(t), 3, -1), 1, 0), coding))
-    point, lower, upper = np.mean(decoded, axis=0)
+    model = model_stack(ensemble.members)
+    state = model_new_state(model)
+    heads = np.stack([model_step(model, state, inputs[k])
+                      for k in range(len(rows))], axis=1)  # (M, T, B, 72)
+    point, lower, upper = np.mean(decode_day(np.moveaxis(
+        heads[:, t, b].reshape(len(heads), len(t), 3, -1), 2, 1), coding), 0)
     return [ForecastRecord(series[i].series_id, dt.date.fromordinal(d), *f,
                            model=label) for i, d, *f in zip(
                 index[src].tolist(), day[src].tolist(), point, lower, upper)]

@@ -17,6 +17,7 @@ from loadcast.cells import (
     Connection,
     cell_gradient,
     cell_init,
+    cell_layout,
     cell_step,
     new_state,
 )
@@ -457,6 +458,29 @@ def test_dilation_beyond_the_state_is_rejected(kind, kwargs):
     with pytest.raises(ValueError, match="lag 5 outside buffer capacity 2"):
         cell_step(params, state, np.zeros(3), 5)
     assert len(state) == 0
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    (CellKind.LSTM, {"connection": Connection.RECENT_ONLY}),
+    (CellKind.LSTM, {"connection": Connection.DELAYED_ONLY}),
+    (CellKind.GRU, {"connection": Connection.RECENT_ONLY}),
+    (CellKind.GRU, {"connection": Connection.DELAYED_ONLY}),
+    (CellKind.DLSTM, {"out_size": 2}), (CellKind.DRNN, {"out_size": 2}),
+    (CellKind.ADRNN, {"out_size": 2})],
+    ids=["lstm1", "lstm2", "gru1", "gru2", "dlstm", "drnn", "adrnn"])
+def test_one_member_stack_of_one_row_is_the_vector_path_bitwise(kind, kwargs):
+    # serving stacks the members' gate matrices along a leading axis; at
+    # M = 1, B = 1 every step, delayed reads included, is the 1-d step
+    params, state = cell_init(kind, 3, hidden_size=4, dilation=2, seed=11,
+                              **kwargs)
+    stack = cell_layout(kind, 3, 4, **kwargs)
+    stack.bind(block[None] for block in params.blocks())
+    stack_state = new_state(stack, 2)
+    for x in np.random.default_rng(12).normal(size=(5, 3)):
+        y = cell_step(params, state, x, 2)
+        y_stack = cell_step(stack, stack_state, x[None, None], 2)
+        assert y_stack.shape == (1, 1, *y.shape)
+        np.testing.assert_array_equal(y_stack[0, 0], y)
 
 
 @pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.DRNN, CellKind.ADRNN],

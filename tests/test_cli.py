@@ -298,6 +298,22 @@ def test_evaluate_oversized_model_header_exits_1(workspace, tmp_path,
     assert "error: model file truncated" in err and "Traceback" not in err
 
 
+def test_evaluate_mixed_member_configs_exits_1(workspace, tmp_path, capsys):
+    # gru2's arrays have gru1's shapes: only the config tells them apart
+    with open(workspace["model"], "rb") as fh:
+        magic, header, payload = fh.read().split(b"\n", 2)
+    header = json.loads(header)
+    header["members"][1]["config"]["cell_variant"] = "gru2"
+    model = tmp_path / "mixed.model"
+    model.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                  payload]))
+    assert main(["evaluate", "--store", workspace["store"], "--model",
+                 str(model), "--out-dir", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "error: bad members in model header" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("raw", [
     b"series_id,timestamp,load_mw\nx,2024-01-01T00:00:00,5\xff\n",
     b"series_id,timestamp,load_mw\nx,0001-01-01T00:00+01:00,5\n",

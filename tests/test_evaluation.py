@@ -259,6 +259,40 @@ def test_day_actual_and_collect_pairs_skip_incomplete():
                       {"s1": s})
 
 
+def test_scoring_pairs_each_record_with_its_day_actual():
+    # actuals are found with one windows call per series; they must be the
+    # per-record day_actual ones, bit for bit, skipping the same days: holes,
+    # days before a series starts (b starts at 05:00) and days past its end
+    rng = np.random.default_rng(6)
+    start = dt.date(2024, 6, 1)
+    series = {}
+    for sid, hour, holes in (("a", 0, [30, 100, 101]), ("b", 5, [200])):
+        missing = np.zeros(240, dtype=bool)
+        missing[holes] = True
+        values = np.where(missing, np.nan, rng.uniform(50.0, 150.0, 240))
+        series[sid] = HourlySeries(
+            sid, dt.datetime.combine(start, dt.time(hour)), values, missing)
+    records = [ForecastRecord(sid, start + dt.timedelta(days=d),
+                              *rng.uniform(50.0, 150.0, (3, 24)))
+               for sid in ("b", "a") for d in range(12, -3, -1)]
+    pairs = [(r, day_actual(series[r.series_id], r.target_date))
+             for r in evaluation.sort_records(records)]
+    pairs = [(r, a) for r, a in pairs if a is not None]
+    assert len(pairs) == 16  # of 30: 5 before a start, 3 holes, 6 past
+    actual, point, lower, upper = collect_pairs(records, series)
+    np.testing.assert_array_equal(actual, np.concatenate([a for _, a in pairs]))
+    np.testing.assert_array_equal(point,
+                                  np.concatenate([r.point for r, _ in pairs]))
+    dates, losses = daily_loss_series(records, series)
+    by_date = {}
+    for r, a in pairs:
+        by_date.setdefault(r.target_date, []).append(
+            float(np.mean(np.abs(a - r.point))))
+    assert dates == sorted(by_date)
+    np.testing.assert_array_equal(
+        losses, [float(np.mean(by_date[d])) for d in dates])
+
+
 def test_daily_loss_series_averages_across_series():
     start = dt.date(2024, 6, 1)
     s1 = make_series("s1", start, np.full(48, 100.0))

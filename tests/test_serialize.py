@@ -165,6 +165,22 @@ def test_malformed_model_header_rejected(tmp_path, edit):
         load_ensemble(path)
 
 
+def test_members_of_different_configs_rejected(tmp_path):
+    # each member's arrays match its own config, so only the ensemble's one
+    # config rule catches a file mixing gru1 and lstm1 members
+    members = [small_ensemble(members=1, variant=v).members[0]
+               for v in ("gru1", "lstm1")]
+    header = {"format_version": serialize.FORMAT_VERSION,
+              "cell_variant": "gru1",
+              "members": [serialize._member_header(m) for m in members],
+              "recipe": None, "loss": None}
+    path = tmp_path / "mixed.model"
+    serialize.write_file(path, serialize.MAGIC, header,
+                         [arr for m in members for _, arr in m.named_arrays()])
+    with pytest.raises(ModelFileError, match="one model config"):
+        load_ensemble(path)
+
+
 def test_oversized_header_rejected_before_any_allocation(tmp_path,
                                                          monkeypatch):
     path = tmp_path / "m.model"

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from loadcast import training
 from loadcast.errors import ConfigError, ConstantWeekError, TrainingDivergedError
 from loadcast.evaluation import ForecastRecord
 from loadcast.network import (
+    CELL_VARIANTS,
     HORIZON,
     ModelConfig,
     model_build,
@@ -550,6 +552,69 @@ def test_one_clean_series_is_bitwise_the_day_by_day_path(variant):
     assert [r.target_date for r in records] == days
     np.testing.assert_array_equal(stacked(records),
                                   day_by_day(ens, series, warm, days))
+
+
+def gappy_store():
+    """Four series of different lengths and levels, three with gaps; the
+    range below reaches past the end of two of them."""
+    return [
+        with_missing_days(wave_series("a", days=90, noise=2.0, seed=0),
+                          dt.date(2024, 2, 20)),
+        wave_series("b", days=72, noise=2.0, seed=1, base=300.0),
+        with_missing_days(wave_series("c", days=90, noise=2.0, seed=2),
+                          dt.date(2024, 3, 1), dt.date(2024, 3, 12)),
+        with_missing_days(wave_series("d", days=80, noise=2.0, seed=3,
+                                      base=50.0), dt.date(2024, 1, 30)),
+    ]
+
+
+@pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
+@pytest.mark.parametrize("store", ["gappy", "one-clean"])
+def test_stacked_members_are_bitwise_each_member_stepped_alone(
+        variant, store, monkeypatch):
+    series = gappy_store() if store == "gappy" else [
+        wave_series(days=90, noise=2.0)]
+    ens = random_ensemble(variant)
+    first, last = dt.date(2024, 2, 25), dt.date(2024, 3, 31)
+    records = forecast_range(ens, series, first, last)
+    # the reference: the same batch, stepped by each member alone with its
+    # own 2-D weights and decoded, then the members averaged in MW
+    monkeypatch.setattr(training, "model_stack", lambda members: members[0])
+    monkeypatch.setattr(training, "model_step",
+                        lambda *args: model_step(*args)[None])
+    alone = [forecast_range(EnsembleModel((member,)), series, first, last)
+             for member in ens.members]
+    for member_records in alone:
+        assert [(r.series_id, r.target_date) for r in member_records] == [
+            (r.series_id, r.target_date) for r in records]
+    np.testing.assert_array_equal(
+        stacked(records), np.mean([stacked(a) for a in alone], axis=0))
+
+
+def test_one_model_step_per_batch_day_serves_every_member(monkeypatch):
+    calls = []
+
+    def spy(model, states, sample_input, tape=None):
+        calls.append((model.head_w.shape[0], sample_input.week.shape[0]))
+        return model_step(model, states, sample_input, tape)
+
+    monkeypatch.setattr(training, "model_step", spy)
+    ens = random_ensemble("drnn", members=3)
+    first, last = dt.date(2024, 3, 10), dt.date(2024, 3, 20)
+    forecast_range(ens, gappy_store(), first, last)
+    # five stretches hold days of the range (c's gap on Mar 12 splits it);
+    # the longest, b's, runs from Jan 14, 56 days before Mar 10, to Mar 13,
+    # the day after its data ends: 60 days, each one call for 3 members
+    assert calls == [(3, 5)] * 60
+
+
+def test_ensemble_members_must_share_one_config():
+    with pytest.raises(ConfigError, match="one model config"):
+        EnsembleModel((model_build(desk_config("gru1"), seed=0),
+                       model_build(desk_config("lstm1"), seed=1)))
+    with pytest.raises(ConfigError, match="one model config"):
+        EnsembleModel((model_build(desk_config("gru1"), seed=0),
+                       model_build(desk_config("gru2"), seed=1)))
 
 
 def test_warmup_is_clipped_and_shorter_when_history_runs_out(builder_calls):
