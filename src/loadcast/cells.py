@@ -26,6 +26,9 @@ layer.  The attentive cell stacks two merged-gate kernels in one step: the
 first emits a per-component attention vector whose clamped exponential
 rescales the input of the second; the step's value is the two stages'
 values end to end.
+
+:func:`cell_layout` is the one home of the cells' size and connection
+rules, :func:`new_state` of the dilation rule.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ class CellState:
     history read as cold-start zeros."""
 
     def __init__(self, capacity: int):
-        self.capacity = max(1, capacity)
+        self.capacity = capacity
         self.values = deque(maxlen=self.capacity)
 
     def __len__(self) -> int:
@@ -188,7 +191,9 @@ class CellState:
 
 
 def new_state(params: CellParams, dilation: int) -> CellState:
-    """A fresh state for a cell of any kind, sized for ``dilation``."""
+    """A fresh state for a cell of any kind, sized for ``dilation`` >= 1."""
+    if dilation < 1:
+        raise ConfigError("dilation must be >= 1")
     return CellState(dilation)
 
 
@@ -200,40 +205,35 @@ def cell_layout(
     upper_hidden_size: int | None = None,
     connection: Connection | None = None,
 ) -> CellParams:
-    """Validated sizes of a cell, with no parameter arrays bound yet."""
-    if input_size < 1 or hidden_size < 1:
+    """Validated sizes of a cell, with no parameter arrays bound yet: the one
+    home of the size and connection rules.  Output size defaults to hidden
+    size, the only one plain LSTM/GRU take; only adrnn has an upper stage."""
+    plain = kind in (CellKind.LSTM, CellKind.GRU)
+    connection = connection or (Connection.RECENT_ONLY if plain
+                                else Connection.BOTH)
+    out_size = hidden_size if out_size is None else out_size
+    if min(input_size, hidden_size, out_size) < 1:
         raise ConfigError("sizes must be positive")
-    if kind in (CellKind.LSTM, CellKind.GRU):
-        if connection is None:
-            connection = Connection.RECENT_ONLY
-        if connection is Connection.BOTH:
-            raise ConfigError(f"{kind.value} supports recent_only or delayed_only")
-        if out_size is not None and out_size != hidden_size:
-            raise ConfigError(f"{kind.value} output is its hidden state")
-        cell_size = hidden_size if kind is CellKind.LSTM else 0
-        return CellParams(kind, connection, input_size, hidden_size,
-                          hidden_size, cell_size)
-    if kind in _DILATED:
-        if connection not in (None, Connection.BOTH):
-            raise ConfigError(f"{kind.value} uses both recent and delayed connections")
-        if out_size is None or out_size < 1:
-            raise ConfigError(f"{kind.value} needs an output size")
-        return CellParams(kind, Connection.BOTH, input_size, hidden_size,
-                          out_size, hidden_size + out_size)
-    if kind is CellKind.ADRNN:
-        if connection not in (None, Connection.BOTH):
-            raise ConfigError("adrnn uses both recent and delayed connections")
-        if out_size is None or out_size < 1:
-            raise ConfigError("adrnn needs an output size")
-        lower = cell_layout(CellKind.DRNN, input_size, hidden_size,
-                            out_size=input_size)
-        upper = cell_layout(CellKind.DRNN, input_size,
-                            hidden_size if upper_hidden_size is None
-                            else upper_hidden_size, out_size=out_size)
-        return CellParams(CellKind.ADRNN, Connection.BOTH, input_size,
-                          hidden_size, out_size, upper.cell_size,
-                          lower=lower, upper=upper)
-    raise ConfigError(f"unknown cell kind {kind!r}")
+    if plain == (connection is Connection.BOTH):
+        raise ConfigError(f"{kind.value} does not support "
+                          f"{connection.value} connections")
+    if plain and out_size != hidden_size:
+        raise ConfigError(f"{kind.value} emits its hidden state; out_size "
+                          "must match hidden_size")
+    if kind is not CellKind.ADRNN:
+        if upper_hidden_size is not None:
+            raise ConfigError(f"{kind.value} has no upper stage; "
+                              "upper_hidden_size applies to adrnn only")
+        return CellParams(kind, connection, input_size, hidden_size, out_size,
+                          {CellKind.LSTM: hidden_size, CellKind.GRU: 0}.get(
+                              kind, hidden_size + out_size))
+    lower = cell_layout(CellKind.DRNN, input_size, hidden_size,
+                        out_size=input_size)
+    upper = cell_layout(CellKind.DRNN, input_size, hidden_size
+                        if upper_hidden_size is None else upper_hidden_size,
+                        out_size=out_size)
+    return CellParams(kind, connection, input_size, hidden_size, out_size,
+                      upper.cell_size, lower=lower, upper=upper)
 
 
 def init_uniform(named, rng: np.random.Generator):
@@ -265,8 +265,6 @@ def cell_init(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     params = cell_layout(kind, input_size, hidden_size, out_size,
                          upper_hidden_size, connection)
-    if dilation < 1:
-        raise ConfigError("dilation must be >= 1")
     params.bind(np.empty(shape) for shape in params.block_shapes())
     init_uniform(params.named_arrays(), rng)
     return params, new_state(params, dilation)

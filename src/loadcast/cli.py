@@ -15,7 +15,6 @@ import json
 import sys
 import time
 
-from .cells import CellKind
 from .config import load_run_config, preset
 from .dataset import (
     export_csv,
@@ -226,13 +225,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     kind, connection = CELL_VARIANTS[args.cell]
-    out_size = args.out_size
-    if out_size is None and kind not in (CellKind.LSTM, CellKind.GRU):
-        out_size = args.hidden_size
     try:
         report = check_cell(
             kind, args.input_size, args.hidden_size,
-            out_size=out_size, connection=connection,
+            out_size=args.out_size, connection=connection,
             dilation=args.dilation, steps=args.steps, seed=args.seed,
             corrupt_block=args.corrupt)
     except KeyError as exc:  # an unknown --corrupt block

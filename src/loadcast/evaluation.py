@@ -319,13 +319,13 @@ def daily_loss_series(records, series_by_id: dict[str, HourlySeries]):
     Returns (sorted dates, losses) for the predictive-ability test; days
     without any complete actual are dropped.
     """
-    by_date: dict[dt.date, list[float]] = {}
-    for rec, actual in _scored(records, series_by_id):
-        by_date.setdefault(rec.target_date, []).append(
-            float(np.mean(np.abs(actual - rec.point))))
+    pairs = list(_scored(records, series_by_id))
+    errors = np.reshape([a - r.point for r, a in pairs], (-1, HOURS_PER_DAY))
+    by_date: dict[dt.date, list] = {}
+    for (rec, _), loss in zip(pairs, np.abs(errors).mean(axis=1)):
+        by_date.setdefault(rec.target_date, []).append(loss)
     dates = sorted(by_date)
-    losses = np.array([float(np.mean(by_date[d])) for d in dates])
-    return dates, losses
+    return dates, np.array([np.mean(by_date[d]) for d in dates])
 
 
 def evaluate_forecasts(records, series_by_id: dict[str, HourlySeries],

@@ -70,27 +70,13 @@ class ModelConfig:
             raise ConfigError(
                 f"unknown cell variant {self.cell_variant!r}; "
                 f"choose from {sorted(CELL_VARIANTS)}")
-        if self.hidden_size < 1 or self.embed_size < 1:
+        if self.embed_size < 1:
             raise ConfigError("sizes must be positive")
-        if self.out_size is not None and self.out_size < 1:
-            raise ConfigError("sizes must be positive")
-        if self.upper_hidden_size is not None and self.upper_hidden_size < 1:
-            raise ConfigError("sizes must be positive")
-        if len(self.dilations) != 3 or any(d < 1 for d in self.dilations):
-            raise ConfigError("need three positive dilations")
-        kind, _ = CELL_VARIANTS[self.cell_variant]
-        if kind in (CellKind.LSTM, CellKind.GRU):
-            if self.out_size is not None and self.out_size != self.hidden_size:
-                raise ConfigError(
-                    f"{self.cell_variant} emits its hidden state; out_size "
-                    "must match hidden_size")
-        if kind is not CellKind.ADRNN and self.upper_hidden_size is not None:
-            raise ConfigError(f"{self.cell_variant} has no upper stage; "
-                              "upper_hidden_size applies to adrnn only")
-
-    @property
-    def effective_out_size(self) -> int:
-        return self.hidden_size if self.out_size is None else self.out_size
+        if len(self.dilations) != 3:
+            raise ConfigError("need three dilations")
+        # the cells' rules: checked by building each layer's layout and state
+        for cell, dilation in zip(_cell_layouts(self), self.dilations):
+            new_state(cell, dilation)
 
     @property
     def layer1_input_size(self) -> int:
@@ -139,26 +125,27 @@ class ModelState:
 
 def _cell_layouts(config: ModelConfig) -> list[CellParams]:
     kind, connection = CELL_VARIANTS[config.cell_variant]
-    out_size = config.effective_out_size
-    inputs = [config.layer1_input_size] + [out_size] * (len(config.dilations) - 1)
-    return [cell_layout(kind, size, config.hidden_size, out_size=out_size,
-                        upper_hidden_size=config.upper_hidden_size,
-                        connection=connection)
-            for size in inputs]
+    cells, size = [], config.layer1_input_size
+    for _ in config.dilations:
+        cells.append(cell_layout(kind, size, config.hidden_size,
+                                 config.out_size, config.upper_hidden_size,
+                                 connection))
+        size = cells[-1].out_size
+    return cells
 
 
-def _block_shapes(config: ModelConfig, cells: list[CellParams]) -> list:
+def _block_shapes(config: ModelConfig) -> list:
+    cells = _cell_layouts(config)
     shapes = [(config.embed_size, CALENDAR_SIZE)]
     for cell in cells:
         shapes += cell.block_shapes()
-    return shapes + [(HEAD_SIZE, config.effective_out_size), (HEAD_SIZE,)]
+    return shapes + [(HEAD_SIZE, cells[-1].out_size), (HEAD_SIZE,)]
 
 
 def model_param_count(config: ModelConfig) -> int:
     """Number of floats :func:`model_allocate` allocates for ``config``,
     counted without allocating them."""
-    return sum(math.prod(shape)
-               for shape in _block_shapes(config, _cell_layouts(config)))
+    return sum(math.prod(shape) for shape in _block_shapes(config))
 
 
 def _bind(config: ModelConfig, blocks) -> StackedModel:
@@ -173,8 +160,7 @@ def _bind(config: ModelConfig, blocks) -> StackedModel:
 
 def model_allocate(config: ModelConfig) -> StackedModel:
     """A model for ``config`` whose arrays are allocated but not filled."""
-    return _bind(config, [np.empty(shape) for shape in
-                          _block_shapes(config, _cell_layouts(config))])
+    return _bind(config, [np.empty(shape) for shape in _block_shapes(config)])
 
 
 def model_stack(models) -> StackedModel:

@@ -56,6 +56,8 @@ class HourlySeries:
             raise ValueError("values and missing_mask must be equal-length vectors")
         if self.start.minute or self.start.second or self.start.microsecond:
             raise ValueError("series must start on a whole hour")
+        if dt.datetime.max - self.start < dt.timedelta(hours=len(values) - 1):
+            raise ValueError(f"series runs past {dt.datetime.max}")
         present = values[~missing]
         if present.size and (not np.all(np.isfinite(present)) or np.any(present <= 0)):
             raise ValueError("non-missing loads must be finite and strictly positive")

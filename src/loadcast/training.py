@@ -233,18 +233,22 @@ def _group_state(model, states, rows, entries):
     return states
 
 
+def _padded(lo, hi):
+    """Row ranges ``[lo, hi)`` as one batch: (T, B) rows, a short range
+    repeating its last row, and the ``(b, t)`` of the real cells, b by b."""
+    n = hi - lo
+    t = np.arange(max(n))
+    return lo + np.minimum.outer(t, n - 1), *np.nonzero(t < n[:, None])
+
+
 def _window_group_update(model, optimizer, data, ranges, states, lr,
                          clip_norm, loss_config, epoch):
     """One forward/backward/update over the k-th window of each series of a
     group, unrolled as one batch with the series as rows.  ``ranges`` are
     the windows' ``(lo, hi)`` rows of ``data``; a short window repeats its
     last row to the longest's length."""
-    lo, hi = np.array(ranges).T
-    n, t = hi - lo, np.arange(max(hi - lo))
-    rows = lo + np.minimum.outer(t, n - 1)
+    rows, series, days = _padded(*np.array(ranges).T)
     outputs, tape = model_unroll(model, states, data.input[rows])
-    # the real (series, day) pairs, series by series; padded days get none
-    series, days = np.nonzero(t < n[:, None])
     heads = np.stack(outputs)[days, series]
     target = data.target[rows[days, series]]
     point, lower, upper = np.split(heads, 3, axis=-1)
@@ -369,11 +373,10 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
     lo, hi = lo[day[hi - 1] >= first], hi[day[hi - 1] >= first]
     if not len(lo):
         return []
-    rows = lo + np.minimum.outer(np.arange(max(hi - lo)), hi - lo - 1)
-    # each forecast day's (b, t) in the batch, and its row of ``ext``
-    b, t = np.nonzero((np.arange(len(rows)) < (hi - lo)[:, None])
-                      & (day[rows.T] >= first))
+    rows, b, t = _padded(lo, hi)
     src = rows[t, b]
+    # each forecast day's (b, t) in the batch, and its row of ``ext``
+    b, t, src = (x[day[src] >= first] for x in (b, t, src))
     inputs = ext[rows]
     coding = CodingVariables(ext.coding.week_mean[src],
                              ext.coding.week_std[src])

@@ -675,8 +675,8 @@ def test_config_validation():
         cell_init(CellKind.GRU, 3, 4, connection=Connection.BOTH)
     with pytest.raises(ConfigError):
         cell_init(CellKind.LSTM, 3, 4, connection=Connection.BOTH)
-    with pytest.raises(ConfigError):
-        cell_init(CellKind.DLSTM, 3, 4)  # needs an output size
+    params, _ = cell_init(CellKind.DLSTM, 3, 4)  # out_size defaults to hidden
+    assert (params.out_size, params.cell_size) == (4, 8)
     with pytest.raises(ConfigError):
         cell_init(CellKind.DRNN, 3, 4, out_size=2,
                   connection=Connection.RECENT_ONLY)

@@ -10,10 +10,12 @@ import sys
 import pytest
 
 import loadcast
+from loadcast.cells import cell_init
 from loadcast.cli import build_parser, main
 from loadcast.dataset import DatasetStore, ingest_csv, load_store, save_store
-from loadcast.errors import ModelFileError
+from loadcast.errors import ConfigError, ModelFileError
 from loadcast.evaluation import TABLE1_COLUMNS, TABLE2_COLUMNS
+from loadcast.network import CELL_VARIANTS, ModelConfig
 from loadcast.preprocess import HourlySeries
 
 
@@ -242,6 +244,54 @@ def test_gradcheck_pass_and_corrupt_negative_control(capsys):
     assert "FAIL" in out
 
 
+#: (variant, hidden_size, out_size, upper_hidden_size, dilation, accepted)
+SIZE_RULES = [
+    ("lstm1", 5, None, None, 2, True),
+    ("gru2", 5, None, None, 2, True),
+    ("lstm2", 5, 5, None, 2, True),
+    ("lstm1", 5, 7, None, 2, False),
+    ("gru1", 5, 7, None, 2, False),
+    ("dlstm", 5, None, None, 2, True),
+    ("drnn", 5, 3, None, 2, True),
+    ("adrnn", 5, None, 3, 2, True),
+    ("drnn", 5, None, 3, 2, False),
+    ("gru1", 5, None, 5, 2, False),
+    ("gru1", 0, None, None, 2, False),
+    ("drnn", 0, 3, None, 2, False),
+    ("adrnn", 5, 0, None, 2, False),
+    ("adrnn", 5, None, 0, 2, False),
+    ("lstm1", 5, None, None, 0, False),
+    ("dlstm", 5, None, None, 0, False),
+]
+
+
+@pytest.mark.parametrize("variant,hidden,out,upper,dilation,accepted",
+                         SIZE_RULES)
+def test_cell_size_rules_agree_across_entry_points(
+        variant, hidden, out, upper, dilation, accepted, capsys):
+    kind, connection = CELL_VARIANTS[variant]
+    sizes = {"hidden_size": hidden, "out_size": out,
+             "upper_hidden_size": upper}
+    for build in (lambda: ModelConfig(cell_variant=variant, embed_size=2,
+                                      dilations=(dilation, 4, 7), **sizes),
+                  lambda: cell_init(kind, 6, connection=connection,
+                                    dilation=dilation, **sizes)):
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ConfigError):
+                build()
+    if upper is not None:  # gradcheck has no flag for the second stage
+        return
+    argv = ["gradcheck", "--cell", variant, "--hidden-size", str(hidden),
+            "--dilation", str(dilation), "--steps", "2"]
+    if out is not None:
+        argv += ["--out-size", str(out)]
+    assert main(argv) == (0 if accepted else 1)
+    err = capsys.readouterr().err
+    assert ("error:" in err) is not accepted and "Traceback" not in err
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -396,6 +446,29 @@ def test_overflowing_loads_are_a_clean_error(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 2 and "Traceback" not in err
     assert not (tmp_path / "m").exists()
+
+
+def test_store_running_past_the_calendar_is_a_clean_error(workspace,
+                                                          tmp_path, capsys):
+    # 48 hours from 9999-12-31T00:00 end a day past datetime.max
+    synth = load_store(workspace["store"]).get("synth1")
+    store = tmp_path / "late.store"
+    save_store(store, DatasetStore({"a": HourlySeries(
+        "a", synth.start, synth.values[:48], synth.missing[:48])}))
+    magic, header, payload = store.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["series"][0]["start"] = "9999-12-31T00:00:00"
+    store.write_bytes(b"\n".join([magic, json.dumps(header).encode(),
+                                  payload]))
+    for argv in (["export", "--csv", str(tmp_path / "a.csv")],
+                 ["train", "--out", str(tmp_path / "m"),
+                  "--config", workspace["config"]],
+                 ["evaluate", "--model", workspace["model"],
+                  "--out-dir", str(tmp_path / "r")]):
+        assert main([*argv, "--store", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: store series 'a': series runs past") == 3
+    assert "Traceback" not in err
 
 
 def test_model_bytes_at_one_and_two_blas_threads(workspace, tmp_path,

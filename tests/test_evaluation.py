@@ -284,13 +284,46 @@ def test_scoring_pairs_each_record_with_its_day_actual():
     np.testing.assert_array_equal(point,
                                   np.concatenate([r.point for r, _ in pairs]))
     dates, losses = daily_loss_series(records, series)
+    ref_dates, ref_losses = per_record_daily_losses(records, series)
+    assert dates == ref_dates
+    np.testing.assert_array_equal(losses, ref_losses)
+
+
+def per_record_daily_losses(records, series):
+    """Daily losses record by record: each record's MAE against its
+    :func:`day_actual`, then each date's mean over its series in order."""
     by_date = {}
-    for r, a in pairs:
-        by_date.setdefault(r.target_date, []).append(
-            float(np.mean(np.abs(a - r.point))))
-    assert dates == sorted(by_date)
-    np.testing.assert_array_equal(
-        losses, [float(np.mean(by_date[d])) for d in dates])
+    for r in evaluation.sort_records(records):
+        actual = day_actual(series[r.series_id], r.target_date)
+        if actual is not None:
+            by_date.setdefault(r.target_date, []).append(
+                float(np.mean(np.abs(actual - r.point))))
+    dates = sorted(by_date)
+    return dates, [float(np.mean(by_date[d])) for d in dates]
+
+
+def test_daily_losses_match_the_per_record_reference_on_nine_series():
+    # up to nine losses a date: np.mean sums eight or more pairwise, which
+    # rounds differently from a sequential sum (np.bincount's)
+    rng = np.random.default_rng(12)
+    start = dt.date(2024, 6, 1)
+    series, records = {}, []
+    for k in range(9):
+        sid = f"s{k}"
+        missing = rng.random(24 * 30) < 0.004
+        values = np.where(missing, np.nan,
+                          rng.uniform(50.0, 150.0, 24 * 30) * 10.0 ** k)
+        series[sid] = HourlySeries(
+            sid, dt.datetime.combine(start, dt.time(k % 3)), values, missing)
+        records += [ForecastRecord(sid, start + dt.timedelta(days=d),
+                                   *rng.uniform(40.0, 160.0, (3, 24))
+                                   * 10.0 ** k)
+                    for d in rng.permutation(32)[:25].tolist()]
+    rng.shuffle(records)
+    dates, losses = daily_loss_series(records, series)
+    ref_dates, ref_losses = per_record_daily_losses(records, series)
+    assert dates == ref_dates and len(dates) > 20
+    np.testing.assert_array_equal(losses, ref_losses)
 
 
 def test_daily_loss_series_averages_across_series():

@@ -184,7 +184,7 @@ def test_param_count_matches_built_model(variant, sizes):
 
 def test_reference_and_desk_sizes():
     full = model_build(ModelConfig(), seed=0)
-    assert full.config.effective_out_size == 125
+    assert [cell.out_size for cell in full.cells] == [125] * 3
     assert full.cells[0].upper.cell_size == 250  # upper hidden + out
     assert full.cells[1].lower.cell_size == 125 + 125  # hidden + input
     assert full.cells[0].lower.cell_size == 125 + (168 + 1 + 16)
