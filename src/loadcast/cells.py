@@ -7,22 +7,26 @@ parts of its last axis.  A cell step takes and returns plain arrays: it reads
 then its c reads), appends its own value and returns the output y.  Given a
 :class:`~loadcast.tape.Tape`, it also records itself, with the same read
 table, as one step on the chain of its layer's state, so reverse-mode
-gradients through any number of steps come from sweeping that chain.  Three
-pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
-``_drnn``) compute all gate pre-activations with one product of ``[x;
-h_recent; h_delayed; 1]`` and the cell's stacked gate matrix, and return the
-step's value with its hand-written backward pass.  A step takes one series'
-input vector, or a batch of series as rows (``z @ W.T``), with the state
-values holding one row per series, the matrix's gradient then being one
-product over a window's rows; matrices with a leading member axis step one
-batch per member.  Cells with dilation read both the most recent state and
-the state from ``d`` steps ago; plain LSTM/GRU run in one of two connection
-variants, fed either by the recent state only or by the delayed state only.
+gradients through any number of steps come from sweeping that chain.
+
+A step runs one stage function, :func:`_stage`, per gate stack (adrnn has
+two): it reads the stack's parts, builds the gate input ``[x; h_recent;
+h_delayed; 1]`` and runs one of three pure-array kernels (``_lstm`` for LSTM
+and dilated LSTM, ``_gru``, ``_drnn``), which compute all gate
+pre-activations with one product of that input and the stack's gate matrix
+and return the stack's value with its hand-written backward pass.  A step
+takes one series' input vector, or a batch of series as rows (``z @ W.T``),
+with the state values holding one row per series, the matrix's gradient
+then being one product over a window's rows; matrices with a leading member
+axis step one batch per member.  Cells with dilation read both the most
+recent state and the state from ``d`` steps ago; plain LSTM/GRU run in one
+of two connection variants, fed either by the recent state only or by the
+delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
 which feeds the gates of later steps, and an output part that goes to the next
-layer.  The attentive cell stacks two merged-gate kernels in one step: the
+layer.  The attentive cell runs two merged-gate stages in one step: the
 first emits a per-component attention vector whose clamped exponential
 rescales the input of the second; the step's value is the two stages'
 values end to end.
@@ -101,27 +105,28 @@ class CellParams:
     def gate_size(self) -> int:
         return self.cell_size if self.kind in _DILATED else self.hidden_size
 
+    @property
+    def stages(self) -> tuple:
+        """The gate stacks a step runs, in order: the attentive cell's lower
+        and upper stage, the cell itself for every other kind."""
+        return ((self.lower, self.upper) if self.kind is CellKind.ADRNN
+                else (self,))
+
     def block_shapes(self) -> list[tuple[int, int]]:
         """Shapes of the stacked gate matrices, in :meth:`blocks` order."""
-        if self.kind is CellKind.ADRNN:
-            return self.lower.block_shapes() + self.upper.block_shapes()
-        return [(len(GATE_NAMES[self.kind]) * self.gate_size,
-                 self.input_size + _h_reads(self) * self.hidden_size + 1)]
+        return [(len(GATE_NAMES[s.kind]) * s.gate_size,
+                 s.input_size + _h_reads(s) * s.hidden_size + 1)
+                for s in self.stages]
 
     def blocks(self) -> list[np.ndarray]:
-        if self.kind is CellKind.ADRNN:
-            return self.lower.blocks() + self.upper.blocks()
-        return [self.stack]
+        return [stage.stack for stage in self.stages]
 
     def bind(self, blocks):
         """Take the stacked matrices from the iterator ``blocks``."""
-        if self.kind is CellKind.ADRNN:
-            self.lower.bind(blocks)
-            self.upper.bind(blocks)
-            return
-        self.stack = next(blocks)
-        if self.stack.shape[-2:] != self.block_shapes()[0]:
-            raise ValueError("stacked gate matrix has the wrong shape")
+        for stage, shape in zip(self.stages, self.block_shapes()):
+            stage.stack = next(blocks)
+            if stage.stack.shape[-2:] != shape:
+                raise ValueError("stacked gate matrix has the wrong shape")
 
     @property
     def gates(self) -> dict[str, GateBlock]:
@@ -132,18 +137,15 @@ class CellParams:
                      blocks=None) -> list[tuple[str, np.ndarray]]:
         """All learnable arrays in a fixed, deterministic order, as views
         into the stacked matrices, or into ``blocks`` (arrays shaped like
-        :meth:`blocks`, e.g. their gradients) when given."""
+        :meth:`blocks`, e.g. their gradients) when given; two stages are
+        named ``lower.`` and ``upper.``."""
         blocks = iter(self.blocks() if blocks is None else blocks)
-        if self.kind is CellKind.ADRNN:
-            return (self.lower.named_arrays(prefix + "lower.", blocks)
-                    + self.upper.named_arrays(prefix + "upper.", blocks))
+        parts = ("lower.", "upper.") if len(self.stages) > 1 else ("",)
         out = []
-        for name, gate in _gate_views(self, next(blocks)).items():
-            out.append((f"{prefix}{name}.W", gate.W))
-            out.append((f"{prefix}{name}.V", gate.V))
-            if gate.U is not None:
-                out.append((f"{prefix}{name}.U", gate.U))
-            out.append((f"{prefix}{name}.b", gate.b))
+        for stage, part in zip(self.stages, parts):
+            for name, gate in _gate_views(stage, next(blocks)).items():
+                out += [(f"{prefix}{part}{name}.{key}", arr)  # W, V, U, b
+                        for key, arr in vars(gate).items() if arr is not None]
         return out
 
 
@@ -270,12 +272,12 @@ def cell_init(
     return params, new_state(params, dilation)
 
 
-# -- fused steps -----------------------------------------------------------
+# -- steps -----------------------------------------------------------------
 #
-# A kernel maps (params, z, c-states...) to the step's value and a closure
-# mapping the value's adjoint to the stacked matrix's factor pairs, the
-# gradient of z and one gradient per c-state.  A value holds the h-state in
-# ``[:hidden_size]`` and the c-state in ``[cell_size:2 * cell_size]``; an
+# A kernel maps (params, z, c-states...) to its gate stack's value and a
+# closure mapping the value's adjoint to the stacked matrix's factor pairs,
+# the gradient of z and one gradient per c-state.  A value holds the h-state
+# in ``[:hidden_size]`` and the c-state in ``[cell_size:2 * cell_size]``; an
 # attentive step's value is its lower stage's value followed by its upper
 # stage's.
 
@@ -306,21 +308,13 @@ def _reads(params: CellParams, dilation: int, offset: int = 0) -> tuple:
     return params.read_tables[key]
 
 
-def _read_state(params: CellParams, state: CellState, x: np.ndarray,
-                reads: tuple):
-    """The stacked gate input ``[x; h reads; 1]`` of one step and its c
-    reads, fetched by :meth:`CellState.read`."""
-    if x.shape[-1] != params.input_size:
-        raise ValueError(f"input length {x.shape[-1]} != cell input size "
-                         f"{params.input_size}")
-    rows = x.shape[:-1]
-    parts = [state.read(rows, *part) for part in reads]
-    n = _h_reads(params)
-    return np.concatenate([x, *parts[:n], _ones(rows)], axis=-1), parts[n:]
-
-
 def _out_part(params: CellParams) -> tuple:
-    """The ``(lo, hi)`` part of a step's value that is its output y."""
+    """The ``(lo, hi)`` part of a step's value that is its output y: an
+    attentive step's is its upper stage's, after the lower stage's value."""
+    if params.kind is CellKind.ADRNN:
+        split = 2 * params.lower.cell_size
+        lo, hi = _out_part(params.upper)
+        return split + lo, split + hi
     if params.kind in _DILATED:
         return params.hidden_size, params.cell_size
     return 0, params.hidden_size
@@ -333,13 +327,6 @@ def _ones(rows: tuple) -> np.ndarray:
     ones = np.ones((*rows, 1))
     ones.flags.writeable = False
     return ones
-
-
-def _split_input_grad(params: CellParams, dz: np.ndarray) -> list:
-    """Gradients of x and of each h read, cut from the gradient of ``z``."""
-    i, h = params.input_size, params.hidden_size
-    return [dz[..., :i]] + [dz[..., i + k * h:i + (k + 1) * h]
-                            for k in range(_h_reads(params))]
 
 
 def _lstm(params: CellParams, z: np.ndarray, c_prev):
@@ -421,51 +408,54 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     return np.concatenate((out * c, c), axis=-1), back
 
 
-def _fused_step(params: CellParams, state: CellState, x: np.ndarray,
-                dilation: int):
-    """One step of a single-kernel cell: its value, output part, reads,
-    parameter arrays and vjp, as :meth:`Tape.record` takes them."""
-    reads = _reads(params, dilation)
-    z, cs = _read_state(params, state, x, reads)
-    value, back = _KERNELS[params.kind](params, z, *cs)
+def _stage(params: CellParams, state: CellState, x: np.ndarray,
+           dilation: int, offset: int = 0):
+    """One gate stack's step on the value part at ``offset``: its value,
+    its reads and its vjp, whose gradients (the factor pairs, dx, then one
+    per read, h reads first) :meth:`Tape.record` takes; the one builder of
+    the gate input ``[x; h reads; 1]``."""
+    if x.shape[-1] != params.input_size:
+        raise ValueError(f"input length {x.shape[-1]} != cell input size "
+                         f"{params.input_size}")
+    reads, rows = _reads(params, dilation, offset), x.shape[:-1]
+    n = _h_reads(params)
+    parts = [state.read(rows, *part) for part in reads]
+    z = np.concatenate([x, *parts[:n], _ones(rows)], axis=-1)
+    value, back = _KERNELS[params.kind](params, z, *parts[n:])
+    i, h = params.input_size, params.hidden_size
 
     def vjp(g):
         dw, dz, dcs = back(g)
-        return (dw, *_split_input_grad(params, dz), *dcs)
+        return (dw, dz[..., :i],
+                *(dz[..., i + k * h:i + (k + 1) * h] for k in range(n)), *dcs)
 
-    return value, _out_part(params), reads, (params.stack,), vjp
+    return value, reads, vjp
 
 
 def _adrnn_step(params: CellParams, state: CellState, x: np.ndarray,
                 dilation: int):
-    """The same for the attentive cell: the lower stage's output ``a``
-    rescales the input of the upper stage by ``exp(clip(a))``; both stages
-    read their own part of the layer's earlier values."""
-    lower, upper = params.lower, params.upper
+    """The same for the attentive cell, as two stages: the lower stage's
+    output ``a`` rescales the input of the upper stage by ``exp(clip(a))``;
+    both stages read their own part of the layer's earlier values."""
+    lower, upper = params.stages
     split = 2 * lower.cell_size
-    reads_l, reads_u = _reads(lower, dilation), _reads(upper, dilation, split)
-    zl, cl = _read_state(lower, state, x, reads_l)
-    value_l, back_l = _drnn(lower, zl, *cl)
-    attention = value_l[..., lower.hidden_size:lower.cell_size]
+    value_l, reads_l, vjp_l = _stage(lower, state, x, dilation)
+    lo, hi = _out_part(lower)
+    attention = value_l[..., lo:hi]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
     weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
-    zu, cu = _read_state(upper, state, x * weights, reads_u)
-    value_u, back_u = _drnn(upper, zu, *cu)
+    value_u, reads_u, vjp_u = _stage(upper, state, x * weights, dilation,
+                                     split)
 
     def vjp(g):
-        dwu, dzu, dcu = back_u(g[..., split:])
-        dxu = dzu[..., :upper.input_size]
+        dwu, dxu, *dreads_u = vjp_u(g[..., split:])
         gl = g[..., :split].copy()
-        gl[..., lower.hidden_size:lower.cell_size] += dxu * x * weights * inside
-        dwl, dzl, dcl = back_l(gl)
-        return (dwl, dwu, dxu * weights + dzl[..., :lower.input_size],
-                *_split_input_grad(lower, dzl)[1:], *dcl,
-                *_split_input_grad(upper, dzu)[1:], *dcu)
+        gl[..., lo:hi] += dxu * x * weights * inside
+        dwl, dxl, *dreads_l = vjp_l(gl)
+        return dwl, dwu, dxu * weights + dxl, *dreads_l, *dreads_u
 
-    lo, hi = _out_part(upper)
-    return (np.concatenate((value_l, value_u), axis=-1),
-            (split + lo, split + hi), reads_l + reads_u,
-            (lower.stack, upper.stack), vjp)
+    return (np.concatenate((value_l, value_u), axis=-1), reads_l + reads_u,
+            vjp)
 
 
 _KERNELS = {CellKind.LSTM: _lstm, CellKind.GRU: _gru, CellKind.DLSTM: _lstm,
@@ -477,10 +467,11 @@ def cell_step(params: CellParams, state: CellState, x: np.ndarray,
     """One step of any cell kind: reads ``state``, appends the step's value
     to it and returns the output y; recorded on ``tape``, when one is
     given, as a step of the chain of ``state``."""
-    step = _adrnn_step if params.kind is CellKind.ADRNN else _fused_step
-    value, (lo, hi), reads, leaves, vjp = step(params, state, x, dilation)
+    step = _adrnn_step if params.kind is CellKind.ADRNN else _stage
+    value, reads, vjp = step(params, state, x, dilation)
+    lo, hi = _out_part(params)
     if tape is not None:
-        tape.record(state, value.shape, (lo, hi), reads, leaves, vjp)
+        tape.record(state, value.shape, (lo, hi), reads, params.blocks(), vjp)
     state.values.append(value)
     return value[..., lo:hi]
 

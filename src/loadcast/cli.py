@@ -141,10 +141,8 @@ def cmd_train(args) -> int:
 
 def _load_model(path, label=None):
     """(label, ensemble) of a model file; default label: its cell variant."""
-    ensemble, meta = load_ensemble(path)
-    if label is None:
-        label = meta["cell_variant"] or ensemble.config.cell_variant
-    return label, ensemble
+    ensemble, _ = load_ensemble(path)
+    return label or ensemble.config.cell_variant, ensemble
 
 
 def cmd_forecast(args) -> int:

@@ -24,6 +24,7 @@ import typing
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
+from .files import replacing
 from .loss import LossConfig
 from .network import ModelConfig
 from .training import TrainRecipe
@@ -123,7 +124,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def save_run_config(path, config: RunConfig):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         json.dump(to_json(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IngestError, ModelFileError
+from .files import replacing
 from .preprocess import HourlySeries
 from .serialize import read_file, write_file
 
@@ -137,7 +138,8 @@ def ingest_csv(path) -> DatasetStore:
 
 
 def export_csv(store: DatasetStore, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8",
+                                         newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for sid in store.series_ids:

@@ -1,10 +1,10 @@
 """Crash-safe replacement of the files the package writes.
 
-Model and store files, evaluation reports, forecast CSV/JSON and training
-logs are each written to a temporary file beside the target and renamed
-over it once complete, so a reader sees the old file or the new one, never
-a half-written one.  Files written together are renamed only after all of
-them are complete.
+Model and store files, CSV exports, run configs, evaluation reports,
+forecast CSV/JSON and training logs are each written to a temporary file
+beside the target and renamed over it once complete, so a reader sees the
+old file or the new one, never a half-written one.  Files written together
+are renamed only after all of them are complete.
 """
 
 from __future__ import annotations

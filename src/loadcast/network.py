@@ -111,18 +111,6 @@ class StackedModel:
         return out
 
 
-@dataclass
-class ModelState:
-    layers: list[CellState]
-
-    def regroup(self, rows, fresh):
-        """Re-index the rows of a batched state: new row ``i`` is old row
-        ``rows[i]``, or a cold start where ``fresh[i]``."""
-        rows, fresh = np.asarray(rows), np.asarray(fresh, dtype=bool)
-        for layer in self.layers:
-            layer.regroup(rows, fresh)
-
-
 def _cell_layouts(config: ModelConfig) -> list[CellParams]:
     kind, connection = CELL_VARIANTS[config.cell_variant]
     cells, size = [], config.layer1_input_size
@@ -180,12 +168,12 @@ def model_build(config: ModelConfig, seed=0) -> StackedModel:
     return model
 
 
-def model_new_state(model: StackedModel) -> ModelState:
-    return ModelState([new_state(cell, d)
-                       for cell, d in zip(model.cells, model.config.dilations)])
+def model_new_state(model: StackedModel) -> list[CellState]:
+    return [new_state(cell, d)
+            for cell, d in zip(model.cells, model.config.dilations)]
 
 
-def model_step(model: StackedModel, states: ModelState,
+def model_step(model: StackedModel, states: list[CellState],
                sample_input: ExtendedInput, tape: Tape | None = None
                ) -> np.ndarray:
     """One day forward: the input ``[week; level; E calendar]``, three
@@ -211,9 +199,9 @@ def model_step(model: StackedModel, states: ModelState,
     tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
                 lambda g: ([(g[..., HOURS_PER_WEEK + 1:], calendar)], None))
     d1, d2, d3 = model.config.dilations
-    y1 = cell_step(model.cells[0], states.layers[0], u1, d1, tape)
-    y2 = cell_step(model.cells[1], states.layers[1], y1, d2, tape) + y1
-    y3 = cell_step(model.cells[2], states.layers[2], y2, d3, tape) + y2
+    y1 = cell_step(model.cells[0], states[0], u1, d1, tape)
+    y2 = cell_step(model.cells[1], states[1], y1, d2, tape) + y1
+    y3 = cell_step(model.cells[2], states[2], y2, d3, tape) + y2
     w = model.head_w
     head = y3 @ w.swapaxes(-1, -2) + model.head_b
     tape.record(HEAD, head.shape, (0, HEAD_SIZE), (), (w, model.head_b),
@@ -222,7 +210,7 @@ def model_step(model: StackedModel, states: ModelState,
     return head
 
 
-def model_backward(model: StackedModel, states: ModelState, tape: Tape,
+def model_backward(model: StackedModel, states: list[CellState], tape: Tape,
                    head_grads) -> list[np.ndarray]:
     """Gradients of ``sum_t head_grads[t] . head_t`` over the days recorded
     on ``tape`` with ``states``, for :meth:`StackedModel.blocks` in order.
@@ -231,7 +219,7 @@ def model_backward(model: StackedModel, states: ModelState, tape: Tape,
     layer's output adjoint adds what its shortcut sends, then what the layer
     above sends; another order rounds every gradient differently.
     """
-    layer1, layer2, layer3 = states.layers
+    layer1, layer2, layer3 = states
     dy3 = tape.backward(HEAD, head_grads)
     dy2 = [a + b for a, b in zip(dy3, tape.backward(layer3, dy3))]
     dx2 = tape.backward(layer2, dy2)
@@ -239,7 +227,7 @@ def model_backward(model: StackedModel, states: ModelState, tape: Tape,
     return tape.grads(model.blocks())
 
 
-def model_unroll(model: StackedModel, states: ModelState,
+def model_unroll(model: StackedModel, states: list[CellState],
                  inputs: ExtendedInput):
     """Forward over a window of days for the series stacked as rows of
     ``states``: ``inputs`` holds (T, B, ...) arrays, day ``t`` of row ``b``

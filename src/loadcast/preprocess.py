@@ -54,6 +54,8 @@ class HourlySeries:
         object.__setattr__(self, "missing", missing)
         if values.shape != missing.shape or values.ndim != 1:
             raise ValueError("values and missing_mask must be equal-length vectors")
+        if self.start.tzinfo is not None:
+            raise ValueError("series start must be a naive UTC time")
         if self.start.minute or self.start.second or self.start.microsecond:
             raise ValueError("series must start on a whole hour")
         if dt.datetime.max - self.start < dt.timedelta(hours=len(values) - 1):

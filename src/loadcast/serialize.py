@@ -105,8 +105,6 @@ def load_ensemble(path):
         raise ModelFileError(
             "model header needs a non-empty list of members, each with a "
             "config object and a list of [name, shape] arrays")
-    if not isinstance(header.get("cell_variant"), (str, type(None))):
-        raise ModelFileError("model header cell_variant must be a string")
     try:
         configs = [from_json(ModelConfig, entry["config"], "model")
                    for entry in entries]
@@ -116,12 +114,17 @@ def load_ensemble(path):
             metadata[key] = None if raw is None else from_json(cls, raw, key)
     except ConfigError as exc:
         raise ModelFileError(f"bad settings in model header: {exc}") from None
+    if metadata["cell_variant"] not in (None, configs[0].cell_variant):
+        raise ModelFileError("model header cell_variant must be null or its "
+                             "members' cell variant")
     # sizes first: a header may declare a model too large to allocate
     expected = 8 * sum(map(model_param_count, configs))
     if len(payload) < expected:
         raise ModelFileError("model file truncated")
     if len(payload) > expected:
         raise ModelFileError("model file has trailing bytes")
+    if not np.isfinite(np.frombuffer(payload, np.float64)).all():
+        raise ModelFileError("model file holds non-finite weights")
     members = []
     offset = 0
     for entry, config in zip(entries, configs):

@@ -225,11 +225,13 @@ def _group_state(model, states, rows, entries):
     """The batched state for the window-group ``entries``: carried rows of
     ``states`` (whose rows are the series ``rows``) re-indexed, zero rows
     for a series whose window opens a fresh stretch."""
-    fresh = [is_fresh for _, (_, _, is_fresh) in entries]
-    if all(fresh):
+    fresh = np.array([is_fresh for _, (_, _, is_fresh) in entries])
+    if fresh.all():
         return model_new_state(model)
-    states.regroup([0 if is_fresh else rows.index(sid)
-                    for (sid, _), is_fresh in zip(entries, fresh)], fresh)
+    carried = np.array([0 if is_fresh else rows.index(sid)
+                        for (sid, _), is_fresh in zip(entries, fresh)])
+    for ring in states:
+        ring.regroup(carried, fresh)
     return states
 
 

@@ -709,6 +709,18 @@ def test_named_arrays_cover_all_gates():
     assert "lower.fusion.W" in names and "upper.candidate.b" in names
     gru, _ = cell_init(CellKind.GRU, 3, 2, seed=0)
     assert len(gru.named_arrays()) == 3 * 3  # three gates, W/V/b (no U)
+    # the full order is the model-file layout and the initialization order
+    def ordered(stage, gates, keys):
+        return [f"{stage}{gate}.{key}" for gate in gates for key in keys]
+
+    merged = ("fusion", "update", "output", "candidate")
+    assert names == (ordered("lower.", merged, "WVUb")
+                     + ordered("upper.", merged, "WVUb"))
+    dlstm, _ = cell_init(CellKind.DLSTM, 3, 2, out_size=2, seed=0)
+    assert [n for n, _ in dlstm.named_arrays()] == ordered(
+        "", ("forget", "input", "output", "candidate"), "WVUb")
+    assert [n for n, _ in gru.named_arrays()] == ordered(
+        "", ("reset", "update", "candidate"), "WVb")
 
 
 def test_cell_gradient_shapes_and_determinism():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import loadcast
@@ -17,6 +18,7 @@ from loadcast.errors import ConfigError, ModelFileError
 from loadcast.evaluation import TABLE1_COLUMNS, TABLE2_COLUMNS
 from loadcast.network import CELL_VARIANTS, ModelConfig
 from loadcast.preprocess import HourlySeries
+from loadcast.serialize import load_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +348,26 @@ def test_evaluate_oversized_model_header_exits_1(workspace, tmp_path,
                  str(model), "--out-dir", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert "error: model file truncated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_weights_rejected_and_forecast_exits_1(workspace, tmp_path,
+                                                          capsys, bad):
+    # a loaded NaN or infinity would only surface as a failed forecast
+    with open(workspace["model"], "rb") as fh:
+        magic, header, payload = fh.read().split(b"\n", 2)
+    weights = np.frombuffer(payload, np.float64).copy()
+    weights[len(weights) // 2] = bad
+    model = tmp_path / "bad.model"
+    model.write_bytes(b"\n".join([magic, header, weights.tobytes()]))
+    with pytest.raises(ModelFileError, match="non-finite"):
+        load_ensemble(model)
+    assert main(["forecast", "--model", str(model), "--store",
+                 workspace["store"], "--series", "synth1", "--dates",
+                 "2015-03-10"]) == 1
+    err = capsys.readouterr().err
+    assert "error: model file holds non-finite weights" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_mixed_member_configs_exits_1(workspace, tmp_path, capsys):

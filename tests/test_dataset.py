@@ -224,10 +224,11 @@ def set_entry(key, value):
     set_entry("start", 20240101),
     set_entry("start", "not a time"),
     set_entry("start", "2024-01-01T00:30:00"),
+    set_entry("start", "2015-01-01T00:00:00+05:00"),
 ], ids=[
     "not-object", "no-series", "series-not-list", "entry-not-object",
     "negative-hours", "zero-hours", "string-hours", "bool-hours",
-    "int-id", "int-start", "bad-start", "half-hour-start"
+    "int-id", "int-start", "bad-start", "half-hour-start", "offset-start"
 ])
 def test_malformed_store_header_rejected(tmp_path, edit):
     store = synthetic_store(n_series=1, days=2)

@@ -1,6 +1,7 @@
-"""Source hygiene: no module-level import goes unused, every function the
-benchmark's tracer rebinds exists, with the parameters it binds, and fires
-where it must in a tiny traced run of each workload.
+"""Source hygiene: no module-level import goes unused, no file is written
+but through :func:`loadcast.files.replacing`, every function the benchmark's
+tracer rebinds exists, with the parameters it binds, and fires where it must
+in a tiny traced run of each workload.
 
 A stdlib ``ast`` scan standing in for a linter.  Package ``__init__.py``
 files are skipped, since their imports are re-exports; instead the package's
@@ -46,6 +47,49 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def _calls(node, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def _opens_for_writing(node) -> bool:
+    """An ``open(...)`` call whose mode writes, or is not a literal."""
+    if not _calls(node, "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return (not isinstance(mode, ast.Constant)
+            or bool(set(mode.value) & set("wax+")))
+
+
+#: functions that only write temporaries their callers take from replacing
+WRITES_TEMPORARIES = {("evaluation.py", "write_csv")}
+
+
+def unguarded_writes(path: Path) -> list:
+    """Lines of ``path`` that open a file for writing outside a ``with``
+    holding a ``replacing(...)`` call, so a failed write could leave a
+    half-written file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    guarded = set()
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.With) and any(
+                _calls(item.context_expr, "replacing") for item in node.items))
+                or (isinstance(node, ast.FunctionDef)
+                    and (path.name, node.name) in WRITES_TEMPORARIES)):
+            guarded.update(map(id, ast.walk(node)))
+    return [node.lineno for node in ast.walk(tree)
+            if _opens_for_writing(node) and id(node) not in guarded]
+
+
+def test_src_writes_files_only_through_replacing():
+    flagged = {path.name: unguarded_writes(path)
+               for path in sorted((ROOT / "src" / "loadcast").glob("*.py"))}
+    assert {name: lines for name, lines in flagged.items() if lines} == {}
 
 
 def test_package_exports_exactly_its_imports():

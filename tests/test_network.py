@@ -134,7 +134,7 @@ def test_dilation_reach_through_layer3_buffer():
     model = model_build(small_config(), seed=12)
     inputs = random_day_inputs(np.random.default_rng(13), 10)
     states = model_new_state(model)
-    layer3, h = states.layers[2], model.cells[2].hidden_size
+    layer3, h = states[2], model.cells[2].hidden_size
     layer3_h = []
     for ext in inputs[:9]:
         model_step(model, states, ext)
@@ -151,7 +151,7 @@ def test_each_step_advances_every_layer_once(variant):
     inputs = random_day_inputs(np.random.default_rng(15), 8)
     for k, ext in enumerate(inputs, start=1):
         model_step(model, states, ext)
-        for layer_state, d in zip(states.layers, DILATIONS):
+        for layer_state, d in zip(states, DILATIONS):
             assert len(layer_state) == min(k, max(1, d))
 
 
@@ -271,8 +271,10 @@ def test_batched_windows_match_per_series_unrolls(variant):
     refs = {}
     for group in groups:
         if rows:
-            states.regroup([rows.index(sid) for sid, _, _ in group],
-                           [fresh for _, _, fresh in group])
+            carried = np.array([rows.index(sid) for sid, _, _ in group])
+            cold = np.array([fresh for _, _, fresh in group])
+            for ring in states:
+                ring.regroup(carried, cold)
         rows = [sid for sid, _, _ in group]
         upstream = [rng.normal(size=(len(w), HEAD_SIZE)) for _, w, _ in group]
         outs, grads = batched_window(model, states, [w for _, w, _ in group],

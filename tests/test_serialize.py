@@ -11,7 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loadcast import serialize
-from loadcast.dataset import load_store, save_store, synthetic_store
+from loadcast.config import RunConfig, save_run_config
+from loadcast.dataset import (
+    export_csv,
+    load_store,
+    save_store,
+    synthetic_store,
+)
 from loadcast.errors import ModelFileError
 from loadcast.loss import LossConfig
 from loadcast.network import ModelConfig, model_build
@@ -149,11 +155,12 @@ def edit_config(key, value):
     edit_config("hidden_size", "x"),
     edit_config("hidden_size", -1),
     edit_config("dilations", 7),
+    lambda h: {**h, "cell_variant": "gru1"},  # the members are adrnn
 ], ids=[
     "not-object", "no-members", "empty-members", "members-not-list",
     "int-variant", "fractional-epochs", "string-gamma", "nan-epsilon",
     "config-not-object", "arrays-null", "array-not-pair",
-    "string-hidden", "negative-hidden", "int-dilations"
+    "string-hidden", "negative-hidden", "int-dilations", "tag-mismatch"
 ])
 def test_malformed_model_header_rejected(tmp_path, edit):
     path = tmp_path / "m.model"
@@ -201,12 +208,13 @@ def test_oversized_header_rejected_before_any_allocation(tmp_path,
         load_ensemble(oversized)
 
 
-class FailAfterFirstArray:
-    """Stand-in for ``open`` whose file fails on the write after the
-    header line and the first array (write_file writes each in one call)."""
+class FailOnThirdWrite:
+    """Stand-in for ``open`` whose file fails on its third write: after the
+    header line and the first array of write_file, which writes each in one
+    call, or after two CSV rows or two JSON chunks."""
 
-    def __init__(self, path, mode):
-        self.fh = open(path, mode)
+    def __init__(self, path, mode, **kwargs):
+        self.fh = open(path, mode, **kwargs)
         self.writes = 0
 
     def __enter__(self):
@@ -222,15 +230,20 @@ class FailAfterFirstArray:
         return self.fh.write(data)
 
 
-@pytest.mark.parametrize("save, make", [
-    (save_ensemble, lambda n: small_ensemble(members=n)),
-    (save_store, lambda n: synthetic_store(n_series=n, days=2)),
-], ids=["model", "store"])
-def test_failed_save_leaves_previous_file(tmp_path, monkeypatch, save, make):
+@pytest.mark.parametrize("module, save, make", [
+    ("serialize", save_ensemble, lambda n: small_ensemble(members=n)),
+    ("serialize", save_store, lambda n: synthetic_store(n_series=n, days=2)),
+    ("dataset", lambda path, store: export_csv(store, path),
+     lambda n: synthetic_store(n_series=n, days=2)),
+    ("config", save_run_config, lambda n: RunConfig(alpha=0.1 * n)),
+], ids=["model", "store", "export-csv", "run-config"])
+def test_failed_save_leaves_previous_file(tmp_path, monkeypatch, module, save,
+                                          make):
     path = tmp_path / "saved"
     save(path, make(1))
     before = path.read_bytes()
-    monkeypatch.setattr(serialize, "open", FailAfterFirstArray, raising=False)
+    monkeypatch.setattr(f"loadcast.{module}.open", FailOnThirdWrite,
+                        raising=False)
     with pytest.raises(OSError, match="injected"):
         save(path, make(2))
     monkeypatch.undo()
