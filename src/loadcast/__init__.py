@@ -13,9 +13,11 @@ Modules:
     cells: the five gated recurrent cells on plain arrays, one recorded
         step each (the attentive cell included) with a hand-written backward;
         a layer's state is the ring of its recorded step values.
-    network: the dilated three-layer stack with embedding and linear head,
-        model_unroll over a window of stacked days, and model_backward,
-        which sweeps its chains from the head down.
+    network: the dilated three-layer stack with embedding and linear head;
+        model_unroll, the one window forward of training, serving and the
+        gradient check (one input step, three cell steps per day, one head
+        step), and model_backward, which sweeps its chains from the head
+        down.
     preprocess: weekly standardization, day encoding, and the training
         set as one row table of stacked days.
     loss: pinball loss and the composite training objective.

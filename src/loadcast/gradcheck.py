@@ -22,9 +22,9 @@ from .network import (
     model_backward,
     model_build,
     model_new_state,
-    model_step,
+    model_unroll,
 )
-from .preprocess import CodingVariables, ExtendedInput, calendar_features
+from .preprocess import ExtendedInput, calendar_features
 from .tape import Tape
 
 DEFAULT_STEP = 1e-4
@@ -174,17 +174,14 @@ def check_cell(
 
 
 def random_day_inputs(rng: np.random.Generator, steps: int,
-                      start=dt.date(2024, 1, 1)) -> list[ExtendedInput]:
-    """Synthetic but well-formed per-day inputs on consecutive dates."""
-    inputs = []
-    for i in range(steps):
-        week = rng.normal(size=168)
-        level = float(rng.normal(loc=2.5, scale=0.3))
-        inputs.append(ExtendedInput(
-            week=week, level=level,
-            calendar=calendar_features(start.toordinal() + i),
-            coding=CodingVariables(10.0 ** level, 1.0)))
-    return inputs
+                      start=dt.date(2024, 1, 1)) -> ExtendedInput:
+    """Synthetic but well-formed inputs of ``steps`` consecutive dates, one
+    series' window of (steps, ...) arrays, without a coding."""
+    week, level = map(np.array, zip(*[
+        (rng.normal(size=168), rng.normal(loc=2.5, scale=0.3))
+        for _ in range(steps)]))
+    return ExtendedInput(week, level, calendar_features(
+        start.toordinal() + np.arange(steps)), None)
 
 
 def check_model(
@@ -208,18 +205,17 @@ def check_model(
                              embed_size=4)
     rng = np.random.default_rng(seed)
     model = model_build(config, seed=rng)
-    inputs = random_day_inputs(rng, steps)
-    weights = [rng.uniform(0.5, 1.5, size=HEAD_SIZE) for _ in range(steps)]
+    # one series as a one-row batch: (steps, 1, ...)
+    window = random_day_inputs(rng, steps)[:, None]
+    weights = rng.uniform(0.5, 1.5, size=(steps, 1, HEAD_SIZE))
 
     def value():
-        states = model_new_state(model)
-        return sum(float(w @ model_step(model, states, ext))
-                   for ext, w in zip(inputs, weights))
+        heads = model_unroll(model, model_new_state(model), window)
+        return sum(float(w @ h) for w, h in zip(weights[:, 0], heads[:, 0]))
 
     def gradient():
         tape, states = Tape(), model_new_state(model)
-        for ext in inputs:
-            model_step(model, states, ext, tape)
+        model_unroll(model, states, window, tape)
         return dict(model.named_arrays(
             model_backward(model, states, tape, weights)))
 

@@ -8,10 +8,10 @@ to 72 numbers: 24 hourly point forecasts and 24 lower and upper interval
 bounds, all in standardized space.  No ordering among point and bounds is
 imposed; crossings are measured downstream, not prevented.
 
-A step serves one series, or a group of series stacked as rows: training
-unrolls each truncation window of a group as one batch of stacked days, so
-every layer runs one cell step per day for the whole group.  A recorded
-window is five tape chains (input, three layers, head), which
+Only the layers read earlier days, so a window of days, of one series or of
+series stacked as rows, is one input step, three cell steps per day and one
+head step: :func:`model_unroll`, which training, serving and the gradient
+check all run.  Its five tape chains (input, three layers, head)
 :func:`model_backward` sweeps from the head down.
 """
 
@@ -41,7 +41,7 @@ HORIZON = 24
 HEAD_SIZE = 3 * HORIZON
 #: hierarchical dilations of the three layers, in days
 DILATIONS = (2, 4, 7)
-#: names of the tape chains of the per-day input and head steps
+#: names of the tape chains of a window's input and head steps
 INPUT, HEAD = "input", "head"
 
 #: model-level cell vocabulary: plain cells come in a recent-state and a
@@ -148,7 +148,12 @@ def _bind(config: ModelConfig, blocks) -> StackedModel:
 
 def model_allocate(config: ModelConfig) -> StackedModel:
     """A model for ``config`` whose arrays are allocated but not filled."""
-    return _bind(config, [np.empty(shape) for shape in _block_shapes(config)])
+    try:
+        blocks = [np.empty(shape) for shape in _block_shapes(config)]
+    except (MemoryError, ValueError):  # ValueError: past numpy's size range
+        raise ConfigError(f"a model of {model_param_count(config)} "
+                          "parameters does not fit in memory") from None
+    return _bind(config, blocks)
 
 
 def model_stack(models) -> StackedModel:
@@ -173,70 +178,66 @@ def model_new_state(model: StackedModel) -> list[CellState]:
             for cell, d in zip(model.cells, model.config.dilations)]
 
 
-def model_step(model: StackedModel, states: list[CellState],
-               sample_input: ExtendedInput, tape: Tape | None = None
-               ) -> np.ndarray:
-    """One day forward: the input ``[week; level; E calendar]``, three
-    dilated cells with shortcuts, and the linear head, whose ``(..., 72)``
-    output (point, lower and upper, 24 standardized hours each) it returns.
-
-    ``sample_input`` holds one series' day, or a batch of series as rows
-    (``week`` (B, 168), ``level`` (B,), ``calendar`` (B, 90)); a
-    :func:`model_stack` steps it for each member, (M, B, 72).  Each step is
-    recorded on ``tape``'s input, layer and head chains.  Without a tape
-    this is an evaluation step: it registers the parameters on a
-    forward-only tape of its own and records no step.
-    """
-    if tape is None:
-        tape = Tape(forward_only=True)
-    calendar = sample_input.calendar
-    embedded = calendar @ model.embedding.swapaxes(-1, -2)
-    # filled part by part, so a member axis broadcasts over the day's input
-    u1 = np.empty(embedded.shape[:-1] + (model.config.layer1_input_size,))
-    u1[..., :HOURS_PER_WEEK] = sample_input.week
-    u1[..., HOURS_PER_WEEK] = sample_input.level
-    u1[..., HOURS_PER_WEEK + 1:] = embedded
-    tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
-                lambda g: ([(g[..., HOURS_PER_WEEK + 1:], calendar)], None))
+def model_step(model: StackedModel, states: list[CellState], u1: np.ndarray,
+               tape: Tape | None = None) -> np.ndarray:
+    """One day of the recurrent stack: three dilated cells with shortcuts on
+    the day's input ``u1`` (``(..., layer1_input_size)``), advancing each
+    layer's ring of ``states`` once; returns the top layer's output.  Each
+    cell step is recorded on ``tape``'s chain of its layer, when given."""
     d1, d2, d3 = model.config.dilations
     y1 = cell_step(model.cells[0], states[0], u1, d1, tape)
     y2 = cell_step(model.cells[1], states[1], y1, d2, tape) + y1
-    y3 = cell_step(model.cells[2], states[2], y2, d3, tape) + y2
+    return cell_step(model.cells[2], states[2], y2, d3, tape) + y2
+
+
+def model_unroll(model: StackedModel, states: list[CellState],
+                 inputs: ExtendedInput, tape: Tape | None = None
+                 ) -> np.ndarray:
+    """The window ``inputs`` forward: ``[week; level; E calendar]`` for all
+    days, one :func:`model_step` per day, then the head for all days, whose
+    ``(T, ..., 72)`` output (point, lower, upper) it returns.
+
+    ``inputs`` holds one series' (T, ...) days, or (T, B, ...) for series
+    stacked as rows of ``states``; a :func:`model_stack` maps (T, 1, B,
+    ...) to (T, M, B, 72).  Recorded on ``tape``, if given, for
+    :func:`model_backward`; else the parameters are registered on a
+    forward-only tape and no step is kept.
+    """
+    if tape is None:
+        tape = Tape(forward_only=True)
+    calendar = inputs.calendar
+    embedded = calendar @ model.embedding.swapaxes(-1, -2)
+    # filled part by part, so a member axis broadcasts over the days' input
+    u1 = np.empty(embedded.shape[:-1] + (model.config.layer1_input_size,))
+    u1[..., :HOURS_PER_WEEK] = inputs.week
+    u1[..., HOURS_PER_WEEK] = inputs.level
+    u1[..., HOURS_PER_WEEK + 1:] = embedded
+    # gradient parts go to the tape day by day, the last day first (the head
+    # bias: each day's rows summed, then the days), as per-day steps would
+    tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
+                lambda g: (list(zip(g[::-1, ..., HOURS_PER_WEEK + 1:],
+                                    calendar[::-1])), None))
+    y3 = np.stack([model_step(model, states, u, tape) for u in u1])
     w = model.head_w
-    head = y3 @ w.swapaxes(-1, -2) + model.head_b
-    tape.record(HEAD, head.shape, (0, HEAD_SIZE), (), (w, model.head_b),
-                lambda g: ([(g, y3)], g if g.ndim == 1 else g.sum(axis=0),
-                           g @ w))
-    return head
+    heads = y3 @ w.swapaxes(-1, -2) + model.head_b
+    tape.record(HEAD, heads.shape, (0, HEAD_SIZE), (), (w, model.head_b),
+                lambda g: (list(zip(g[::-1], y3[::-1])), np.add.reduce(
+                    g.reshape(len(g), -1, HEAD_SIZE).sum(1)[::-1]), g @ w))
+    return heads
 
 
 def model_backward(model: StackedModel, states: list[CellState], tape: Tape,
-                   head_grads) -> list[np.ndarray]:
-    """Gradients of ``sum_t head_grads[t] . head_t`` over the days recorded
-    on ``tape`` with ``states``, for :meth:`StackedModel.blocks` in order.
+                   head_grads: np.ndarray) -> list[np.ndarray]:
+    """Gradients of ``sum(head_grads * heads)`` for the window unrolled on
+    ``tape`` with ``states``, for :meth:`StackedModel.blocks` in order.
 
     Sweeps the head, layer 3, layer 2, layer 1 and input chains in turn.  A
     layer's output adjoint adds what its shortcut sends, then what the layer
     above sends; another order rounds every gradient differently.
     """
     layer1, layer2, layer3 = states
-    dy3 = tape.backward(HEAD, head_grads)
-    dy2 = [a + b for a, b in zip(dy3, tape.backward(layer3, dy3))]
+    (dy3,) = tape.backward(HEAD, [head_grads])
+    dy2 = dy3 + np.stack(tape.backward(layer3, dy3))
     dx2 = tape.backward(layer2, dy2)
-    tape.backward(INPUT, tape.backward(layer1, dy2, dx2))
+    tape.backward(INPUT, [np.stack(tape.backward(layer1, dy2, dx2))])
     return tape.grads(model.blocks())
-
-
-def model_unroll(model: StackedModel, states: list[CellState],
-                 inputs: ExtendedInput):
-    """Forward over a window of days for the series stacked as rows of
-    ``states``: ``inputs`` holds (T, B, ...) arrays, day ``t`` of row ``b``
-    at ``[t, b]``.
-
-    Returns the T per-day heads, each (B, 72), and the recorded tape;
-    gradients for any loss of the heads come from :func:`model_backward`.
-    """
-    tape = Tape()
-    heads = [model_step(model, states, inputs[t], tape)
-             for t in range(len(inputs.week))]
-    return heads, tape

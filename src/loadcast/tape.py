@@ -1,6 +1,6 @@
 """Per-layer chains of recorded steps and their reverse sweeps.
 
-Each day of the model is an input step, one step per recurrent layer and a
+A window of the model is an input step, one step per layer and day, and a
 head step, and the only links between days are a layer's reads of its own
 earlier states.  A :class:`Tape` records each step on the *chain* of its
 owner (a layer's state, or the name of the input or head chain): the shape of
@@ -34,7 +34,7 @@ def _fingerprint(arr: np.ndarray) -> tuple:
 class Tape:
     """Chains of recorded steps, and the gradients their sweeps produced.
 
-    A ``forward_only`` tape (the one an evaluation step builds for itself)
+    A ``forward_only`` tape (the one an unroll without a tape builds)
     registers parameters but takes no fingerprints, keeps no steps and
     refuses :meth:`backward`.
     """

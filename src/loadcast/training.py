@@ -12,7 +12,7 @@ padded to the group's longest with zero loss weight.  Hidden state carries
 across windows of the same contiguous stretch, but each window records on a
 fresh tape, so gradients never reach past a window boundary.  Ensembling
 trains one member per seed.  Serving batches the same way, stretches as
-rows: each run of buildable days of every series is one row, stepped by
+rows: each run of buildable days of every series is one row, unrolled by
 every member at once; members average their forecasts in MW after decoding.
 """
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    LoadcastError,
     NoTrainableSamplesError,
     TrainingDivergedError,
 )
@@ -37,12 +38,10 @@ from .network import (
     model_build,
     model_new_state,
     model_stack,
-    model_step,
     model_unroll,
 )
 from .preprocess import (
     HOURS_PER_WEEK,
-    CodingVariables,
     HourlySeries,
     TrainingSet,
     build_extended_input,
@@ -50,6 +49,7 @@ from .preprocess import (
     decode_day,
     standardize_week,
 )
+from .tape import Tape
 
 #: days of history unrolled before a forecast when available
 WARMUP_DAYS = 56
@@ -118,6 +118,8 @@ class TrainRecipe:
         if not self.seeds:
             raise ConfigError("need at least one ensemble seed")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if min(self.seeds) < 0:
+            raise ConfigError("ensemble seeds must be >= 0")
 
     def lr_at(self, epoch: int) -> float:
         return _schedule_value(self.learning_rates, epoch)
@@ -250,8 +252,8 @@ def _window_group_update(model, optimizer, data, ranges, states, lr,
     the windows' ``(lo, hi)`` rows of ``data``; a short window repeats its
     last row to the longest's length."""
     rows, series, days = _padded(*np.array(ranges).T)
-    outputs, tape = model_unroll(model, states, data.input[rows])
-    heads = np.stack(outputs)[days, series]
+    tape = Tape()
+    heads = model_unroll(model, states, data.input[rows], tape)[days, series]
     target = data.target[rows[days, series]]
     point, lower, upper = np.split(heads, 3, axis=-1)
     loss_sum = float(np.sum(composite_loss(target, point, lower, upper,
@@ -260,7 +262,7 @@ def _window_group_update(model, optimizer, data, ranges, states, lr,
     if not np.isfinite(loss_sum):
         raise TrainingDivergedError(
             f"non-finite training loss in epoch {epoch}")
-    seed = np.zeros((len(outputs), len(ranges), heads.shape[-1]))
+    seed = np.zeros((len(rows), len(ranges), heads.shape[-1]))
     seed[days, series] = np.concatenate(composite_loss_grad(
         target, point, lower, upper, loss_config), axis=-1) / pairs
     grads = dict(enumerate(model_backward(model, states, tape, seed)))
@@ -355,8 +357,9 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
     days before ``first_date`` on, less those ending before ``first_date``,
     is one row of a batch from t = 0 (its days before ``first_date`` warm
     up), a short row repeating its last day as training pads its windows.
-    The stacked members step the batch from a cold state, one evaluation step
-    per day; the days are decoded with their coding, members averaged in MW.
+    The stacked members unroll the batch as one window from a cold state;
+    the days are decoded with their coding, members averaged in MW.  A
+    non-finite forecast raises :class:`LoadcastError`.
     """
     if last_date < first_date:
         raise ValueError("empty date range")
@@ -379,15 +382,18 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
     src = rows[t, b]
     # each forecast day's (b, t) in the batch, and its row of ``ext``
     b, t, src = (x[day[src] >= first] for x in (b, t, src))
-    inputs = ext[rows]
-    coding = CodingVariables(ext.coding.week_mean[src],
-                             ext.coding.week_std[src])
     model = model_stack(ensemble.members)
-    state = model_new_state(model)
-    heads = np.stack([model_step(model, state, inputs[k])
-                      for k in range(len(rows))], axis=1)  # (M, T, B, 72)
-    point, lower, upper = np.mean(decode_day(np.moveaxis(
-        heads[:, t, b].reshape(len(heads), len(t), 3, -1), 2, 1), coding), 0)
+    with np.errstate(all="ignore"):  # a non-finite forecast raises below
+        heads = model_unroll(model, model_new_state(model),
+                             ext[rows[:, None]])[t, :, b]  # (days, M, 72)
+        forecasts = np.mean(decode_day(np.moveaxis(heads.reshape(
+            *heads.shape[:2], 3, -1), 0, 2), ext[src].coding), 0)
+    finite = np.isfinite(forecasts).all(axis=(0, 2))
+    if not finite.all():
+        k = src[np.argmin(finite)]
+        raise LoadcastError(f"model {label!r} forecasts non-finite loads for "
+                            f"series {series[index[k]].series_id!r} on "
+                            f"{dt.date.fromordinal(day[k])}")
     return [ForecastRecord(series[i].series_id, dt.date.fromordinal(d), *f,
                            model=label) for i, d, *f in zip(
-                index[src].tolist(), day[src].tolist(), point, lower, upper)]
+                index[src].tolist(), day[src].tolist(), *forecasts)]

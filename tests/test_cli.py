@@ -313,6 +313,25 @@ def test_train_ill_typed_config_exits_1(workspace, tmp_path, capsys):
     assert "epochs in recipe must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"recipe": {"seeds": [-1]}}, "seeds must be >= 0"),
+    # PiB-scale arrays: refused at once, no memory touched
+    ({"model": {"hidden_size": 10**8}}, "does not fit in memory"),
+    ({"model": {"embed_size": 10**11}}, "does not fit in memory"),
+    ({"model": {"hidden_size": 10**9}}, "does not fit in memory"),
+], ids=["negative-seed", "huge-hidden", "huge-embedding", "past-array-range"])
+def test_train_unusable_config_exits_1(workspace, tmp_path, capsys, raw,
+                                       message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "m.model"
+    assert main(["train", "--store", workspace["store"], "--config",
+                 str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
     store = tmp_path / "headerless.store"
     store.write_bytes(b'loadcast-store\n{"format_version":1}\n')
@@ -367,6 +386,27 @@ def test_non_finite_weights_rejected_and_forecast_exits_1(workspace, tmp_path,
                  "2015-03-10"]) == 1
     err = capsys.readouterr().err
     assert "error: model file holds non-finite weights" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_forecasts_exit_1(workspace, tmp_path, capsys):
+    # finite weights near 1e300 load, but overflow the forward pass
+    with open(workspace["model"], "rb") as fh:
+        magic, header, payload = fh.read().split(b"\n", 2)
+    weights = np.frombuffer(payload, np.float64) * 1e300
+    assert np.isfinite(weights).all()
+    model = tmp_path / "huge.model"
+    model.write_bytes(b"\n".join([magic, header, weights.tobytes()]))
+    load_ensemble(model)
+    assert main(["forecast", "--model", str(model), "--store",
+                 workspace["store"], "--series", "synth1", "--dates",
+                 "2015-03-10"]) == 1
+    assert main(["evaluate", "--store", workspace["store"], "--model",
+                 f"big={model}", "--out-dir", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: model 'big' forecasts non-finite") == 1
+    assert "error: model 'gru1' forecasts non-finite loads for series " \
+        "'synth1' on 2015-03-10" in err
     assert "Traceback" not in err
 
 

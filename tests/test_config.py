@@ -124,6 +124,7 @@ def test_malformed_files_rejected(tmp_path):
     {"recipe": {"learning_rates": {"1": "0.1"}}},
     {"recipe": {"seeds": "abc"}},
     {"recipe": {"seeds": [0, 1.5]}},
+    {"recipe": {"seeds": [-1]}},
     {"recipe": {"clip_norm": "10"}},
     {"recipe": []},
     {"model": []},

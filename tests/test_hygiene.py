@@ -123,6 +123,15 @@ def test_forecast_range_keeps_the_signature_the_tracer_binds():
     assert set(kinds[4:]) <= {inspect.Parameter.KEYWORD_ONLY}
 
 
+def test_cell_step_keeps_the_dilation_the_tracer_keys_layers_by():
+    # the tracer names each cell step's layer by its 4th positional
+    # argument, or by dilation= when passed by keyword
+    params = inspect.signature(loadcast.cells.cell_step).parameters
+    dilation = list(params.values())[3]
+    assert dilation.name == "dilation"
+    assert dilation.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
 @pytest.mark.parametrize("workload", ["train-desk", "train-full", "evaluate"])
 def test_tiny_traced_benchmark_run_is_correct(workload):
     # a hook that stops firing, or a failed output check, marks the run

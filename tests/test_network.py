@@ -9,8 +9,10 @@ from loadcast.gradcheck import random_day_inputs
 from loadcast.network import (
     CELL_VARIANTS,
     DILATIONS,
+    HEAD,
     HEAD_SIZE,
     HORIZON,
+    INPUT,
     ModelConfig,
     model_backward,
     model_build,
@@ -35,15 +37,35 @@ def zero_all(named_arrays):
         arr[:] = 0.0
 
 
+def days(window) -> int:
+    return len(window.week)
+
+
 def stacked(windows):
-    """The (T, B, ...) input of per-series windows of day inputs; a short
+    """The (T, B, ...) input of per-series (T_b, ...) windows; a short
     window repeats its last day to the longest's length."""
-    days = [[w[min(t, len(w) - 1)] for w in windows]
-            for t in range(max(map(len, windows)))]
-    return ExtendedInput(np.array([[e.week for e in day] for day in days]),
-                         np.array([[e.level for e in day] for day in days]),
-                         np.array([[e.calendar for e in day] for day in days]),
-                         None)
+    t = np.arange(max(map(days, windows)))
+    rows = [w[np.minimum(t, days(w) - 1)] for w in windows]
+    return ExtendedInput(*(np.stack([getattr(r, part) for r in rows], axis=1)
+                           for part in ("week", "level", "calendar")), None)
+
+
+def day_by_day(model, states, window, upstream=None):
+    """The heads of ``window``'s days unrolled as one-day windows in turn on
+    one tape; given ``upstream`` (shaped like the heads), also the block
+    gradients, sweeping the per-day chains as model_backward sweeps a
+    window's."""
+    tape = Tape()
+    heads = np.concatenate([model_unroll(model, states, window[t:t + 1], tape)
+                            for t in range(days(window))])
+    if upstream is None:
+        return heads
+    layer1, layer2, layer3 = states
+    dy3 = np.concatenate(tape.backward(HEAD, upstream[:, None]))
+    dy2 = dy3 + np.stack(tape.backward(layer3, dy3))
+    dx2 = tape.backward(layer2, dy2)
+    tape.backward(INPUT, [dx[None] for dx in tape.backward(layer1, dy2, dx2)])
+    return heads, tape.grads(model.blocks())
 
 
 @pytest.mark.parametrize("variant", ["lstm1", "gru2", "dlstm", "drnn", "adrnn"])
@@ -52,13 +74,13 @@ def test_step_matches_composition_of_tested_parts(variant):
     model = model_build(small_config(variant), seed=11)
     inputs = random_day_inputs(rng, 9)
 
-    states = model_new_state(model)
-    tape = Tape()
-    got = [model_step(model, states, ext, tape) for ext in inputs]
+    # one series as a one-row batch
+    got = model_unroll(model, model_new_state(model), inputs[:, None], Tape())
 
     # independent re-composition from the individually tested pieces
     ref_states = [new_state(c, d) for c, d in zip(model.cells, DILATIONS)]
-    for ext, out in zip(inputs, got):
+    for t, out in enumerate(got[:, 0]):
+        ext = inputs[t]
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
         y1 = cell_step(model.cells[0], ref_states[0], u1, 2)
@@ -75,11 +97,10 @@ def test_zero_head_gives_zero_output():
     model = model_build(small_config("adrnn"), seed=3)
     model.head_w[:] = 0.0
     model.head_b[:] = 0.0
-    states = model_new_state(model)
-    for ext in random_day_inputs(np.random.default_rng(2), 4):
-        out = model_step(model, states, ext)
-        assert out.shape == (HEAD_SIZE,)
-        np.testing.assert_array_equal(out, 0.0)
+    inputs = random_day_inputs(np.random.default_rng(2), 4)
+    out = model_unroll(model, model_new_state(model), inputs)
+    assert out.shape == (4, HEAD_SIZE)
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
@@ -90,10 +111,10 @@ def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
     zero_all(model.cells[2].named_arrays())
     inputs = random_day_inputs(np.random.default_rng(5), 6)
 
-    states = model_new_state(model)
+    outs = model_unroll(model, model_new_state(model), inputs[:, None])
     ref_state = new_state(model.cells[0], DILATIONS[0])
-    for ext in inputs:
-        out = model_step(model, states, ext)
+    for t, out in enumerate(outs[:, 0]):
+        ext = inputs[t]
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
         y1 = cell_step(model.cells[0], ref_state, u1, DILATIONS[0])
@@ -104,12 +125,13 @@ def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
 def test_removing_shortcuts_changes_outputs():
     model = model_build(small_config("drnn"), seed=6)
     inputs = random_day_inputs(np.random.default_rng(7), 3)
-    states = model_new_state(model)
-    with_short = [model_step(model, states, ext)[:HORIZON] for ext in inputs]
+    with_short = model_unroll(model, model_new_state(model),
+                              inputs)[:, :HORIZON]
 
     bare_states = [new_state(c, d) for c, d in zip(model.cells, DILATIONS)]
     without = []
-    for ext in inputs:
+    for t in range(3):
+        ext = inputs[t]
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
         y1 = cell_step(model.cells[0], bare_states[0], u1, 2)
@@ -121,12 +143,17 @@ def test_removing_shortcuts_changes_outputs():
 
 
 def test_unroll_window_of_one_equals_step():
+    # a one-day window is the day's input, one step of the recurrent stack
+    # and the head
     model = model_build(small_config("dlstm"), seed=8)
     inputs = random_day_inputs(np.random.default_rng(9), 1)
-    outs, tape = model_unroll(model, model_new_state(model), stacked([inputs]))
-    ref = model_step(model, model_new_state(model), inputs[0])
-    assert len(outs) == 1
-    np.testing.assert_array_equal(outs[0][0], ref)
+    tape = Tape()
+    outs = model_unroll(model, model_new_state(model), stacked([inputs]), tape)
+    ext = inputs[0]
+    u1 = np.concatenate([ext.week, [ext.level], model.embedding @ ext.calendar])
+    y3 = model_step(model, model_new_state(model), u1)
+    assert outs.shape == (1, 1, HEAD_SIZE)
+    np.testing.assert_array_equal(outs[0, 0], model.head_w @ y3 + model.head_b)
     assert len(tape) > 0
 
 
@@ -136,8 +163,8 @@ def test_dilation_reach_through_layer3_buffer():
     states = model_new_state(model)
     layer3, h = states[2], model.cells[2].hidden_size
     layer3_h = []
-    for ext in inputs[:9]:
-        model_step(model, states, ext)
+    for t in range(9):
+        model_unroll(model, states, inputs[t:t + 1])
         layer3_h.append(np.array(layer3.read((), 1, 0, h), copy=True))
     # at the next step the top layer's delayed read is the step-3 state
     delayed = layer3.read((), 7, 0, h)
@@ -149,8 +176,8 @@ def test_each_step_advances_every_layer_once(variant):
     model = model_build(small_config(variant), seed=14)
     states = model_new_state(model)
     inputs = random_day_inputs(np.random.default_rng(15), 8)
-    for k, ext in enumerate(inputs, start=1):
-        model_step(model, states, ext)
+    for k in range(1, 9):
+        model_unroll(model, states, inputs[k - 1:k])
         for layer_state, d in zip(states, DILATIONS):
             assert len(layer_state) == min(k, max(1, d))
 
@@ -219,10 +246,9 @@ def test_config_validation():
 def test_unroll_tape_supports_backward():
     model = model_build(small_config("adrnn"), seed=17)
     inputs = random_day_inputs(np.random.default_rng(18), 5)
-    states = model_new_state(model)
-    outs, tape = model_unroll(model, states, stacked([inputs]))
-    seeds = [np.ones((1, HEAD_SIZE)) for _ in outs]
-    grads = model_backward(model, states, tape, seeds)
+    states, tape = model_new_state(model), Tape()
+    outs = model_unroll(model, states, stacked([inputs]), tape)
+    grads = model_backward(model, states, tape, np.ones_like(outs))
     g_embed, g_head = grads[0], grads[-2]
     assert g_head.shape == model.head_w.shape
     assert np.any(g_head != 0.0)
@@ -235,22 +261,12 @@ def test_unroll_tape_supports_backward():
 def batched_window(model, states, windows, upstream):
     """Outputs and block gradients of one batched window; ``upstream[b]``
     holds a (72,) seed per real day of window b, padded days get zeros."""
-    outs, tape = model_unroll(model, states, stacked(windows))
-    seeds = []
-    for t in range(len(outs)):
-        g = np.zeros((len(windows), HEAD_SIZE))
-        for b, gb in enumerate(upstream):
-            if t < len(gb):
-                g[b] = gb[t]
-        seeds.append(g)
-    return outs, model_backward(model, states, tape, seeds)
-
-
-def single_window(model, state, inputs, upstream):
-    """The same through one-series steps on 1-d inputs."""
     tape = Tape()
-    outs = [model_step(model, state, ext, tape) for ext in inputs]
-    return outs, model_backward(model, state, tape, upstream)
+    outs = model_unroll(model, states, stacked(windows), tape)
+    seeds = np.zeros_like(outs)
+    for b, gb in enumerate(upstream):
+        seeds[:len(gb), b] = gb
+    return outs, model_backward(model, states, tape, seeds)
 
 
 @pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
@@ -276,14 +292,14 @@ def test_batched_windows_match_per_series_unrolls(variant):
             for ring in states:
                 ring.regroup(carried, cold)
         rows = [sid for sid, _, _ in group]
-        upstream = [rng.normal(size=(len(w), HEAD_SIZE)) for _, w, _ in group]
+        upstream = [rng.normal(size=(days(w), HEAD_SIZE)) for _, w, _ in group]
         outs, grads = batched_window(model, states, [w for _, w, _ in group],
                                      upstream)
         want = [np.zeros_like(block) for block in model.blocks()]
         for b, ((sid, inputs, fresh), gb) in enumerate(zip(group, upstream)):
             if fresh:
                 refs[sid] = model_new_state(model)
-            ref_outs, ref_grads = single_window(model, refs[sid], inputs, gb)
+            ref_outs, ref_grads = day_by_day(model, refs[sid], inputs, gb)
             for t, ref in enumerate(ref_outs):
                 np.testing.assert_allclose(outs[t][b], ref, rtol=1e-12,
                                            atol=1e-12)
@@ -322,8 +338,8 @@ def test_one_row_batch_equals_one_series_unroll_bitwise(variant):
     upstream = rng.normal(size=(9, HEAD_SIZE))
     outs, grads = batched_window(model, model_new_state(model), [inputs],
                                  [upstream])
-    ref_outs, ref_grads = single_window(model, model_new_state(model),
-                                        inputs, upstream)
+    ref_outs, ref_grads = day_by_day(model, model_new_state(model), inputs,
+                                     upstream)
     for out, ref in zip(outs, ref_outs):
         np.testing.assert_array_equal(out, ref[None])
     for got, ref in zip(grads, ref_grads):
@@ -335,6 +351,45 @@ def test_window_group_records_as_many_nodes_as_one_series(variant):
     rng = np.random.default_rng(27)
     model = model_build(small_config(variant), seed=28)
     windows = [random_day_inputs(rng, 4) for _ in range(5)]
-    _, one = model_unroll(model, model_new_state(model), stacked(windows[:1]))
-    _, five = model_unroll(model, model_new_state(model), stacked(windows))
+    one, five = Tape(), Tape()
+    model_unroll(model, model_new_state(model), stacked(windows[:1]), one)
+    model_unroll(model, model_new_state(model), stacked(windows), five)
     assert len(five) == len(one)
+
+
+@pytest.mark.parametrize("variant", ["lstm1", "adrnn"])
+@pytest.mark.parametrize("window_days", [1, 6])
+def test_window_is_one_input_step_three_cell_steps_a_day_and_one_head_step(
+        variant, window_days):
+    model = model_build(small_config(variant), seed=29)
+    windows = [random_day_inputs(np.random.default_rng(30), window_days)] * 2
+    tape = Tape()
+    model_unroll(model, model_new_state(model), stacked(windows), tape)
+    assert len(tape) == len(model.blocks()) + 3 * window_days + 2
+
+
+@pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))
+def test_window_is_bitwise_its_days_unrolled_in_turn(variant):
+    # time is a batch axis of the window's input and head products, and
+    # their gradient parts reach the tape in the per-day sweep's order
+    rng = np.random.default_rng(31)
+    model = model_build(small_config(variant), seed=32)
+    window = stacked([random_day_inputs(rng, 9) for _ in range(3)])
+    upstream = rng.normal(size=(9, 3, HEAD_SIZE))
+    tape, states = Tape(), model_new_state(model)
+    heads = model_unroll(model, states, window, tape)
+    grads = model_backward(model, states, tape, upstream)
+    ref_heads, ref_grads = day_by_day(model, model_new_state(model), window,
+                                      upstream)
+    np.testing.assert_array_equal(heads, ref_heads)
+    for got, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("variant", ["gru2", "dlstm", "adrnn"])
+def test_heads_without_a_tape_equal_recorded_heads(variant):
+    model = model_build(small_config(variant), seed=33)
+    window = stacked([random_day_inputs(np.random.default_rng(34), 7)] * 2)
+    recorded = model_unroll(model, model_new_state(model), window, Tape())
+    np.testing.assert_array_equal(
+        model_unroll(model, model_new_state(model), window), recorded)

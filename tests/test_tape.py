@@ -11,7 +11,7 @@ from loadcast.network import (
     ModelConfig,
     model_build,
     model_new_state,
-    model_step,
+    model_unroll,
 )
 from loadcast.tape import Tape
 
@@ -161,9 +161,9 @@ def test_evaluation_tape_cannot_run_backward():
     # keeps no steps and so cannot tell a mutated leaf: it refuses a sweep
     model = model_build(ModelConfig(cell_variant="drnn", hidden_size=3,
                                     out_size=2, embed_size=4), seed=1)
-    ext = random_day_inputs(np.random.default_rng(2), 1)[0]
+    window = random_day_inputs(np.random.default_rng(2), 3)
     tape = Tape(forward_only=True)
-    model_step(model, model_new_state(model), ext, tape)
+    model_unroll(model, model_new_state(model), window, tape)
     assert len(tape) == len(model.blocks())
     with pytest.raises(ValueError, match="forward-only"):
         tape.backward(HEAD, [np.ones(HEAD_SIZE)])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from loadcast import training
+from loadcast import network, training
 from loadcast.errors import ConfigError, ConstantWeekError, TrainingDivergedError
 from loadcast.evaluation import ForecastRecord
 from loadcast.network import (
@@ -15,7 +15,7 @@ from loadcast.network import (
     ModelConfig,
     model_build,
     model_new_state,
-    model_step,
+    model_unroll,
 )
 from loadcast.preprocess import (
     HourlySeries,
@@ -374,12 +374,8 @@ def test_decoding_commutes_with_member_average():
     days, ext = build_extended_input(series, day.toordinal() - 5,
                                      day.toordinal())
     assert len(days) == 6
-    raw_points = []
-    for member in ens.members:
-        state = model_new_state(member)
-        for k in range(5):
-            model_step(member, state, ext[k])
-        raw_points.append(model_step(member, state, ext[5])[:HORIZON])
+    raw_points = [model_unroll(member, model_new_state(member), ext)[5, :HORIZON]
+                  for member in ens.members]
     averaged_then_decoded = decode_day(np.mean(raw_points, axis=0), coding)
     np.testing.assert_allclose(rec.point, averaged_then_decoded,
                                rtol=1e-10, atol=1e-10)
@@ -428,9 +424,9 @@ def test_constant_week_is_skipped_on_the_day_path():
     # the constant Jan 19 ends the stretch before it
     member = ens.members[0]
     ext = one_day(flat, dt.date(2024, 1, 20))
-    cold = model_step(member, model_new_state(member), ext)
+    cold = model_unroll(member, model_new_state(member), ext)
     np.testing.assert_array_equal(records[2].point,
-                                  decode_day(cold[:HORIZON], ext.coding))
+                                  decode_day(cold[:, :HORIZON], ext.coding)[0])
     lone = forecast(ens, flat, dt.date(2024, 1, 21))
     np.testing.assert_array_equal(records[3].point, lone.point)
 
@@ -461,26 +457,27 @@ def days_from(first, last):
 
 
 def one_day(series, day):
-    """The built input of ``day`` alone, as 1-d arrays."""
+    """The built input of ``day`` alone, as a one-day window."""
     days, ext = build_extended_input(series, day.toordinal(), day.toordinal())
     assert days.tolist() == [day.toordinal()]
-    return ext[0]
+    return ext
 
 
 def day_by_day(ens, series, warm, days):
-    """The per-day path: each member steps one series' 1-d inputs from a
-    cold state over the ``warm`` days, then the ``days``, decoding each of
-    those with its own coding; members averaged in MW.  (days, 3, 24)."""
+    """The per-day path: each member unrolls one series' one-day windows in
+    turn from a cold state over the ``warm`` days, then the ``days``,
+    decoding each of those with its own coding; members averaged in MW.
+    (days, 3, 24)."""
     decoded = []
     for member in ens.members:
         state = model_new_state(member)
         for day in warm:
-            model_step(member, state, one_day(series, day))
+            model_unroll(member, state, one_day(series, day))
         out = []
         for day in days:
             ext = one_day(series, day)
-            out.append([decode_day(v, ext.coding) for v in
-                        model_step(member, state, ext).reshape(3, -1)])
+            out.append(decode_day(model_unroll(member, state, ext).reshape(
+                3, -1), ext.coding))
         decoded.append(out)
     return np.mean(decoded, axis=0)
 
@@ -502,7 +499,7 @@ def with_missing_days(series, *days):
 def builder_calls(monkeypatch):
     """The ``(series_id, first, last)`` ranges forecast_range asked the input
     builder for, in call order, as dates."""
-    from loadcast import training
+    from loadcast import network, training
     calls = []
 
     def spy(series, first, last):
@@ -578,10 +575,9 @@ def test_stacked_members_are_bitwise_each_member_stepped_alone(
     first, last = dt.date(2024, 2, 25), dt.date(2024, 3, 31)
     records = forecast_range(ens, series, first, last)
     # the reference: the same batch, stepped by each member alone with its
-    # own 2-D weights and decoded, then the members averaged in MW
+    # own 2-D weights (the unit member axis serves them as they are) and
+    # decoded, then the members averaged in MW
     monkeypatch.setattr(training, "model_stack", lambda members: members[0])
-    monkeypatch.setattr(training, "model_step",
-                        lambda *args: model_step(*args)[None])
     alone = [forecast_range(EnsembleModel((member,)), series, first, last)
              for member in ens.members]
     for member_records in alone:
@@ -594,18 +590,20 @@ def test_stacked_members_are_bitwise_each_member_stepped_alone(
 def test_one_model_step_per_batch_day_serves_every_member(monkeypatch):
     calls = []
 
-    def spy(model, states, sample_input, tape=None):
-        calls.append((model.head_w.shape[0], sample_input.week.shape[0]))
-        return model_step(model, states, sample_input, tape)
+    step = network.model_step
 
-    monkeypatch.setattr(training, "model_step", spy)
+    def spy(model, states, u1, tape=None):
+        calls.append((model.head_w.shape[0], u1.shape[:-1]))
+        return step(model, states, u1, tape)
+
+    monkeypatch.setattr(network, "model_step", spy)
     ens = random_ensemble("drnn", members=3)
     first, last = dt.date(2024, 3, 10), dt.date(2024, 3, 20)
     forecast_range(ens, gappy_store(), first, last)
     # five stretches hold days of the range (c's gap on Mar 12 splits it);
     # the longest, b's, runs from Jan 14, 56 days before Mar 10, to Mar 13,
     # the day after its data ends: 60 days, each one call for 3 members
-    assert calls == [(3, 5)] * 60
+    assert calls == [(3, (3, 5))] * 60
 
 
 def test_ensemble_members_must_share_one_config():
