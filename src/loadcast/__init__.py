@@ -8,16 +8,17 @@ pinball loss so the bounds are genuine quantile forecasts rather than
 post-hoc error bands.
 
 Modules:
-    tape: per-layer chains of recorded steps and their reverse sweeps
+    tape: per-layer chains of recorded entries and their reverse sweeps
         (float64 throughout).
-    cells: the five gated recurrent cells on plain arrays, one recorded
-        step each (the attentive cell included) with a hand-written backward;
-        a layer's state is the ring of its recorded step values.
+    cells: the five gated recurrent cells on plain arrays with hand-written
+        backward passes; a layer's window of steps is one call and one tape
+        entry, run in blocks of one day, or of d days for the delayed-only
+        cells; a layer's state is the ring of its last step values.
     network: the dilated three-layer stack with embedding and linear head;
         model_unroll, the one window forward of training, serving and the
-        gradient check (one input step, three cell steps per day, one head
-        step), and model_backward, which sweeps its chains from the head
-        down.
+        gradient check (one input step, one window per layer, one head
+        step), and model_backward, which sweeps its five entries from the
+        head down.
     preprocess: weekly standardization, day encoding, and the training
         set as one row table of stacked days.
     loss: pinball loss and the composite training objective.

@@ -1,27 +1,31 @@
 """The five gated recurrent cells and their exact training gradients.
 
-A layer's state is the ring of its last ``d`` step values, the same arrays
-the tape records; a value holds the step's h-state, output and c-state as
-parts of its last axis.  A cell step takes and returns plain arrays: it reads
-``(lag, lo, hi)`` parts of earlier values (one table per step, its h reads
-then its c reads), appends its own value and returns the output y.  Given a
-:class:`~loadcast.tape.Tape`, it also records itself, with the same read
-table, as one step on the chain of its layer's state, so reverse-mode
+A layer's state is the ring of its last ``d`` step values; a value holds
+the step's h-state, output and c-state as parts of its last axis.  A cell
+step takes and returns plain arrays: it reads ``(lag, lo, hi)`` parts of
+earlier values (one table per step, its h reads then its c reads), appends
+its own value and returns the output y.  :func:`cell_step` runs a layer's
+whole (T, ...) window of steps in one call, or one step as a window of one.
+Given a :class:`~loadcast.tape.Tape`, it records the window, with the same
+read table, as one entry on the chain of its layer's state, so reverse-mode
 gradients through any number of steps come from sweeping that chain.
 
-A step runs one stage function, :func:`_stage`, per gate stack (adrnn has
-two): it reads the stack's parts, builds the gate input ``[x; h_recent;
-h_delayed; 1]`` and runs one of three pure-array kernels (``_lstm`` for LSTM
-and dilated LSTM, ``_gru``, ``_drnn``), which compute all gate
-pre-activations with one product of that input and the stack's gate matrix
-and return the stack's value with its hand-written backward pass.  A step
-takes one series' input vector, or a batch of series as rows (``z @ W.T``),
-with the state values holding one row per series, the matrix's gradient
-then being one product over a window's rows; matrices with a leading member
-axis step one batch per member.  Cells with dilation read both the most
-recent state and the state from ``d`` steps ago; plain LSTM/GRU run in one
-of two connection variants, fed either by the recent state only or by the
-delayed state only.
+A window runs in blocks: ``d`` days for the delayed-only plain cells, whose
+every read is ``d`` steps back, so the steps of a block read none of each
+other, and one day for every other cell.  A block runs one stage function,
+:func:`_stage`, per gate stack (adrnn has two): it reads the stack's parts,
+builds the gate input ``[x; h_recent; h_delayed; 1]`` and runs one of three
+pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
+``_drnn``), which compute all gate pre-activations with one product of that
+input and the stack's gate matrix and return the stack's value with its
+hand-written backward pass.  A step takes one series' input vector, or a
+batch of series as rows (``z @ W.T``), with the state values holding one row
+per series, the matrix's gradient then being one product over a window's
+rows; matrices with a leading member axis step one batch per member, and a
+block's steps are one more leading axis.  Cells with dilation read both the
+most recent state and the state from ``d`` steps ago; plain LSTM/GRU run in
+one of two connection variants, fed either by the recent state only or by
+the delayed state only.
 
 The split-output cells (dilated LSTM, the merged gate cell, and its attentive
 two-stage version) divide the raw activation into a controlling hidden part,
@@ -276,10 +280,10 @@ def cell_init(
 #
 # A kernel maps (params, z, c-states...) to its gate stack's value and a
 # closure mapping the value's adjoint to the stacked matrix's factor pairs,
-# the gradient of z and one gradient per c-state.  A value holds the h-state
-# in ``[:hidden_size]`` and the c-state in ``[cell_size:2 * cell_size]``; an
-# attentive step's value is its lower stage's value followed by its upper
-# stage's.
+# the gradient of z and one gradient per c-state; z may lead with a block's
+# steps, members and rows.  A value holds the h-state in ``[:hidden_size]``
+# and the c-state in ``[cell_size:2 * cell_size]``; an attentive step's
+# value is its lower stage's value followed by its upper stage's.
 
 
 def _h_reads(params: CellParams) -> int:
@@ -367,13 +371,13 @@ def _gru(params: CellParams, z: np.ndarray):
 
     def back(g):
         dpre_c = g * update * (1.0 - cand * cand)
-        dzc = dpre_c @ w[2 * n:]
+        dzc = dpre_c @ w[..., 2 * n:, :]
         drh = dzc[..., i:i + n]
         dpre = np.concatenate((drh * h * reset * (1.0 - reset),
                                g * (cand - h) * update * (1.0 - update)),
                               axis=-1)
         dzc[..., i:i + n] *= reset  # r*h's gradient, passed on to h
-        dz = dpre @ w[:2 * n] + dzc
+        dz = dpre @ w[..., :2 * n, :] + dzc
         dz[..., i:i + n] += g * (1.0 - update)
         return ([(np.concatenate((dpre, np.zeros_like(g)), axis=-1), z),
                  (np.concatenate((np.zeros_like(dpre), dpre_c), axis=-1), zc)],
@@ -408,19 +412,19 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     return np.concatenate((out * c, c), axis=-1), back
 
 
-def _stage(params: CellParams, state: CellState, x: np.ndarray,
-           dilation: int, offset: int = 0):
-    """One gate stack's step on the value part at ``offset``: its value,
-    its reads and its vjp, whose gradients (the factor pairs, dx, then one
-    per read, h reads first) :meth:`Tape.record` takes; the one builder of
-    the gate input ``[x; h reads; 1]``."""
+def _stage(params: CellParams, read, x: np.ndarray, dilation: int,
+           offset: int = 0):
+    """One gate stack's block of steps on the value part at ``offset``: its
+    value and its vjp, whose gradients are the factor pairs, dx, then one
+    per read, h reads first; ``read(lag, lo, hi)`` gives a read's part for
+    the block's steps.  The one builder of the gate input ``[x; h reads;
+    1]``."""
     if x.shape[-1] != params.input_size:
         raise ValueError(f"input length {x.shape[-1]} != cell input size "
                          f"{params.input_size}")
-    reads, rows = _reads(params, dilation, offset), x.shape[:-1]
     n = _h_reads(params)
-    parts = [state.read(rows, *part) for part in reads]
-    z = np.concatenate([x, *parts[:n], _ones(rows)], axis=-1)
+    parts = [read(*part) for part in _reads(params, dilation, offset)]
+    z = np.concatenate([x, *parts[:n], _ones(x.shape[:-1])], axis=-1)
     value, back = _KERNELS[params.kind](params, z, *parts[n:])
     i, h = params.input_size, params.hidden_size
 
@@ -429,23 +433,21 @@ def _stage(params: CellParams, state: CellState, x: np.ndarray,
         return (dw, dz[..., :i],
                 *(dz[..., i + k * h:i + (k + 1) * h] for k in range(n)), *dcs)
 
-    return value, reads, vjp
+    return value, vjp
 
 
-def _adrnn_step(params: CellParams, state: CellState, x: np.ndarray,
-                dilation: int):
+def _adrnn_step(params: CellParams, read, x: np.ndarray, dilation: int):
     """The same for the attentive cell, as two stages: the lower stage's
     output ``a`` rescales the input of the upper stage by ``exp(clip(a))``;
     both stages read their own part of the layer's earlier values."""
     lower, upper = params.stages
     split = 2 * lower.cell_size
-    value_l, reads_l, vjp_l = _stage(lower, state, x, dilation)
+    value_l, vjp_l = _stage(lower, read, x, dilation)
     lo, hi = _out_part(lower)
     attention = value_l[..., lo:hi]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
     weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
-    value_u, reads_u, vjp_u = _stage(upper, state, x * weights, dilation,
-                                     split)
+    value_u, vjp_u = _stage(upper, read, x * weights, dilation, split)
 
     def vjp(g):
         dwu, dxu, *dreads_u = vjp_u(g[..., split:])
@@ -454,26 +456,116 @@ def _adrnn_step(params: CellParams, state: CellState, x: np.ndarray,
         dwl, dxl, *dreads_l = vjp_l(gl)
         return dwl, dwu, dxu * weights + dxl, *dreads_l, *dreads_u
 
-    return (np.concatenate((value_l, value_u), axis=-1), reads_l + reads_u,
-            vjp)
+    return np.concatenate((value_l, value_u), axis=-1), vjp
 
 
 _KERNELS = {CellKind.LSTM: _lstm, CellKind.GRU: _gru, CellKind.DLSTM: _lstm,
             CellKind.DRNN: _drnn}
 
 
+def _layer_reads(params: CellParams, dilation: int) -> tuple:
+    """The ``(lag, lo, hi)`` parts a step of any kind reads: an attentive
+    step's lower stage's, then its upper stage's."""
+    if params.kind is CellKind.ADRNN:
+        return (_reads(params.lower, dilation)
+                + _reads(params.upper, dilation, 2 * params.lower.cell_size))
+    return _reads(params, dilation)
+
+
+def _block(t0: int, t1: int, span: int):
+    """The index of steps ``[t0, t1)`` along a window's first axis; a
+    block of one step indexes that axis away."""
+    return t0 if span == 1 else slice(t0, t1)
+
+
 def cell_step(params: CellParams, state: CellState, x: np.ndarray,
-              dilation: int, tape: Tape | None = None) -> np.ndarray:
-    """One step of any cell kind: reads ``state``, appends the step's value
-    to it and returns the output y; recorded on ``tape``, when one is
-    given, as a step of the chain of ``state``."""
-    step = _adrnn_step if params.kind is CellKind.ADRNN else _stage
-    value, reads, vjp = step(params, state, x, dilation)
+              dilation: int, tape: Tape | None = None,
+              window: bool = False) -> np.ndarray:
+    """One step of any cell kind on the input ``x``, or, with ``window``,
+    the steps of the (T, ...) window ``x`` in turn: reads ``state``, appends
+    the steps' values to it and returns the output y (a window's (T, ...)
+    outputs).  Recorded on ``tape``, when one is given, as one window entry
+    of the chain of ``state``.
+
+    A delayed-only cell, whose every read is ``dilation`` steps back, runs
+    its window in blocks of ``dilation`` steps, its d chains side by side:
+    no step of a block reads another.  Any other cell runs a block per step.
+    A block is one kernel call, its steps a batch axis of every product, so
+    its arithmetic is that of its steps one by one.
+    """
+    xs = x if window else x[None]
+    steps, rows = len(xs), xs.shape[1:-1]
+    reads = _layer_reads(params, dilation)
+    span = dilation if all(lag == dilation for lag, _, _ in reads) else 1
+    if span > 1 and not rows:  # keeps a block's 1-d steps matrix-vector
+        xs = xs[:, None]       # products: a unit row axis
+    inner = xs.shape[1:-1]
     lo, hi = _out_part(params)
+    ys = np.empty((steps, *inner, hi - lo))
+    step = _adrnn_step if params.kind is CellKind.ADRNN else _stage
+    keep = tape is not None and tape.recording
+    vjps, last = [], None  # the blocks' vjps, for a recording tape only
+    for t0 in range(0, steps, span):
+        t1 = min(t0 + span, steps)
+
+        def read(lag, lo, hi):
+            if span == 1:  # the ring holds the window's steps so far
+                return state.read(rows, lag, lo, hi)
+            if last is not None:  # every read is of the block before
+                return last[:t1 - t0, ..., lo:hi]
+            return np.stack([state.read(rows, lag - t, lo, hi)
+                             for t in range(t1 - t0)]).reshape(
+                                 t1 - t0, *inner, hi - lo)
+
+        at = _block(t0, t1, span)
+        last, vjp = step(params, read, xs[at], dilation)
+        ys[at] = last[..., lo:hi]
+        if span == 1:
+            state.values.append(last)
+        else:
+            state.values.extend(last.reshape(-1, *rows, last.shape[-1]))
+        if keep:
+            vjps.append(vjp)
+
+    def window_vjp(adj, terms):
+        # blocks in reverse; a block's adjoint gets the upstream terms after
+        # what later blocks' reads sent, and its factor pairs go on a step
+        # at a time, the last step first, as from a sweep of single steps
+        adj = adj.reshape(steps, *inner, adj.shape[-1])
+        terms = [np.reshape(term, (*adj.shape[:-1], hi - lo))
+                 for term in terms]
+        pairs = [[] for _ in params.stages]
+        dxs = [None] * steps
+        early = [[None] * min(lag, steps) for lag, _, _ in reads]
+        for k in range(len(vjps) - 1, -1, -1):
+            t0, t1 = k * span, min(k * span + span, steps)
+            at = _block(t0, t1, span)
+            g = adj[at]
+            for term in terms:
+                g[..., lo:hi] += term[at]
+            grads = vjps[k](g)
+            for factors, dw in zip(pairs, grads):
+                factors += dw if span == 1 else [
+                    (u[t], v[t]) for t in range(t1 - t0 - 1, -1, -1)
+                    for u, v in dw]
+            dx = grads[len(pairs)]
+            if span == 1:
+                dxs[t0] = dx
+            else:
+                dxs[t0:t1] = dx.reshape(t1 - t0, *rows, dx.shape[-1])
+            for (lag, rlo, rhi), rg, before in zip(
+                    reads, grads[len(pairs) + 1:], early):
+                if t0 >= lag:
+                    adj[_block(t0 - lag, t1 - lag, span)][..., rlo:rhi] += rg
+                else:  # the block read before the window
+                    before[t0:t1] = rg.reshape(t1 - t0, *rows, rhi - rlo)
+        return (*pairs, dxs, *early)
+
     if tape is not None:
-        tape.record(state, value.shape, (lo, hi), reads, params.blocks(), vjp)
-    state.values.append(value)
-    return value[..., lo:hi]
+        tape.record(state, (steps, *rows, last.shape[-1]), (lo, hi), reads,
+                    params.blocks(), window_vjp, window=True)
+    ys = ys.reshape(steps, *rows, hi - lo)
+    return ys if window else ys[0]
 
 
 def cell_gradient(
@@ -482,7 +574,8 @@ def cell_gradient(
     dilation: int,
     upstream: list[np.ndarray],
 ):
-    """Gradients of ``sum_t upstream[t] . y_t`` from a cold-start unroll.
+    """Gradients of ``sum_t upstream[t] . y_t`` from a cold-start unroll of
+    ``inputs`` as one window.
 
     Returns ``(param_grads, input_grads)`` where ``param_grads`` maps the
     names from :meth:`CellParams.named_arrays` to arrays.
@@ -491,9 +584,8 @@ def cell_gradient(
         raise ValueError("need one upstream gradient per input step")
     tape = Tape()
     state = new_state(params, dilation)
-    for x in inputs:
-        cell_step(params, state, np.asarray(x, dtype=np.float64), dilation,
-                  tape)
+    cell_step(params, state, np.asarray(inputs, dtype=np.float64), dilation,
+              tape, window=True)
     input_grads = tape.backward(state, upstream)
     grads = tape.grads(params.blocks())
     return dict(params.named_arrays(blocks=grads)), input_grads

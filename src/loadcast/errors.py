@@ -34,4 +34,4 @@ class StaleTapeError(LoadcastError):
 
 
 class TrainingDivergedError(LoadcastError):
-    """Training loss became non-finite."""
+    """Training loss or trained weights became non-finite."""

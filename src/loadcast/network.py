@@ -8,10 +8,11 @@ to 72 numbers: 24 hourly point forecasts and 24 lower and upper interval
 bounds, all in standardized space.  No ordering among point and bounds is
 imposed; crossings are measured downstream, not prevented.
 
-Only the layers read earlier days, so a window of days, of one series or of
-series stacked as rows, is one input step, three cell steps per day and one
-head step: :func:`model_unroll`, which training, serving and the gradient
-check all run.  Its five tape chains (input, three layers, head)
+Only the layers read earlier days, and layers feed only upward, so a window
+of days, of one series or of series stacked as rows, is one input step,
+layer 1's window, layer 2's and layer 3's, and one head step:
+:func:`model_unroll`, which training, serving and the gradient check all
+run.  Its five tape entries (input, three layer windows, head)
 :func:`model_backward` sweeps from the head down.
 """
 
@@ -180,21 +181,24 @@ def model_new_state(model: StackedModel) -> list[CellState]:
 
 def model_step(model: StackedModel, states: list[CellState], u1: np.ndarray,
                tape: Tape | None = None) -> np.ndarray:
-    """One day of the recurrent stack: three dilated cells with shortcuts on
-    the day's input ``u1`` (``(..., layer1_input_size)``), advancing each
-    layer's ring of ``states`` once; returns the top layer's output.  Each
-    cell step is recorded on ``tape``'s chain of its layer, when given."""
+    """The recurrent stack over the window ``u1`` (``(T, ...,
+    layer1_input_size)``): layer 1's window, then layer 2's, then layer
+    3's, each one :func:`cell_step` advancing its ring of ``states`` by T
+    steps, with identity shortcuts; returns the top layer's (T, ...)
+    outputs.  Each layer's window is one entry of ``tape``'s chain of its
+    layer, when given."""
     d1, d2, d3 = model.config.dilations
-    y1 = cell_step(model.cells[0], states[0], u1, d1, tape)
-    y2 = cell_step(model.cells[1], states[1], y1, d2, tape) + y1
-    return cell_step(model.cells[2], states[2], y2, d3, tape) + y2
+    y1 = cell_step(model.cells[0], states[0], u1, d1, tape, window=True)
+    y2 = cell_step(model.cells[1], states[1], y1, d2, tape, window=True) + y1
+    return cell_step(model.cells[2], states[2], y2, d3, tape,
+                     window=True) + y2
 
 
 def model_unroll(model: StackedModel, states: list[CellState],
                  inputs: ExtendedInput, tape: Tape | None = None
                  ) -> np.ndarray:
     """The window ``inputs`` forward: ``[week; level; E calendar]`` for all
-    days, one :func:`model_step` per day, then the head for all days, whose
+    days, :func:`model_step` over them, then the head for all days, whose
     ``(T, ..., 72)`` output (point, lower, upper) it returns.
 
     ``inputs`` holds one series' (T, ...) days, or (T, B, ...) for series
@@ -217,7 +221,7 @@ def model_unroll(model: StackedModel, states: list[CellState],
     tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
                 lambda g: (list(zip(g[::-1, ..., HOURS_PER_WEEK + 1:],
                                     calendar[::-1])), None))
-    y3 = np.stack([model_step(model, states, u, tape) for u in u1])
+    y3 = model_step(model, states, u1, tape)
     w = model.head_w
     heads = y3 @ w.swapaxes(-1, -2) + model.head_b
     tape.record(HEAD, heads.shape, (0, HEAD_SIZE), (), (w, model.head_b),
@@ -238,6 +242,6 @@ def model_backward(model: StackedModel, states: list[CellState], tape: Tape,
     layer1, layer2, layer3 = states
     (dy3,) = tape.backward(HEAD, [head_grads])
     dy2 = dy3 + np.stack(tape.backward(layer3, dy3))
-    dx2 = tape.backward(layer2, dy2)
+    dx2 = np.stack(tape.backward(layer2, dy2))
     tape.backward(INPUT, [np.stack(tape.backward(layer1, dy2, dx2))])
     return tape.grads(model.blocks())

@@ -1,14 +1,17 @@
-"""Per-layer chains of recorded steps and their reverse sweeps.
+"""Per-layer chains of recorded entries and their reverse sweeps.
 
-A window of the model is an input step, one step per layer and day, and a
-head step, and the only links between days are a layer's reads of its own
-earlier states.  A :class:`Tape` records each step on the *chain* of its
-owner (a layer's state, or the name of the input or head chain): the shape of
-its value, the part ``[lo:hi]`` of the last axis that is its output, the
-``(lag, lo, hi)`` parts of earlier steps of the chain it read, the parameter
-arrays it used and its vector-Jacobian closure.  :meth:`Tape.backward` sweeps
-one chain in reverse, sending each read's adjoint to step ``t - lag``; a read
-from before the chain's first step hit carried state and passes none.
+A window of the model is an input entry, one entry per layer, which runs the
+layer's window of steps, and a head entry; the only links between days are a
+layer's reads of its own earlier steps.  A :class:`Tape` records each entry
+on the *chain* of its owner (a layer's state, or the name of the input or
+head chain): the shape of its value, the ``(lag, lo, hi)`` parts of earlier
+steps of the chain each of its steps read, the parameter arrays it used and
+its vector-Jacobian closure.  An entry is one step, whose value may be a
+whole window's (the input and head), or a *window* of steps along its
+value's first axis, whose closure sweeps them in reverse itself.
+:meth:`Tape.backward` sweeps one chain's entries in reverse, sending each
+read that reaches before its entry to step ``t - lag`` of an earlier one; a
+read from before the chain's first step hit carried state and passes none.
 
 Values are float64 arrays, one vector or a batch of them as rows.  Parameter
 arrays are registered by identity, so an array used at every step
@@ -31,11 +34,28 @@ def _fingerprint(arr: np.ndarray) -> tuple:
     return (arr.shape, float(arr.sum()), float(np.abs(arr).sum()))
 
 
+def _one_step(vjp, out: tuple, n_leaves: int):
+    """The vjp of a one-step entry as a window's: the step's adjoint gets
+    each upstream term on its output, then its gradients come out as a
+    window of one's."""
+    lo, hi = out
+
+    def window_vjp(adj, terms):
+        g = adj[0]
+        for term in terms:
+            g[..., lo:hi] += term[0]
+        grads = vjp(g)
+        return (*grads[:n_leaves], grads[n_leaves:n_leaves + 1],
+                *([rg] for rg in grads[n_leaves + 1:]))
+
+    return window_vjp
+
+
 class Tape:
-    """Chains of recorded steps, and the gradients their sweeps produced.
+    """Chains of recorded entries, and the gradients their sweeps produced.
 
     A ``forward_only`` tape (the one an unroll without a tape builds)
-    registers parameters but takes no fingerprints, keeps no steps and
+    registers parameters but takes no fingerprints, keeps no entries and
     refuses :meth:`backward`.
     """
 
@@ -44,6 +64,11 @@ class Tape:
         self._prints: dict[int, tuple] | None = None if forward_only else {}
         self._chains: dict = {}
         self._leaf_grads: dict[int, list] = {}
+
+    @property
+    def recording(self) -> bool:
+        """Whether recorded entries are kept for :meth:`backward`."""
+        return self._prints is not None
 
     def leaf(self, arr: np.ndarray):
         """Register the parameter array ``arr``, cached by identity."""
@@ -54,12 +79,12 @@ class Tape:
                 self._prints[key] = _fingerprint(arr)
 
     def __len__(self) -> int:
-        """Registered parameters plus recorded steps."""
+        """Registered parameters plus recorded entries."""
         return len(self._leaves) + sum(map(len, self._chains.values()))
 
     def record(self, chain, shape: tuple, out: tuple, reads: tuple,
-               leaves: tuple, vjp):
-        """Append a step whose value has ``shape`` to ``chain``, any
+               leaves: tuple, vjp, window: bool = False):
+        """Append an entry whose value has ``shape`` to ``chain``, any
         hashable owner.
 
         ``out`` is the ``(lo, hi)`` part of the value that is the step's
@@ -68,12 +93,22 @@ class Tape:
         array of ``leaves`` (dense, or a list of factor pairs), then the
         adjoint of the step's input (None for a step without one), then one
         adjoint per read.
+
+        A ``window`` entry is the steps along the first axis of ``shape``,
+        each reading ``reads``.  Its ``vjp(adj, terms)`` takes the window's
+        adjoint, holding what later entries' reads sent, and each upstream's
+        terms for its steps.  Sweeping in reverse, it adds a step's terms to
+        its output after what later steps' reads sent, and returns the
+        leaves' gradients, the steps' input adjoints, then per read the
+        adjoints of the steps whose read reached before the window.
         """
         for arr in leaves:
             self.leaf(arr)
         if self._prints is not None:
+            if not window:
+                shape, vjp = (1, *shape), _one_step(vjp, out, len(leaves))
             self._chains.setdefault(chain, []).append(
-                (shape, out, reads, leaves, vjp))
+                (shape, reads, leaves, vjp))
 
     def backward(self, chain, *upstream) -> list:
         """Sweep ``chain`` in reverse and return its steps' input adjoints.
@@ -85,24 +120,30 @@ class Tape:
         """
         if self._prints is None:
             raise ValueError("a forward-only tape cannot run backward")
-        steps = self._chains.get(chain, [])
-        for key in {id(arr) for step in steps for arr in step[3]}:
+        entries = self._chains.get(chain, [])
+        for key in {id(arr) for entry in entries for arr in entry[2]}:
             if _fingerprint(self._leaves[key]) != self._prints[key]:
                 raise StaleTapeError("leaf array mutated since it was recorded")
 
-        adj = [np.zeros(step[0]) for step in steps]
+        adj = [np.zeros(entry[0]) for entry in entries]
+        steps = [(k, i) for k, entry in enumerate(entries)
+                 for i in range(entry[0][0])]  # each step's entry and index
         dxs = [None] * len(steps)
-        for t in range(len(steps) - 1, -1, -1):
-            _, (lo, hi), reads, leaves, vjp = steps[t]
-            for terms in upstream:
-                adj[t][..., lo:hi] += terms[t]
-            grads = vjp(adj[t])
+        end = len(steps)
+        for k in range(len(entries) - 1, -1, -1):
+            shape, reads, leaves, vjp = entries[k]
+            start = end - shape[0]
+            grads = vjp(adj[k], [terms[start:end] for terms in upstream])
             for arr, lg in zip(leaves, grads):
                 self._leaf_grads.setdefault(id(arr), []).append(lg)
-            dxs[t] = grads[len(leaves)]
-            for (lag, rlo, rhi), rg in zip(reads, grads[len(leaves) + 1:]):
-                if lag <= t:
-                    adj[t - lag][..., rlo:rhi] += rg
+            dxs[start:end] = grads[len(leaves)]
+            # reads that reached before the entry, the last step's first
+            for t in range(shape[0] - 1, -1, -1) if start else ():
+                for (lag, lo, hi), rg in zip(reads, grads[len(leaves) + 1:]):
+                    if t < lag <= start + t:
+                        j, i = steps[start + t - lag]
+                        adj[j][i][..., lo:hi] += rg[t]
+            end = start
         return dxs
 
     def grads(self, wrt) -> list[np.ndarray]:

@@ -167,12 +167,18 @@ class Adam:
             arr -= s
 
 
+def _squared_norm(arrays) -> float:
+    """The sum of the squares of every element of ``arrays``: inf or nan
+    when one is not finite, or when the sum overflows."""
+    total = 0.0
+    for a in arrays:
+        total += float(np.sum(a * a))
+    return total
+
+
 def clip_global_norm(grads: dict, max_norm: float | None) -> float:
     """Scale the whole gradient dict in place; returns the pre-clip norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    norm = float(np.sqrt(_squared_norm(grads.values())))
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
@@ -277,7 +283,8 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
 
     The seed drives both initialization and epoch shuffles from a single
     generator, so a zero-epoch recipe returns exactly the initialized
-    model.
+    model.  Raises :class:`TrainingDivergedError` on a non-finite loss, or
+    when the trained weights or their squared norm are not finite.
     """
     if len(data) == 0:
         raise NoTrainableSamplesError("empty training set")
@@ -313,6 +320,12 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
                 loss_sum += batch_loss
                 pair_count += pairs
         epoch_losses.append(loss_sum / pair_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = not np.isfinite(_squared_norm(blocks))
+    if diverged:
+        raise TrainingDivergedError(
+            f"member seed={seed} diverged: its trained weights, or their "
+            "squared norm, are not finite")
     return TrainResult(model=model, epoch_losses=epoch_losses,
                        update_count=optimizer.step_count)
 

@@ -6,10 +6,12 @@ The oracles below unroll each cell with explicit Python index loops and
 
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from loadcast import cells
 from loadcast.cells import (
     ATTENTION_CLAMP,
     CellKind,
@@ -481,6 +483,168 @@ def test_one_member_stack_of_one_row_is_the_vector_path_bitwise(kind, kwargs):
         y_stack = cell_step(stack, stack_state, x[None, None], 2)
         assert y_stack.shape == (1, 1, *y.shape)
         np.testing.assert_array_equal(y_stack[0, 0], y)
+
+
+# -- a window against its steps one call at a time -------------------------
+
+WINDOW_VARIANTS = {
+    "lstm1": (CellKind.LSTM, Connection.RECENT_ONLY),
+    "lstm2": (CellKind.LSTM, Connection.DELAYED_ONLY),
+    "gru1": (CellKind.GRU, Connection.RECENT_ONLY),
+    "gru2": (CellKind.GRU, Connection.DELAYED_ONLY),
+    "dlstm": (CellKind.DLSTM, None),
+    "drnn": (CellKind.DRNN, None),
+    "adrnn": (CellKind.ADRNN, None),
+}
+
+
+def window_params(variant, members=None):
+    """Small parameters of ``variant``; with ``members``, that many cells
+    stacked along a leading member axis, as serving stacks them."""
+    kind, connection = WINDOW_VARIANTS[variant]
+    kwargs = {"connection": connection,
+              "out_size": None if connection else 2}
+    cells = [cell_init(kind, 3, 2, seed=41 + m, **kwargs)[0]
+             for m in range(members or 1)]
+    if members is None:
+        return cells[0]
+    stack = cell_layout(kind, 3, 2, **kwargs)
+    stack.bind(np.stack(blocks)
+               for blocks in zip(*(c.blocks() for c in cells)))
+    return stack
+
+
+def stepped(params, state, xs, dilation, tape):
+    """The outputs of ``xs`` run a step at a time from the stage functions,
+    each step recorded as a one-step entry: the per-step path a window's
+    sweep must match, its adjoints summed by the tape."""
+    step = (cells._adrnn_step if params.kind is CellKind.ADRNN
+            else cells._stage)
+    reads = cells._layer_reads(params, dilation)
+    lo, hi = cells._out_part(params)
+    ys = []
+    for x in xs:
+        value, vjp = step(params,
+                          lambda *part: state.read(x.shape[:-1], *part), x,
+                          dilation)
+        tape.record(state, value.shape, (lo, hi), reads, params.blocks(), vjp)
+        state.values.append(value)
+        ys.append(value[..., lo:hi])
+    return np.stack(ys)
+
+
+def unrolled(params, state, xs, dilation, upstream, how):
+    """Outputs, input adjoints and block gradients of ``xs`` run on
+    ``state`` as one window, as two windows on one tape (the second's reads
+    reaching into the first), as one step call at a time or
+    :func:`stepped`, each recorded on its own tape, swept with the
+    ``upstream`` terms; a member stack's gradients are not reduced."""
+    tape = Tape()
+    if how == "window":
+        ys = cell_step(params, state, xs, dilation, tape, window=True)
+    elif how == "halves":
+        ys = np.concatenate([cell_step(params, state, half, dilation, tape,
+                                       window=True)
+                             for half in np.array_split(xs, 2) if len(half)])
+    elif how == "calls":
+        ys = np.stack([cell_step(params, state, x, dilation, tape)
+                       for x in xs])
+    else:
+        ys = stepped(params, state, xs, dilation, tape)
+    dxs = tape.backward(state, *upstream)
+    stacked = params.blocks()[0].ndim == 3
+    return ys, dxs, [] if stacked else tape.grads(params.blocks())
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 3, 7])
+@pytest.mark.parametrize("variant", sorted(WINDOW_VARIANTS))
+def test_window_is_bitwise_its_steps_one_call_at_a_time(variant, dilation):
+    # outputs, ring values, input adjoints and block gradients, against two
+    # windows, one step call at a time and steps recorded one by one, from a
+    # cold, a carried and a regrouped ring, for one series, a batch of rows
+    # and a member stack of batches; two upstream terms, as layer 1 gets,
+    # so the order of the adjoint sums shows
+    rng = np.random.default_rng(dilation)
+    layouts = {(): window_params(variant), (3,): window_params(variant),
+               (2, 3): window_params(variant, members=2)}
+    d = dilation
+    for rows, params in layouts.items():
+        for steps in sorted({1, d - 1, d, d + 1, 2 * d + 1} - {0}):
+            for start in ("cold", "carried", "regrouped"):
+                if start == "regrouped" and rows != (3,):
+                    continue  # only training regroups, a batch of rows
+                state = new_state(params, d)
+                if start != "cold":
+                    cell_step(params, state, rng.normal(
+                        size=(2 * d + 1, *rows, 3)), d, window=True)
+                if start == "regrouped":
+                    state.regroup(np.array([2, 0, 1]),
+                                  np.array([False, True, False]))
+                xs = rng.normal(size=(steps, *rows, 3))
+                upstream = rng.normal(size=(2, steps, *rows,
+                                            params.out_size))
+                hows = ("window", "halves", "calls", "stepped")
+                states = [copy.deepcopy(state) for _ in hows]
+                got, *refs = (unrolled(params, ring, xs, d, upstream, how)
+                              for ring, how in zip(states, hows))
+                for ref, ring in zip(refs, states[1:]):
+                    what = f"{rows} {steps} steps {start}"
+                    np.testing.assert_array_equal(got[0], ref[0], err_msg=what)
+                    assert len(states[0]) == len(ring)
+                    for a, b in zip(states[0].values, ring.values):
+                        np.testing.assert_array_equal(a, b, err_msg=what)
+                    for got_part, ref_part in zip(got[1:], ref[1:]):
+                        assert len(got_part) == len(ref_part)
+                        for a, b in zip(got_part, ref_part):
+                            np.testing.assert_array_equal(a, b, err_msg=what)
+
+
+def counting_kernels(monkeypatch):
+    """Count calls of the gate kernels; keep a weak reference to each
+    backward closure they return."""
+    calls, backs = [], []
+
+    def counted(kernel):
+        def spy(*args):
+            value, back = kernel(*args)
+            calls.append(kernel.__name__)
+            backs.append(weakref.ref(back))
+            return value, back
+        return spy
+
+    for kind, kernel in list(cells._KERNELS.items()):
+        monkeypatch.setitem(cells._KERNELS, kind, counted(kernel))
+    return calls, backs
+
+
+@pytest.mark.parametrize("variant", sorted(WINDOW_VARIANTS))
+def test_window_runs_one_kernel_call_per_block(variant, monkeypatch):
+    # a delayed-only cell steps d days per kernel call, every other cell
+    # one, its attentive form twice (two stages)
+    calls, _ = counting_kernels(monkeypatch)
+    params = window_params(variant)
+    stages = 2 if variant == "adrnn" else 1
+    for d in (1, 2, 3, 7):
+        for steps in (1, d, d + 1, 2 * d + 1, 56):
+            calls.clear()
+            cell_step(params, new_state(params, d),
+                      np.zeros((steps, 2, 3)), d, Tape(), window=True)
+            per_block = d if variant in ("lstm2", "gru2") else 1
+            assert len(calls) == stages * math.ceil(steps / per_block)
+
+
+def test_window_without_a_recording_tape_keeps_no_backward_state(
+        monkeypatch):
+    _, backs = counting_kernels(monkeypatch)
+    params = window_params("lstm2")
+    xs = np.ones((9, 2, 3))
+    for tape in (None, Tape(forward_only=True)):
+        cell_step(params, new_state(params, 2), xs, 2, tape, window=True)
+        assert len(backs) == 5 and all(ref() is None for ref in backs)
+        backs.clear()
+    tape = Tape()
+    cell_step(params, new_state(params, 2), xs, 2, tape, window=True)
+    assert len(backs) == 5 and all(ref() is not None for ref in backs)
 
 
 @pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.DRNN, CellKind.ADRNN],

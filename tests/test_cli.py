@@ -332,6 +332,25 @@ def test_train_unusable_config_exits_1(workspace, tmp_path, capsys, raw,
     assert not out.exists()
 
 
+def test_train_with_diverged_weights_exits_1(tmp_path, capsys):
+    # a rate of 1e300 keeps one epoch's losses finite but leaves weights
+    # near 1e300, whose squared norm overflows: the member is refused and no
+    # model file is written
+    store, out = str(tmp_path / "s.store"), tmp_path / "m.model"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "model": {"cell_variant": "gru1", "hidden_size": 16, "embed_size": 8},
+        "recipe": {"epochs": 1, "learning_rates": {"1": 1e300},
+                   "seeds": [0]}}), encoding="utf-8")
+    assert main(["synth", "--series", "2", "--days", "60", "--store",
+                 store]) == 0
+    assert main(["train", "--store", store, "--config", str(config),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "member seed=0 diverged" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_headerless_store_exits_1(workspace, tmp_path, capsys):
     store = tmp_path / "headerless.store"
     store.write_bytes(b'loadcast-store\n{"format_version":1}\n')

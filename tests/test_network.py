@@ -143,15 +143,15 @@ def test_removing_shortcuts_changes_outputs():
 
 
 def test_unroll_window_of_one_equals_step():
-    # a one-day window is the day's input, one step of the recurrent stack
-    # and the head
+    # a one-day window is the day's input, the recurrent stack over a window
+    # of that one day and the head
     model = model_build(small_config("dlstm"), seed=8)
     inputs = random_day_inputs(np.random.default_rng(9), 1)
     tape = Tape()
     outs = model_unroll(model, model_new_state(model), stacked([inputs]), tape)
     ext = inputs[0]
     u1 = np.concatenate([ext.week, [ext.level], model.embedding @ ext.calendar])
-    y3 = model_step(model, model_new_state(model), u1)
+    (y3,) = model_step(model, model_new_state(model), u1[None])
     assert outs.shape == (1, 1, HEAD_SIZE)
     np.testing.assert_array_equal(outs[0, 0], model.head_w @ y3 + model.head_b)
     assert len(tape) > 0
@@ -357,15 +357,15 @@ def test_window_group_records_as_many_nodes_as_one_series(variant):
     assert len(five) == len(one)
 
 
-@pytest.mark.parametrize("variant", ["lstm1", "adrnn"])
+@pytest.mark.parametrize("variant", ["lstm1", "gru2", "adrnn"])
 @pytest.mark.parametrize("window_days", [1, 6])
-def test_window_is_one_input_step_three_cell_steps_a_day_and_one_head_step(
+def test_window_is_one_input_entry_one_entry_per_layer_and_one_head_entry(
         variant, window_days):
     model = model_build(small_config(variant), seed=29)
     windows = [random_day_inputs(np.random.default_rng(30), window_days)] * 2
     tape = Tape()
     model_unroll(model, model_new_state(model), stacked(windows), tape)
-    assert len(tape) == len(model.blocks()) + 3 * window_days + 2
+    assert len(tape) == len(model.blocks()) + 5
 
 
 @pytest.mark.parametrize("variant", sorted(CELL_VARIANTS))

@@ -587,7 +587,7 @@ def test_stacked_members_are_bitwise_each_member_stepped_alone(
         stacked(records), np.mean([stacked(a) for a in alone], axis=0))
 
 
-def test_one_model_step_per_batch_day_serves_every_member(monkeypatch):
+def test_one_model_step_per_window_serves_every_member(monkeypatch):
     calls = []
 
     step = network.model_step
@@ -602,8 +602,8 @@ def test_one_model_step_per_batch_day_serves_every_member(monkeypatch):
     forecast_range(ens, gappy_store(), first, last)
     # five stretches hold days of the range (c's gap on Mar 12 splits it);
     # the longest, b's, runs from Jan 14, 56 days before Mar 10, to Mar 13,
-    # the day after its data ends: 60 days, each one call for 3 members
-    assert calls == [(3, (3, 5))] * 60
+    # the day after its data ends: one call over 60 days for 3 members
+    assert calls == [(3, (60, 3, 5))]
 
 
 def test_ensemble_members_must_share_one_config():
