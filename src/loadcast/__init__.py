@@ -8,11 +8,11 @@ pinball loss so the bounds are genuine quantile forecasts rather than
 post-hoc error bands.
 
 Modules:
-    tape: per-layer chains of recorded entries and their reverse sweeps
-        (float64 throughout).
+    tape: per-layer chains of entries, blocks of steps with one vjp each,
+        and the one reverse sweep over them (float64 throughout).
     cells: the five gated recurrent cells on plain arrays with hand-written
         backward passes; a layer's window of steps is one call and one tape
-        entry, run in blocks of one day, or of d days for the delayed-only
+        entry, in blocks of one day, or of d days for the delayed-only
         cells; a layer's state is the ring of its last step values.
     network: the dilated three-layer stack with embedding and linear head;
         model_unroll, the one window forward of training, serving and the

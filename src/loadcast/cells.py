@@ -7,12 +7,14 @@ earlier values (one table per step, its h reads then its c reads), appends
 its own value and returns the output y.  :func:`cell_step` runs a layer's
 whole (T, ...) window of steps in one call, or one step as a window of one.
 Given a :class:`~loadcast.tape.Tape`, it records the window, with the same
-read table, as one entry on the chain of its layer's state, so reverse-mode
-gradients through any number of steps come from sweeping that chain.
+read table, as one entry on the chain of its layer's state, one vjp per
+block; the tape's sweep of that chain gives reverse-mode gradients through
+any number of steps.
 
-A window runs in blocks: ``d`` days for the delayed-only plain cells, whose
-every read is ``d`` steps back, so the steps of a block read none of each
-other, and one day for every other cell.  A block runs one stage function,
+A window runs in blocks: ``d`` days for the delayed-only plain cells over
+row batches, whose every read is ``d`` steps back, so the steps of a block
+read none of each other, and one day for every other cell and every 1-d
+window.  A block runs one stage function,
 :func:`_stage`, per gate stack (adrnn has two): it reads the stack's parts,
 builds the gate input ``[x; h_recent; h_delayed; 1]`` and runs one of three
 pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
@@ -36,12 +38,15 @@ rescales the input of the second; the step's value is the two stages'
 values end to end.
 
 :func:`cell_layout` is the one home of the cells' size and connection
-rules, :func:`new_state` of the dilation rule.
+rules, :func:`new_state` of the dilation rule and :func:`allocate` of
+the parameter arrays' memory check.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -197,9 +202,11 @@ class CellState:
 
 
 def new_state(params: CellParams, dilation: int) -> CellState:
-    """A fresh state for a cell of any kind, sized for ``dilation`` >= 1."""
-    if dilation < 1:
-        raise ConfigError("dilation must be >= 1")
+    """A fresh state for a cell of any kind, sized for ``dilation``, from 1
+    to the longest ring a deque holds."""
+    if not 1 <= dilation <= sys.maxsize:
+        raise ConfigError(f"dilation must be >= 1 and at most the longest "
+                          f"state ring, {sys.maxsize}")
     return CellState(dilation)
 
 
@@ -242,6 +249,16 @@ def cell_layout(
                       upper.cell_size, lower=lower, upper=upper)
 
 
+def allocate(shapes, what: str) -> list[np.ndarray]:
+    """Unfilled arrays of ``shapes``, the parameters of a ``what``, or a
+    :class:`ConfigError` naming their count if they do not fit in memory."""
+    try:
+        return [np.empty(shape) for shape in shapes]
+    except (MemoryError, ValueError):  # ValueError: past numpy's size range
+        raise ConfigError(f"a {what} of {sum(map(math.prod, shapes))} "
+                          "parameters does not fit in memory") from None
+
+
 def init_uniform(named, rng: np.random.Generator):
     """Fill the ``(name, array)`` pairs in order: biases (names ending in
     ``.b``) with zeros, every other array from U(+-1/sqrt(fan_in)), its
@@ -271,7 +288,7 @@ def cell_init(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     params = cell_layout(kind, input_size, hidden_size, out_size,
                          upper_hidden_size, connection)
-    params.bind(np.empty(shape) for shape in params.block_shapes())
+    params.bind(iter(allocate(params.block_shapes(), "cell")))
     init_uniform(params.named_arrays(), rng)
     return params, new_state(params, dilation)
 
@@ -472,36 +489,29 @@ def _layer_reads(params: CellParams, dilation: int) -> tuple:
     return _reads(params, dilation)
 
 
-def _block(t0: int, t1: int, span: int):
-    """The index of steps ``[t0, t1)`` along a window's first axis; a
-    block of one step indexes that axis away."""
-    return t0 if span == 1 else slice(t0, t1)
-
-
 def cell_step(params: CellParams, state: CellState, x: np.ndarray,
               dilation: int, tape: Tape | None = None,
               window: bool = False) -> np.ndarray:
     """One step of any cell kind on the input ``x``, or, with ``window``,
     the steps of the (T, ...) window ``x`` in turn: reads ``state``, appends
     the steps' values to it and returns the output y (a window's (T, ...)
-    outputs).  Recorded on ``tape``, when one is given, as one window entry
-    of the chain of ``state``.
+    outputs).  Recorded on ``tape``, when one is given, as one entry of the
+    chain of ``state``, with one vjp per block.
 
     A delayed-only cell, whose every read is ``dilation`` steps back, runs
-    its window in blocks of ``dilation`` steps, its d chains side by side:
-    no step of a block reads another.  Any other cell runs a block per step.
-    A block is one kernel call, its steps a batch axis of every product, so
-    its arithmetic is that of its steps one by one.
+    a window of row batches in blocks of ``dilation`` steps, its d chains
+    side by side: no step of a block reads another.  Any other cell, and
+    any 1-d window, runs a block per step.  A block is one kernel call, its
+    steps a batch axis of every product, so its arithmetic is that of its
+    steps one by one.
     """
     xs = x if window else x[None]
     steps, rows = len(xs), xs.shape[1:-1]
     reads = _layer_reads(params, dilation)
-    span = dilation if all(lag == dilation for lag, _, _ in reads) else 1
-    if span > 1 and not rows:  # keeps a block's 1-d steps matrix-vector
-        xs = xs[:, None]       # products: a unit row axis
-    inner = xs.shape[1:-1]
+    span = (dilation if rows and all(lag == dilation for lag, _, _ in reads)
+            else 1)
     lo, hi = _out_part(params)
-    ys = np.empty((steps, *inner, hi - lo))
+    ys = np.empty((steps, *rows, hi - lo))
     step = _adrnn_step if params.kind is CellKind.ADRNN else _stage
     keep = tape is not None and tape.recording
     vjps, last = [], None  # the blocks' vjps, for a recording tape only
@@ -514,57 +524,17 @@ def cell_step(params: CellParams, state: CellState, x: np.ndarray,
             if last is not None:  # every read is of the block before
                 return last[:t1 - t0, ..., lo:hi]
             return np.stack([state.read(rows, lag - t, lo, hi)
-                             for t in range(t1 - t0)]).reshape(
-                                 t1 - t0, *inner, hi - lo)
+                             for t in range(t1 - t0)])
 
-        at = _block(t0, t1, span)
+        at = t0 if span == 1 else slice(t0, t1)
         last, vjp = step(params, read, xs[at], dilation)
         ys[at] = last[..., lo:hi]
-        if span == 1:
-            state.values.append(last)
-        else:
-            state.values.extend(last.reshape(-1, *rows, last.shape[-1]))
+        state.values.extend([last] if span == 1 else last)
         if keep:
             vjps.append(vjp)
-
-    def window_vjp(adj, terms):
-        # blocks in reverse; a block's adjoint gets the upstream terms after
-        # what later blocks' reads sent, and its factor pairs go on a step
-        # at a time, the last step first, as from a sweep of single steps
-        adj = adj.reshape(steps, *inner, adj.shape[-1])
-        terms = [np.reshape(term, (*adj.shape[:-1], hi - lo))
-                 for term in terms]
-        pairs = [[] for _ in params.stages]
-        dxs = [None] * steps
-        early = [[None] * min(lag, steps) for lag, _, _ in reads]
-        for k in range(len(vjps) - 1, -1, -1):
-            t0, t1 = k * span, min(k * span + span, steps)
-            at = _block(t0, t1, span)
-            g = adj[at]
-            for term in terms:
-                g[..., lo:hi] += term[at]
-            grads = vjps[k](g)
-            for factors, dw in zip(pairs, grads):
-                factors += dw if span == 1 else [
-                    (u[t], v[t]) for t in range(t1 - t0 - 1, -1, -1)
-                    for u, v in dw]
-            dx = grads[len(pairs)]
-            if span == 1:
-                dxs[t0] = dx
-            else:
-                dxs[t0:t1] = dx.reshape(t1 - t0, *rows, dx.shape[-1])
-            for (lag, rlo, rhi), rg, before in zip(
-                    reads, grads[len(pairs) + 1:], early):
-                if t0 >= lag:
-                    adj[_block(t0 - lag, t1 - lag, span)][..., rlo:rhi] += rg
-                else:  # the block read before the window
-                    before[t0:t1] = rg.reshape(t1 - t0, *rows, rhi - rlo)
-        return (*pairs, dxs, *early)
-
     if tape is not None:
         tape.record(state, (steps, *rows, last.shape[-1]), (lo, hi), reads,
-                    params.blocks(), window_vjp, window=True)
-    ys = ys.reshape(steps, *rows, hi - lo)
+                    params.blocks(), vjps, span)
     return ys if window else ys[0]
 
 

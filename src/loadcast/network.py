@@ -12,8 +12,8 @@ Only the layers read earlier days, and layers feed only upward, so a window
 of days, of one series or of series stacked as rows, is one input step,
 layer 1's window, layer 2's and layer 3's, and one head step:
 :func:`model_unroll`, which training, serving and the gradient check all
-run.  Its five tape entries (input, three layer windows, head)
-:func:`model_backward` sweeps from the head down.
+run.  Its five tape entries (the input and head one step each, whose
+value is the window's) :func:`model_backward` sweeps from the head down.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .cells import (
     CellParams,
     CellState,
     Connection,
+    allocate,
     cell_layout,
     cell_step,
     init_uniform,
@@ -149,12 +150,7 @@ def _bind(config: ModelConfig, blocks) -> StackedModel:
 
 def model_allocate(config: ModelConfig) -> StackedModel:
     """A model for ``config`` whose arrays are allocated but not filled."""
-    try:
-        blocks = [np.empty(shape) for shape in _block_shapes(config)]
-    except (MemoryError, ValueError):  # ValueError: past numpy's size range
-        raise ConfigError(f"a model of {model_param_count(config)} "
-                          "parameters does not fit in memory") from None
-    return _bind(config, blocks)
+    return _bind(config, allocate(_block_shapes(config), "model"))
 
 
 def model_stack(models) -> StackedModel:
@@ -218,15 +214,17 @@ def model_unroll(model: StackedModel, states: list[CellState],
     u1[..., HOURS_PER_WEEK + 1:] = embedded
     # gradient parts go to the tape day by day, the last day first (the head
     # bias: each day's rows summed, then the days), as per-day steps would
-    tape.record(INPUT, u1.shape, (0, u1.shape[-1]), (), (model.embedding,),
-                lambda g: (list(zip(g[::-1, ..., HOURS_PER_WEEK + 1:],
-                                    calendar[::-1])), None))
+    tape.record(INPUT, (1, *u1.shape), (0, u1.shape[-1]), (),
+                (model.embedding,),
+                [lambda g: (list(zip(g[::-1, ..., HOURS_PER_WEEK + 1:],
+                                     calendar[::-1])), None)])
     y3 = model_step(model, states, u1, tape)
     w = model.head_w
     heads = y3 @ w.swapaxes(-1, -2) + model.head_b
-    tape.record(HEAD, heads.shape, (0, HEAD_SIZE), (), (w, model.head_b),
-                lambda g: (list(zip(g[::-1], y3[::-1])), np.add.reduce(
-                    g.reshape(len(g), -1, HEAD_SIZE).sum(1)[::-1]), g @ w))
+    tape.record(HEAD, (1, *heads.shape), (0, HEAD_SIZE), (),
+                (w, model.head_b),
+                [lambda g: (list(zip(g[::-1], y3[::-1])), np.add.reduce(
+                    g.reshape(len(g), -1, HEAD_SIZE).sum(1)[::-1]), g @ w)])
     return heads
 
 

@@ -1,17 +1,18 @@
-"""Per-layer chains of recorded entries and their reverse sweeps.
+"""Per-layer chains of recorded entries and their one reverse sweep.
 
 A window of the model is an input entry, one entry per layer, which runs the
 layer's window of steps, and a head entry; the only links between days are a
 layer's reads of its own earlier steps.  A :class:`Tape` records each entry
 on the *chain* of its owner (a layer's state, or the name of the input or
-head chain): the shape of its value, the ``(lag, lo, hi)`` parts of earlier
-steps of the chain each of its steps read, the parameter arrays it used and
-its vector-Jacobian closure.  An entry is one step, whose value may be a
-whole window's (the input and head), or a *window* of steps along its
-value's first axis, whose closure sweeps them in reverse itself.
-:meth:`Tape.backward` sweeps one chain's entries in reverse, sending each
-read that reaches before its entry to step ``t - lag`` of an earlier one; a
-read from before the chain's first step hit carried state and passes none.
+head chain).  An entry is the steps along the first axis of its value, in
+blocks of ``span`` steps that read none of each other, with one
+vector-Jacobian closure per block, the ``(lag, lo, hi)`` parts of earlier
+steps each step read and the parameter arrays it used; the input and head
+entries are one step, whose value is the window's.  :meth:`Tape.backward`
+is the one reverse sweep: it runs a chain's blocks last first, sending each
+read's adjoint to the step ``lag`` back, in the same entry or an earlier
+one; a read from before the chain's first step hit carried state and passes
+none.
 
 Values are float64 arrays, one vector or a batch of them as rows.  Parameter
 arrays are registered by identity, so an array used at every step
@@ -34,21 +35,10 @@ def _fingerprint(arr: np.ndarray) -> tuple:
     return (arr.shape, float(arr.sum()), float(np.abs(arr).sum()))
 
 
-def _one_step(vjp, out: tuple, n_leaves: int):
-    """The vjp of a one-step entry as a window's: the step's adjoint gets
-    each upstream term on its output, then its gradients come out as a
-    window of one's."""
-    lo, hi = out
-
-    def window_vjp(adj, terms):
-        g = adj[0]
-        for term in terms:
-            g[..., lo:hi] += term[0]
-        grads = vjp(g)
-        return (*grads[:n_leaves], grads[n_leaves:n_leaves + 1],
-                *([rg] for rg in grads[n_leaves + 1:]))
-
-    return window_vjp
+def _block(t0: int, t1: int, span: int):
+    """The index of steps ``[t0, t1)`` along an entry's first axis; a block
+    of span 1 indexes that axis away."""
+    return t0 if span == 1 else slice(t0, t1)
 
 
 class Tape:
@@ -83,45 +73,42 @@ class Tape:
         return len(self._leaves) + sum(map(len, self._chains.values()))
 
     def record(self, chain, shape: tuple, out: tuple, reads: tuple,
-               leaves: tuple, vjp, window: bool = False):
-        """Append an entry whose value has ``shape`` to ``chain``, any
-        hashable owner.
+               leaves: tuple, vjps: list, span: int = 1):
+        """Append an entry to ``chain``, any hashable owner: the steps along
+        the first axis of a value of ``shape``, in blocks of ``span`` steps
+        that read none of each other.
 
-        ``out`` is the ``(lo, hi)`` part of the value that is the step's
-        output and ``reads`` the ``(lag, lo, hi)`` parts of earlier steps it
-        read.  ``vjp(g)`` maps the value's adjoint to one gradient per
-        array of ``leaves`` (dense, or a list of factor pairs), then the
-        adjoint of the step's input (None for a step without one), then one
-        adjoint per read.
-
-        A ``window`` entry is the steps along the first axis of ``shape``,
-        each reading ``reads``.  Its ``vjp(adj, terms)`` takes the window's
-        adjoint, holding what later entries' reads sent, and each upstream's
-        terms for its steps.  Sweeping in reverse, it adds a step's terms to
-        its output after what later steps' reads sent, and returns the
-        leaves' gradients, the steps' input adjoints, then per read the
-        adjoints of the steps whose read reached before the window.
+        ``out`` is the ``(lo, hi)`` part of a step's value that is its
+        output, ``reads`` the ``(lag, lo, hi)`` parts of earlier steps each
+        step read.  ``vjps[b](g)`` maps block b's adjoint (leading with its
+        steps unless ``span`` is 1) to one gradient per array of ``leaves``
+        (dense, or a list of factor pairs; pairs only if ``span`` > 1), the
+        steps' input adjoint (None for steps without one) and one adjoint
+        per read.
         """
         for arr in leaves:
             self.leaf(arr)
         if self._prints is not None:
-            if not window:
-                shape, vjp = (1, *shape), _one_step(vjp, out, len(leaves))
             self._chains.setdefault(chain, []).append(
-                (shape, reads, leaves, vjp))
+                (shape, out, reads, leaves, vjps, span))
 
     def backward(self, chain, *upstream) -> list:
-        """Sweep ``chain`` in reverse and return its steps' input adjoints.
+        """Sweep ``chain``'s blocks in reverse and return its steps' input
+        adjoints.
 
         Each of ``upstream`` holds one adjoint per step for the steps'
-        outputs; they are added in order.  Raises :class:`StaleTapeError` if
-        a parameter the chain used changed since it was registered (e.g. an
-        optimizer update ran before the backward pass).
+        outputs.  A block's adjoint gets what later reads sent, then the
+        upstream terms in order; its factor pairs go on a step at a time,
+        the last step first; each read's adjoint goes to the step ``lag``
+        back, in this entry or an earlier one (none from before the chain's
+        first step, which read carried state).  Raises
+        :class:`StaleTapeError` if a parameter the chain used changed since
+        it was registered (e.g. an optimizer update ran before the sweep).
         """
         if self._prints is None:
             raise ValueError("a forward-only tape cannot run backward")
         entries = self._chains.get(chain, [])
-        for key in {id(arr) for entry in entries for arr in entry[2]}:
+        for key in {id(arr) for entry in entries for arr in entry[3]}:
             if _fingerprint(self._leaves[key]) != self._prints[key]:
                 raise StaleTapeError("leaf array mutated since it was recorded")
 
@@ -131,18 +118,33 @@ class Tape:
         dxs = [None] * len(steps)
         end = len(steps)
         for k in range(len(entries) - 1, -1, -1):
-            shape, reads, leaves, vjp = entries[k]
+            shape, (lo, hi), reads, leaves, vjps, span = entries[k]
             start = end - shape[0]
-            grads = vjp(adj[k], [terms[start:end] for terms in upstream])
-            for arr, lg in zip(leaves, grads):
-                self._leaf_grads.setdefault(id(arr), []).append(lg)
-            dxs[start:end] = grads[len(leaves)]
-            # reads that reached before the entry, the last step's first
-            for t in range(shape[0] - 1, -1, -1) if start else ():
-                for (lag, lo, hi), rg in zip(reads, grads[len(leaves) + 1:]):
-                    if t < lag <= start + t:
-                        j, i = steps[start + t - lag]
-                        adj[j][i][..., lo:hi] += rg[t]
+            parts = [[] for _ in leaves]
+            for t0 in range(span * (len(vjps) - 1), -1, -span):
+                t1 = min(t0 + span, shape[0])
+                g = adj[k][_block(t0, t1, span)]
+                for terms in upstream:
+                    g[..., lo:hi] += terms[_block(start + t0, start + t1, span)]
+                grads = vjps[t0 // span](g)
+                for part, dw in zip(parts, grads):
+                    part.append(dw if span == 1 else [
+                        (u[t], v[t]) for t in range(t1 - t0 - 1, -1, -1)
+                        for u, v in dw])
+                dx = grads[len(leaves)]
+                dxs[start + t0:start + t1] = [dx] if span == 1 else dx
+                for (lag, rlo, rhi), rg in zip(reads, grads[len(leaves) + 1:]):
+                    if t0 >= lag:
+                        adj[k][_block(t0 - lag, t1 - lag, span)][
+                            ..., rlo:rhi] += rg
+                        continue
+                    for t in range(t1 - t0 - 1, -1, -1):  # last step first
+                        if start + t0 + t >= lag:  # else it read carried state
+                            j, i = steps[start + t0 + t - lag]
+                            adj[j][i][..., rlo:rhi] += (rg if span == 1
+                                                        else rg[t])
+            for arr, part in zip(leaves, parts):
+                self._leaf_grads.setdefault(id(arr), []).extend(part)
             end = start
         return dxs
 

@@ -527,7 +527,8 @@ def stepped(params, state, xs, dilation, tape):
         value, vjp = step(params,
                           lambda *part: state.read(x.shape[:-1], *part), x,
                           dilation)
-        tape.record(state, value.shape, (lo, hi), reads, params.blocks(), vjp)
+        tape.record(state, (1, *value.shape), (lo, hi), reads,
+                    params.blocks(), [vjp])
         state.values.append(value)
         ys.append(value[..., lo:hi])
     return np.stack(ys)

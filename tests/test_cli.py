@@ -246,6 +246,20 @@ def test_gradcheck_pass_and_corrupt_negative_control(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--cell", "lstm2", "--dilation", str(10**20)], "longest state ring"),
+    # arrays past numpy's size range, and past any memory: no memory touched
+    (["--cell", "gru1", "--hidden-size", str(10**9)],
+     "does not fit in memory"),
+    (["--cell", "adrnn", "--input-size", str(10**5), "--hidden-size",
+      str(10**5)], "does not fit in memory"),
+], ids=["past-ring-length", "past-array-range", "huge-cell"])
+def test_gradcheck_unusable_sizes_exit_1(argv, message, capsys):
+    assert main(["gradcheck", *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 #: (variant, hidden_size, out_size, upper_hidden_size, dilation, accepted)
 SIZE_RULES = [
     ("lstm1", 5, None, None, 2, True),
@@ -319,7 +333,9 @@ def test_train_ill_typed_config_exits_1(workspace, tmp_path, capsys):
     ({"model": {"hidden_size": 10**8}}, "does not fit in memory"),
     ({"model": {"embed_size": 10**11}}, "does not fit in memory"),
     ({"model": {"hidden_size": 10**9}}, "does not fit in memory"),
-], ids=["negative-seed", "huge-hidden", "huge-embedding", "past-array-range"])
+    ({"model": {"dilations": [2, 4, 10**20]}}, "longest state ring"),
+], ids=["negative-seed", "huge-hidden", "huge-embedding", "past-array-range",
+        "past-ring-length"])
 def test_train_unusable_config_exits_1(workspace, tmp_path, capsys, raw,
                                        message):
     config = tmp_path / "bad.json"

@@ -171,6 +171,7 @@ def section_values(section):
     "model": section_values("model"), "loss": section_values("loss"),
     "recipe": section_values("recipe"), "alpha": json_values}))
 @example(raw={"recipe": {"batch_sizes": {"1": 10**30}}})  # past float range
+@example(raw={"model": {"dilations": [2, 4, 10**20]}})  # past a ring's length
 def test_arbitrary_json_gives_run_config_or_config_error(raw):
     try:
         rc = parse(raw)

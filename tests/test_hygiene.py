@@ -25,7 +25,8 @@ SOURCES = sorted(
     [p for p in (ROOT / "src" / "loadcast").glob("*.py")
      if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
-    + list((ROOT / "demos").glob("*.py")))
+    + list((ROOT / "demos").glob("*.py"))
+    + list((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(path: Path) -> list:

@@ -155,12 +155,14 @@ def edit_config(key, value):
     edit_config("hidden_size", "x"),
     edit_config("hidden_size", -1),
     edit_config("dilations", 7),
+    edit_config("dilations", [2, 4, 10**20]),
     lambda h: {**h, "cell_variant": "gru1"},  # the members are adrnn
 ], ids=[
     "not-object", "no-members", "empty-members", "members-not-list",
     "int-variant", "fractional-epochs", "string-gamma", "nan-epsilon",
     "config-not-object", "arrays-null", "array-not-pair",
-    "string-hidden", "negative-hidden", "int-dilations", "tag-mismatch"
+    "string-hidden", "negative-hidden", "int-dilations", "huge-dilation",
+    "tag-mismatch"
 ])
 def test_malformed_model_header_rejected(tmp_path, edit):
     path = tmp_path / "m.model"
