@@ -20,11 +20,14 @@ builds the gate input ``[x; h_recent; h_delayed; 1]`` and runs one of three
 pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
 ``_drnn``), which compute all gate pre-activations with one product of that
 input and the stack's gate matrix and return the stack's value with its
-hand-written backward pass.  A step takes one series' input vector, or a
-batch of series as rows (``z @ W.T``), with the state values holding one row
-per series, the matrix's gradient then being one product over a window's
-rows; matrices with a leading member axis step one batch per member, and a
-block's steps are one more leading axis.  Cells with dilation read both the
+hand-written backward pass.  That pass multiplies the sigmoid gates'
+derivative chains link by link over the whole gate block, each element in
+its gate's own left-to-right order, so it rounds as per-gate chains do.  A
+step takes one series' input vector, or a batch of series as rows
+(``z @ W.T``), with the state values holding one row per series, the
+matrix's gradient then being one product over a window's rows; matrices
+with a leading member axis step one batch per member, and a block's steps
+are one more leading axis.  Cells with dilation read both the
 most recent state and the state from ``d`` steps ago; plain LSTM/GRU run in
 one of two connection variants, fed either by the recent state only or by
 the delayed state only.
@@ -364,11 +367,10 @@ def _lstm(params: CellParams, z: np.ndarray, c_prev):
     def back(g):
         dhp = g[..., :n]
         dc = g[..., n:] + dhp * out * (1.0 - tc * tc)
-        dpre = np.concatenate((
-            dc * c_prev * forget * (1.0 - forget),
-            dc * cand * infl * (1.0 - infl),
-            dhp * tc * out * (1.0 - out),
-            dc * infl * (1.0 - cand * cand)), axis=-1)
+        left = np.concatenate((dc, dc, dhp), axis=-1)
+        mid = np.concatenate((c_prev, cand, tc), axis=-1)
+        dpre = np.concatenate((left * mid * sig * (1.0 - sig),
+                               dc * infl * (1.0 - cand * cand)), axis=-1)
         return [(dpre, z)], dpre @ w, (dc * forget,)
 
     return np.concatenate((out * tc, c), axis=-1), back
@@ -390,12 +392,13 @@ def _gru(params: CellParams, z: np.ndarray):
         dpre_c = g * update * (1.0 - cand * cand)
         dzc = dpre_c @ w[..., 2 * n:, :]
         drh = dzc[..., i:i + n]
-        dpre = np.concatenate((drh * h * reset * (1.0 - reset),
-                               g * (cand - h) * update * (1.0 - update)),
-                              axis=-1)
-        dzc[..., i:i + n] *= reset  # r*h's gradient, passed on to h
+        rest = 1.0 - gates
+        dpre = (np.concatenate((drh, g), axis=-1)
+                * np.concatenate((h, cand - h), axis=-1) * gates * rest)
+        drh *= reset  # r*h's gradient, passed on to h, in dzc
         dz = dpre @ w[..., :2 * n, :] + dzc
-        dz[..., i:i + n] += g * (1.0 - update)
+        dh = dz[..., i:i + n]
+        dh += g * rest[..., n:]
         return ([(np.concatenate((dpre, np.zeros_like(g)), axis=-1), z),
                  (np.concatenate((np.zeros_like(dpre), dpre_c), axis=-1), zc)],
                 dz, ())
@@ -410,21 +413,23 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     n, w = params.cell_size, params.stack
     pre = z @ w.swapaxes(-1, -2)
     sig = expit(pre[..., :3 * n])
+    rest = 1.0 - sig
     fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])
-    mix = fusion * c1 + (1.0 - fusion) * cd
-    c = update * mix + (1.0 - update) * cand
+    mix = fusion * c1 + rest[..., :n] * cd
+    c = update * mix + rest[..., n:2 * n] * cand
 
     def back(g):
         dhp = g[..., :n]
         dc = g[..., n:] + dhp * out
         dmix = dc * update
+        rest = 1.0 - sig  # again: keeping the forward's costs 3n per taped step
+        left = np.concatenate((dmix, dc, dhp), axis=-1)
+        mid = np.concatenate((c1 - cd, mix - cand, c), axis=-1)
         dpre = np.concatenate((
-            dmix * (c1 - cd) * fusion * (1.0 - fusion),
-            dc * (mix - cand) * update * (1.0 - update),
-            dhp * c * out * (1.0 - out),
-            dc * (1.0 - update) * (1.0 - cand * cand)), axis=-1)
-        return [(dpre, z)], dpre @ w, (dmix * fusion, dmix * (1.0 - fusion))
+            left * mid * sig * rest,
+            dc * rest[..., n:2 * n] * (1.0 - cand * cand)), axis=-1)
+        return [(dpre, z)], dpre @ w, (dmix * fusion, dmix * rest[..., :n])
 
     return np.concatenate((out * c, c), axis=-1), back
 
@@ -463,13 +468,15 @@ def _adrnn_step(params: CellParams, read, x: np.ndarray, dilation: int):
     lo, hi = _out_part(lower)
     attention = value_l[..., lo:hi]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
-    weights = np.exp(np.clip(attention, -ATTENTION_CLAMP, ATTENTION_CLAMP))
+    weights = np.exp(np.minimum(np.maximum(attention, -ATTENTION_CLAMP),
+                                ATTENTION_CLAMP))  # np.clip, without its wrapper
     value_u, vjp_u = _stage(upper, read, x * weights, dilation, split)
 
     def vjp(g):
         dwu, dxu, *dreads_u = vjp_u(g[..., split:])
         gl = g[..., :split].copy()
-        gl[..., lo:hi] += dxu * x * weights * inside
+        da = gl[..., lo:hi]
+        da += dxu * x * weights * inside
         dwl, dxl, *dreads_l = vjp_l(gl)
         return dwl, dwu, dxu * weights + dxl, *dreads_l, *dreads_u
 
@@ -532,7 +539,7 @@ def cell_step(params: CellParams, state: CellState, x: np.ndarray,
         state.values.extend([last] if span == 1 else last)
         if keep:
             vjps.append(vjp)
-    if tape is not None:
+    if tape is not None and steps:  # an empty window records nothing
         tape.record(state, (steps, *rows, last.shape[-1]), (lo, hi), reads,
                     params.blocks(), vjps, span)
     return ys if window else ys[0]

@@ -124,8 +124,9 @@ class Tape:
             for t0 in range(span * (len(vjps) - 1), -1, -span):
                 t1 = min(t0 + span, shape[0])
                 g = adj[k][_block(t0, t1, span)]
+                gout = g[..., lo:hi]  # views, so += runs no __setitem__
                 for terms in upstream:
-                    g[..., lo:hi] += terms[_block(start + t0, start + t1, span)]
+                    gout += terms[_block(start + t0, start + t1, span)]
                 grads = vjps[t0 // span](g)
                 for part, dw in zip(parts, grads):
                     part.append(dw if span == 1 else [
@@ -135,14 +136,15 @@ class Tape:
                 dxs[start + t0:start + t1] = [dx] if span == 1 else dx
                 for (lag, rlo, rhi), rg in zip(reads, grads[len(leaves) + 1:]):
                     if t0 >= lag:
-                        adj[k][_block(t0 - lag, t1 - lag, span)][
-                            ..., rlo:rhi] += rg
+                        dst = adj[k][_block(t0 - lag, t1 - lag, span)]
+                        dst = dst[..., rlo:rhi]
+                        dst += rg
                         continue
                     for t in range(t1 - t0 - 1, -1, -1):  # last step first
                         if start + t0 + t >= lag:  # else it read carried state
                             j, i = steps[start + t0 + t - lag]
-                            adj[j][i][..., rlo:rhi] += (rg if span == 1
-                                                        else rg[t])
+                            dst = adj[j][i][..., rlo:rhi]
+                            dst += rg if span == 1 else rg[t]
             for arr, part in zip(leaves, parts):
                 self._leaf_grads.setdefault(id(arr), []).extend(part)
             end = start

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from loadcast import cells
 from loadcast.cells import (
@@ -646,6 +647,156 @@ def test_window_without_a_recording_tape_keeps_no_backward_state(
     tape = Tape()
     cell_step(params, new_state(params, 2), xs, 2, tape, window=True)
     assert len(backs) == 5 and all(ref() is not None for ref in backs)
+
+
+@pytest.mark.parametrize("rows", [(), (2,), (2, 2)], ids=str)
+@pytest.mark.parametrize("variant", sorted(WINDOW_VARIANTS))
+def test_empty_window_returns_no_steps_and_records_nothing(variant, rows):
+    params = window_params(variant, members=2 if len(rows) == 2 else None)
+    for tape in (None, Tape(forward_only=True), Tape()):
+        state = new_state(params, 2)
+        ys = cell_step(params, state, np.zeros((0, *rows, 3)), 2, tape,
+                       window=True)
+        assert ys.shape == (0, *rows, params.out_size)
+        assert len(state) == 0
+        if tape is not None:
+            assert len(tape) == 0
+            if tape.recording:
+                assert tape.backward(state) == []
+
+
+# -- the kernels against their per-gate backward formulas ------------------
+#
+# Reference kernels whose backward runs one derivative chain per gate,
+# multiplied left to right.  The kernels run the sigmoid gates' chains as
+# one product per link over the whole gate block and must round exactly as
+# these do.
+
+
+def per_gate_lstm(params, z, c_prev):
+    n, w = params.cell_size, params.stack
+    pre = z @ w.swapaxes(-1, -2)
+    sig = expit(pre[..., :3 * n])
+    forget, infl, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
+    cand = np.tanh(pre[..., 3 * n:])
+    c = forget * c_prev + infl * cand
+    tc = np.tanh(c)
+
+    def back(g):
+        dhp = g[..., :n]
+        dc = g[..., n:] + dhp * out * (1.0 - tc * tc)
+        dpre = np.concatenate((
+            dc * c_prev * forget * (1.0 - forget),
+            dc * cand * infl * (1.0 - infl),
+            dhp * tc * out * (1.0 - out),
+            dc * infl * (1.0 - cand * cand)), axis=-1)
+        return [(dpre, z)], dpre @ w, (dc * forget,)
+
+    return np.concatenate((out * tc, c), axis=-1), back
+
+
+def per_gate_gru(params, z):
+    i, n, w = params.input_size, params.hidden_size, params.stack
+    h = z[..., i:i + n]
+    gates = expit(z @ w[..., :2 * n, :].swapaxes(-1, -2))
+    reset, update = gates[..., :n], gates[..., n:]
+    zc = z.copy()
+    zc[..., i:i + n] = reset * h
+    cand = np.tanh(zc @ w[..., 2 * n:, :].swapaxes(-1, -2))
+
+    def back(g):
+        dpre_c = g * update * (1.0 - cand * cand)
+        dzc = dpre_c @ w[..., 2 * n:, :]
+        drh = dzc[..., i:i + n]
+        dpre = np.concatenate((drh * h * reset * (1.0 - reset),
+                               g * (cand - h) * update * (1.0 - update)),
+                              axis=-1)
+        dzc[..., i:i + n] *= reset
+        dz = dpre @ w[..., :2 * n, :] + dzc
+        dz[..., i:i + n] += g * (1.0 - update)
+        return ([(np.concatenate((dpre, np.zeros_like(g)), axis=-1), z),
+                 (np.concatenate((np.zeros_like(dpre), dpre_c), axis=-1), zc)],
+                dz, ())
+
+    return (1.0 - update) * h + update * cand, back
+
+
+def per_gate_drnn(params, z, c1, cd):
+    n, w = params.cell_size, params.stack
+    pre = z @ w.swapaxes(-1, -2)
+    sig = expit(pre[..., :3 * n])
+    fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
+    cand = np.tanh(pre[..., 3 * n:])
+    mix = fusion * c1 + (1.0 - fusion) * cd
+    c = update * mix + (1.0 - update) * cand
+
+    def back(g):
+        dhp = g[..., :n]
+        dc = g[..., n:] + dhp * out
+        dmix = dc * update
+        dpre = np.concatenate((
+            dmix * (c1 - cd) * fusion * (1.0 - fusion),
+            dc * (mix - cand) * update * (1.0 - update),
+            dhp * c * out * (1.0 - out),
+            dc * (1.0 - update) * (1.0 - cand * cand)), axis=-1)
+        return [(dpre, z)], dpre @ w, (dmix * fusion, dmix * (1.0 - fusion))
+
+    return np.concatenate((out * c, c), axis=-1), back
+
+
+PER_GATE = {CellKind.LSTM: per_gate_lstm, CellKind.DLSTM: per_gate_lstm,
+            CellKind.GRU: per_gate_gru, CellKind.DRNN: per_gate_drnn}
+
+
+def assert_bitwise(a, b, what):
+    assert (a.shape, a.dtype) == (b.shape, b.dtype), what
+    assert a.tobytes() == b.tobytes(), what
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4], ids=["plain", "saturated"])
+@pytest.mark.parametrize("variant", sorted(WINDOW_VARIANTS))
+def test_kernels_back_is_bitwise_their_per_gate_formulas(variant, scale):
+    # one vector, a batch of rows, a member stack of batches and a block of
+    # d steps of batches; scaled inputs drive the gates' pre-activations far
+    # enough that sig reads exactly 0 and 1
+    rng = np.random.default_rng(51)
+    params = {False: window_params(variant),
+              True: window_params(variant, members=2)}
+    for stacked, rows in ((False, ()), (False, (3,)), (True, (2, 3)),
+                          (False, (4, 3))):
+        for stage in params[stacked].stages:
+            cols = stage.stack.shape[-1]
+            z = np.concatenate((scale * rng.normal(size=(*rows, cols - 1)),
+                                np.ones((*rows, 1))), axis=-1)
+            cs = [rng.normal(size=(*rows, stage.cell_size))
+                  for _ in range(len(cells._reads(stage, 2))
+                                 - cells._h_reads(stage))]
+            what = f"{variant} {rows} scale {scale}"
+            if scale > 1:  # the sigmoid gates, all rows but the candidate's
+                gates = stage.stack[..., :-stage.gate_size, :]
+                sig = expit(z @ gates.swapaxes(-1, -2))
+                assert (sig == 0.0).any() and (sig == 1.0).any(), what
+            value, back = cells._KERNELS[stage.kind](stage, z, *cs)
+            ref_value, ref_back = PER_GATE[stage.kind](stage, z, *cs)
+            assert_bitwise(value, ref_value, what)
+            g = rng.normal(size=value.shape)
+            (pairs, dz, dcs), (ref_pairs, ref_dz, ref_dcs) = back(g), ref_back(g)
+            assert len(pairs) == len(ref_pairs) and len(dcs) == len(ref_dcs)
+            for (u, v), (ref_u, ref_v) in zip(pairs, ref_pairs):
+                assert_bitwise(u, ref_u, what)
+                assert_bitwise(v, ref_v, what)
+            for a, b in zip((dz, *dcs), (ref_dz, *ref_dcs)):
+                assert_bitwise(a, b, what)
+
+
+def test_attention_clamp_is_bitwise_np_clip():
+    # the attentive step clamps with minimum(maximum(a, -C), C)
+    c = ATTENTION_CLAMP
+    a = np.array([c, -c, np.nextafter(c, np.inf), np.nextafter(-c, -np.inf),
+                  np.nextafter(c, 0.0), np.inf, -np.inf, np.nan, -0.0, 0.0,
+                  *np.random.default_rng(52).normal(scale=20.0, size=64)])
+    assert_bitwise(np.minimum(np.maximum(a, -c), c), np.clip(a, -c, c),
+                   "clamp")
 
 
 @pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.DRNN, CellKind.ADRNN],

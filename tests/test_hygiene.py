@@ -93,6 +93,26 @@ def test_src_writes_files_only_through_replacing():
     assert {name: lines for name, lines in flagged.items() if lines} == {}
 
 
+#: modules whose per-step loops are dispatch-bound: there ``a[i] += b`` runs
+#: a ``__setitem__`` that copies the view ``a[i]`` onto itself
+HOT_MODULES = ("cells.py", "tape.py")
+
+
+def subscript_augassigns(path: Path) -> list:
+    """Lines of ``path`` with an in-place operator on a subscript."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)]
+
+
+def test_hot_modules_update_views_not_subscripts():
+    flagged = {name: subscript_augassigns(ROOT / "src" / "loadcast" / name)
+               for name in HOT_MODULES}
+    assert {name: lines for name, lines in flagged.items() if lines} == {}, (
+        "write `view = a[idx]; view += x` in place of `a[idx] += x`")
+
+
 def test_package_exports_exactly_its_imports():
     init = ROOT / "src" / "loadcast" / "__init__.py"
     tree = ast.parse(init.read_text(encoding="utf-8"))

@@ -12,9 +12,11 @@ The artefacts:
   run, written under a temporary directory.
 
 The digests hold at one BLAS thread, which this script asks for unless
-``OPENBLAS_NUM_THREADS`` is set.  Run it in each checkout and diff::
+``OPENBLAS_NUM_THREADS`` is set.  It imports the program from the ``src/``
+of its own checkout, whatever ``PYTHONPATH`` or an installed package holds,
+and exits 1 if it cannot.  Run it in each checkout and diff::
 
-    PYTHONPATH=src python tools/digests.py > a.txt
+    python tools/digests.py > a.txt
     diff a.txt b.txt
 
 ``--tiny`` makes the same artefacts at toy sizes, in about a second.
@@ -29,11 +31,20 @@ import datetime as dt
 import hashlib
 import io
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 # set before numpy loads, with the package
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import loadcast
+
+if Path(loadcast.__file__).resolve().parent != (SRC / "loadcast").resolve():
+    sys.exit(f"digests: imported loadcast from {loadcast.__file__}, "
+             f"not from {SRC}")
 
 from loadcast import cli
 from loadcast.config import desk_preset, save_run_config
