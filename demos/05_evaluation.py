@@ -78,7 +78,7 @@ print(f"first places: {ranking.first_places}")
 days_a, loss_a = daily_loss_series(records["smoothed"], series_by_id)
 days_b, loss_b = daily_loss_series(records["naive"], series_by_id)
 assert days_a == days_b
-result = gw_test(np.array(loss_a), np.array(loss_b), direction="a_better")
+result = gw_test(np.array(loss_a), np.array(loss_b))
 print(f"\npredictive-ability test over {result.n} days: "
       f"p = {result.p_value:.2e} that the smoothed rule is more accurate")
 print("(small p: the improvement is systematic, not day-to-day luck)")

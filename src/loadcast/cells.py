@@ -3,20 +3,21 @@
 A layer's state is the ring of its last ``d`` step values; a value holds
 the step's h-state, output and c-state as parts of its last axis.  A cell
 step takes and returns plain arrays: it reads ``(lag, lo, hi)`` parts of
-earlier values (one table per step, its h reads then its c reads), appends
-its own value and returns the output y.  :func:`cell_step` runs a layer's
-whole (T, ...) window of steps in one call, or one step as a window of one.
-Given a :class:`~loadcast.tape.Tape`, it records the window, with the same
-read table, as one entry on the chain of its layer's state, one vjp per
-block; the tape's sweep of that chain gives reverse-mode gradients through
-any number of steps.
+earlier values (the layer's read table, its h reads then its c reads),
+appends its own value and returns the output y.  :func:`cell_step` runs a
+layer's (T, ...) window of steps, its only form, one step being a window
+of one; it builds the read table once per window.  Given a
+:class:`~loadcast.tape.Tape`, it records the window, with that table, as
+one entry on the chain of its layer's state, one vjp per block; the tape's
+sweep of that chain gives reverse-mode gradients through any number of
+steps.
 
 A window runs in blocks: ``d`` days for the delayed-only plain cells over
 row batches, whose every read is ``d`` steps back, so the steps of a block
 read none of each other, and one day for every other cell and every 1-d
-window.  A block runs one stage function,
-:func:`_stage`, per gate stack (adrnn has two): it reads the stack's parts,
-builds the gate input ``[x; h_recent; h_delayed; 1]`` and runs one of three
+window.  A block runs one stage function, :func:`_stage`, per gate stack
+(adrnn has two): it takes the block's read parts of the stack, builds the
+gate input ``[x; h_recent; h_delayed; 1]`` and runs one of three
 pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
 ``_drnn``), which compute all gate pre-activations with one product of that
 input and the stack's gate matrix and return the stack's value with its
@@ -51,7 +52,7 @@ import functools
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -111,7 +112,6 @@ class CellParams:
     stack: np.ndarray | None = None
     lower: "CellParams | None" = None  # attentive cell only
     upper: "CellParams | None" = None
-    read_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def gate_size(self) -> int:
@@ -314,22 +314,17 @@ def _h_reads(params: CellParams) -> int:
 
 def _reads(params: CellParams, dilation: int, offset: int = 0) -> tuple:
     """The ``(lag, lo, hi)`` parts of earlier values a step reads, its h
-    reads first, then its c reads, for a value part starting at ``offset``;
-    built once per layer and kept in ``params.read_tables``."""
-    key = dilation, offset
-    if key not in params.read_tables:
-        if params.kind in _DILATED:
-            h_lags = (1, dilation)
-            c_lags = (1,) if params.kind is CellKind.DLSTM else h_lags
-        else:
-            h_lags = (1 if params.connection is Connection.RECENT_ONLY
-                      else dilation,)
-            c_lags = h_lags if params.kind is CellKind.LSTM else ()
-        h, c = offset + params.hidden_size, offset + params.cell_size
-        params.read_tables[key] = (tuple((lag, offset, h) for lag in h_lags)
-                                   + tuple((lag, c, c + params.cell_size)
-                                           for lag in c_lags))
-    return params.read_tables[key]
+    reads first, then its c reads, for a value part starting at ``offset``."""
+    if params.kind in _DILATED:
+        h_lags = (1, dilation)
+        c_lags = (1,) if params.kind is CellKind.DLSTM else h_lags
+    else:
+        h_lags = (1 if params.connection is Connection.RECENT_ONLY
+                  else dilation,)
+        c_lags = h_lags if params.kind is CellKind.LSTM else ()
+    h, c = offset + params.hidden_size, offset + params.cell_size
+    return (tuple((lag, offset, h) for lag in h_lags)
+            + tuple((lag, c, c + params.cell_size) for lag in c_lags))
 
 
 def _out_part(params: CellParams) -> tuple:
@@ -434,18 +429,15 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     return np.concatenate((out * c, c), axis=-1), back
 
 
-def _stage(params: CellParams, read, x: np.ndarray, dilation: int,
-           offset: int = 0):
-    """One gate stack's block of steps on the value part at ``offset``: its
-    value and its vjp, whose gradients are the factor pairs, dx, then one
-    per read, h reads first; ``read(lag, lo, hi)`` gives a read's part for
-    the block's steps.  The one builder of the gate input ``[x; h reads;
-    1]``."""
+def _stage(params: CellParams, parts: list, x: np.ndarray):
+    """One gate stack's block of steps: its value and its vjp, whose
+    gradients are the factor pairs, dx, then one per read, h reads first;
+    ``parts`` holds the block's read parts in the stack's read table order.
+    The one builder of the gate input ``[x; h reads; 1]``."""
     if x.shape[-1] != params.input_size:
         raise ValueError(f"input length {x.shape[-1]} != cell input size "
                          f"{params.input_size}")
     n = _h_reads(params)
-    parts = [read(*part) for part in _reads(params, dilation, offset)]
     z = np.concatenate([x, *parts[:n], _ones(x.shape[:-1])], axis=-1)
     value, back = _KERNELS[params.kind](params, z, *parts[n:])
     i, h = params.input_size, params.hidden_size
@@ -458,19 +450,21 @@ def _stage(params: CellParams, read, x: np.ndarray, dilation: int,
     return value, vjp
 
 
-def _adrnn_step(params: CellParams, read, x: np.ndarray, dilation: int):
+def _adrnn_step(params: CellParams, parts: list, x: np.ndarray):
     """The same for the attentive cell, as two stages: the lower stage's
     output ``a`` rescales the input of the upper stage by ``exp(clip(a))``;
-    both stages read their own part of the layer's earlier values."""
+    both stages read their own part of the layer's earlier values, the
+    lower stage's parts first."""
     lower, upper = params.stages
     split = 2 * lower.cell_size
-    value_l, vjp_l = _stage(lower, read, x, dilation)
+    half = len(parts) // 2  # two drnn stages, with equal read tables
+    value_l, vjp_l = _stage(lower, parts[:half], x)
     lo, hi = _out_part(lower)
     attention = value_l[..., lo:hi]
     inside = np.abs(attention) <= ATTENTION_CLAMP  # the clamp's gradient
     weights = np.exp(np.minimum(np.maximum(attention, -ATTENTION_CLAMP),
                                 ATTENTION_CLAMP))  # np.clip, without its wrapper
-    value_u, vjp_u = _stage(upper, read, x * weights, dilation, split)
+    value_u, vjp_u = _stage(upper, parts[half:], x * weights)
 
     def vjp(g):
         dwu, dxu, *dreads_u = vjp_u(g[..., split:])
@@ -496,23 +490,24 @@ def _layer_reads(params: CellParams, dilation: int) -> tuple:
     return _reads(params, dilation)
 
 
-def cell_step(params: CellParams, state: CellState, x: np.ndarray,
-              dilation: int, tape: Tape | None = None,
-              window: bool = False) -> np.ndarray:
-    """One step of any cell kind on the input ``x``, or, with ``window``,
-    the steps of the (T, ...) window ``x`` in turn: reads ``state``, appends
-    the steps' values to it and returns the output y (a window's (T, ...)
-    outputs).  Recorded on ``tape``, when one is given, as one entry of the
-    chain of ``state``, with one vjp per block.
+def cell_step(params: CellParams, state: CellState, xs: np.ndarray,
+              dilation: int, tape: Tape | None = None) -> np.ndarray:
+    """The steps of any cell kind on the (T, ...) window ``xs``, in turn:
+    reads ``state``, appends the steps' values to it and returns their
+    (T, ...) outputs y; one step is the window ``x[None]``.  Recorded on
+    ``tape``, when one is given, as one entry of the chain of ``state``,
+    with one vjp per block.
 
-    A delayed-only cell, whose every read is ``dilation`` steps back, runs
-    a window of row batches in blocks of ``dilation`` steps, its d chains
-    side by side: no step of a block reads another.  Any other cell, and
-    any 1-d window, runs a block per step.  A block is one kernel call, its
-    steps a batch axis of every product, so its arithmetic is that of its
-    steps one by one.
+    The layer's read table is built once per window.  A delayed-only cell,
+    whose every read is ``dilation`` steps back, runs a window of row
+    batches in blocks of ``dilation`` steps, its d chains side by side: no
+    step of a block reads another.  Any other cell, and any 1-d window,
+    runs a block per step.  A block is one kernel call, its steps a batch
+    axis of every product, so its arithmetic is that of its steps one by
+    one.
     """
-    xs = x if window else x[None]
+    if xs.ndim < 2:
+        raise ValueError("cell_step takes a (T, ...) window; one step is x[None]")
     steps, rows = len(xs), xs.shape[1:-1]
     reads = _layer_reads(params, dilation)
     span = (dilation if rows and all(lag == dilation for lag, _, _ in reads)
@@ -524,17 +519,16 @@ def cell_step(params: CellParams, state: CellState, x: np.ndarray,
     vjps, last = [], None  # the blocks' vjps, for a recording tape only
     for t0 in range(0, steps, span):
         t1 = min(t0 + span, steps)
-
-        def read(lag, lo, hi):
-            if span == 1:  # the ring holds the window's steps so far
-                return state.read(rows, lag, lo, hi)
-            if last is not None:  # every read is of the block before
-                return last[:t1 - t0, ..., lo:hi]
-            return np.stack([state.read(rows, lag - t, lo, hi)
-                             for t in range(t1 - t0)])
-
+        if span == 1:  # the ring holds the window's steps so far
+            parts = [state.read(rows, *read) for read in reads]
+        elif last is not None:  # every read is of the block before
+            parts = [last[:t1 - t0, ..., rlo:rhi] for _, rlo, rhi in reads]
+        else:
+            parts = [np.stack([state.read(rows, lag - t, rlo, rhi)
+                               for t in range(t1 - t0)])
+                     for lag, rlo, rhi in reads]
         at = t0 if span == 1 else slice(t0, t1)
-        last, vjp = step(params, read, xs[at], dilation)
+        last, vjp = step(params, parts, xs[at])
         ys[at] = last[..., lo:hi]
         state.values.extend([last] if span == 1 else last)
         if keep:
@@ -542,7 +536,7 @@ def cell_step(params: CellParams, state: CellState, x: np.ndarray,
     if tape is not None and steps:  # an empty window records nothing
         tape.record(state, (steps, *rows, last.shape[-1]), (lo, hi), reads,
                     params.blocks(), vjps, span)
-    return ys if window else ys[0]
+    return ys
 
 
 def cell_gradient(
@@ -562,7 +556,7 @@ def cell_gradient(
     tape = Tape()
     state = new_state(params, dilation)
     cell_step(params, state, np.asarray(inputs, dtype=np.float64), dilation,
-              tape, window=True)
+              tape)
     input_grads = tape.backward(state, upstream)
     grads = tape.grads(params.blocks())
     return dict(params.named_arrays(blocks=grads)), input_grads

@@ -170,18 +170,13 @@ class GWResult:
     n: int
 
 
-def gw_test(losses_a, losses_b, direction: str = "a_better") -> GWResult:
-    """One-sided conditional predictive-ability test on daily losses.
-
-    ``direction="a_better"`` asks whether the first loss series is the more
-    accurate one (negative mean differential).  A zero-variance differential
-    cannot discriminate: p = 1 with the degenerate flag set.
+def gw_test(losses_a, losses_b) -> GWResult:
+    """One-sided conditional predictive-ability test on daily losses: is the
+    first loss series the more accurate one (negative mean differential)?
+    Swap the arguments for the other question.  A zero-variance
+    differential cannot discriminate: p = 1 with the degenerate flag set.
     """
     a, b = _paired(losses_a, losses_b)
-    if direction == "b_better":
-        a, b = b, a
-    elif direction != "a_better":
-        raise ValueError("direction must be 'a_better' or 'b_better'")
     n = a.size
     if n < GW_MIN_DAYS:
         raise ValueError(f"need at least {GW_MIN_DAYS} paired days, got {n}")

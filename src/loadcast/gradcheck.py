@@ -133,8 +133,6 @@ def check_cell(
     dilation: int = 1,
     steps: int = 5,
     seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tolerance: float | None = None,
     max_coords_per_block: int | None = None,
     corrupt_block: str | None = None,
 ) -> GradCheckReport:
@@ -154,9 +152,9 @@ def check_cell(
     weights = [rng.uniform(0.5, 1.5, size=params.out_size) for _ in range(steps)]
 
     def value():
-        state = new_state(params, dilation)
-        return sum(float(w @ cell_step(params, state, x, dilation))
-                   for x, w in zip(inputs, weights))
+        ys = cell_step(params, new_state(params, dilation), np.stack(inputs),
+                       dilation)
+        return sum(float(w @ y) for w, y in zip(weights, ys))
 
     def gradient():
         param_grads, input_grads = cell_gradient(params, inputs, dilation, weights)
@@ -165,10 +163,8 @@ def check_cell(
         return param_grads
 
     blocks = params.named_arrays() + [(f"x[{t}]", x) for t, x in enumerate(inputs)]
-    if tolerance is None:
-        tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL
-    return check_gradients(value, gradient, blocks, step=step,
-                           tolerance=tolerance,
+    tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL
+    return check_gradients(value, gradient, blocks, tolerance=tolerance,
                            max_coords_per_block=max_coords_per_block,
                            rng=rng, corrupt_block=corrupt_block)
 
@@ -189,8 +185,6 @@ def check_model(
     *,
     steps: int = 6,
     seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tolerance: float | None = None,
     max_coords_per_block: int | None = None,
     corrupt_block: str | None = None,
 ) -> GradCheckReport:
@@ -219,9 +213,8 @@ def check_model(
         return dict(model.named_arrays(
             model_backward(model, states, tape, weights)))
 
-    if tolerance is None:
-        tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL
-    return check_gradients(value, gradient, model.named_arrays(), step=step,
+    tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL
+    return check_gradients(value, gradient, model.named_arrays(),
                            tolerance=tolerance,
                            max_coords_per_block=max_coords_per_block,
                            rng=rng, corrupt_block=corrupt_block)

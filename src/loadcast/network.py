@@ -10,7 +10,8 @@ imposed; crossings are measured downstream, not prevented.
 
 Only the layers read earlier days, and layers feed only upward, so a window
 of days, of one series or of series stacked as rows, is one input step,
-layer 1's window, layer 2's and layer 3's, and one head step:
+layer 1's window, layer 2's and layer 3's, each one
+:func:`~loadcast.cells.cell_step` call, and one head step:
 :func:`model_unroll`, which training, serving and the gradient check all
 run.  Its five tape entries (the input and head one step each, whose
 value is the window's) :func:`model_backward` sweeps from the head down.
@@ -184,10 +185,9 @@ def model_step(model: StackedModel, states: list[CellState], u1: np.ndarray,
     outputs.  Each layer's window is one entry of ``tape``'s chain of its
     layer, when given."""
     d1, d2, d3 = model.config.dilations
-    y1 = cell_step(model.cells[0], states[0], u1, d1, tape, window=True)
-    y2 = cell_step(model.cells[1], states[1], y1, d2, tape, window=True) + y1
-    return cell_step(model.cells[2], states[2], y2, d3, tape,
-                     window=True) + y2
+    y1 = cell_step(model.cells[0], states[0], u1, d1, tape)
+    y2 = cell_step(model.cells[1], states[1], y1, d2, tape) + y1
+    return cell_step(model.cells[2], states[2], y2, d3, tape) + y2
 
 
 def model_unroll(model: StackedModel, states: list[CellState],

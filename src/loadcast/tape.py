@@ -12,7 +12,10 @@ entries are one step, whose value is the window's.  :meth:`Tape.backward`
 is the one reverse sweep: it runs a chain's blocks last first, sending each
 read's adjoint to the step ``lag`` back, in the same entry or an earlier
 one; a read from before the chain's first step hit carried state and passes
-none.
+none.  Each entry sweeps in one adjoint buffer that reaches ``back`` steps
+before it, the longest lag but at most the chain's steps, so every read's
+adjoint is one slice of it; those ``back`` rows carry into the buffer of
+the entry before.
 
 Values are float64 arrays, one vector or a batch of them as rows.  Parameter
 arrays are registered by identity, so an array used at every step
@@ -100,8 +103,9 @@ class Tape:
         outputs.  A block's adjoint gets what later reads sent, then the
         upstream terms in order; its factor pairs go on a step at a time,
         the last step first; each read's adjoint goes to the step ``lag``
-        back, in this entry or an earlier one (none from before the chain's
-        first step, which read carried state).  Raises
+        back, in this entry or, through the carried rows of its buffer, an
+        earlier one (none from before the chain's first step, which read
+        carried state).  Raises
         :class:`StaleTapeError` if a parameter the chain used changed since
         it was registered (e.g. an optimizer update ran before the sweep).
         """
@@ -112,18 +116,20 @@ class Tape:
             if _fingerprint(self._leaves[key]) != self._prints[key]:
                 raise StaleTapeError("leaf array mutated since it was recorded")
 
-        adj = [np.zeros(entry[0]) for entry in entries]
-        steps = [(k, i) for k, entry in enumerate(entries)
-                 for i in range(entry[0][0])]  # each step's entry and index
-        dxs = [None] * len(steps)
-        end = len(steps)
-        for k in range(len(entries) - 1, -1, -1):
-            shape, (lo, hi), reads, leaves, vjps, span = entries[k]
+        dxs = [None] * sum(entry[0][0] for entry in entries)
+        # an entry's steps are rows back.. of its buffer; the first back
+        # rows, the steps before, carry into the entry before's last ones
+        back = min(max((lag for entry in entries for lag, _, _ in entry[2]),
+                       default=0), len(dxs))
+        end, carry = len(dxs), 0.0  # what later entries' reads sent
+        for shape, (lo, hi), reads, leaves, vjps, span in reversed(entries):
             start = end - shape[0]
+            adj = np.zeros((back + shape[0], *shape[1:]))
+            adj[shape[0]:] = carry
             parts = [[] for _ in leaves]
             for t0 in range(span * (len(vjps) - 1), -1, -span):
                 t1 = min(t0 + span, shape[0])
-                g = adj[k][_block(t0, t1, span)]
+                g = adj[_block(back + t0, back + t1, span)]
                 gout = g[..., lo:hi]  # views, so += runs no __setitem__
                 for terms in upstream:
                     gout += terms[_block(start + t0, start + t1, span)]
@@ -135,19 +141,14 @@ class Tape:
                 dx = grads[len(leaves)]
                 dxs[start + t0:start + t1] = [dx] if span == 1 else dx
                 for (lag, rlo, rhi), rg in zip(reads, grads[len(leaves) + 1:]):
-                    if t0 >= lag:
-                        dst = adj[k][_block(t0 - lag, t1 - lag, span)]
+                    if lag <= back + t0:  # else it read carried state
+                        dst = adj[_block(back + t0 - lag, back + t1 - lag,
+                                         span)]
                         dst = dst[..., rlo:rhi]
                         dst += rg
-                        continue
-                    for t in range(t1 - t0 - 1, -1, -1):  # last step first
-                        if start + t0 + t >= lag:  # else it read carried state
-                            j, i = steps[start + t0 + t - lag]
-                            dst = adj[j][i][..., rlo:rhi]
-                            dst += rg if span == 1 else rg[t]
             for arr, part in zip(leaves, parts):
                 self._leaf_grads.setdefault(id(arr), []).extend(part)
-            end = start
+            end, carry = start, adj[:back]
         return dxs
 
     def grads(self, wrt) -> list[np.ndarray]:

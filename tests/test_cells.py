@@ -155,7 +155,7 @@ def run_cell(params, inputs, dilation):
     outs = []
     for x in inputs:
         v = np.array(x, dtype=np.float64)
-        outs.append(cell_step(params, state, v, dilation).copy())
+        outs.append(cell_step(params, state, v[None], dilation)[0])
     return outs
 
 
@@ -250,7 +250,7 @@ def test_lstm_zero_params_frozen_value():
     params, state = cell_init(CellKind.LSTM, 2, 3, seed=0)
     zero_params(params)
     state.values.append(np.r_[np.zeros(3), np.ones(3)])  # h = 0, c = 1
-    y = cell_step(params, state, np.array([7.0, -2.0]), 1)
+    y = cell_step(params, state, np.array([[7.0, -2.0]]), 1)[0]
     np.testing.assert_allclose(y, 0.23105857863000487, rtol=0, atol=1e-15)
     np.testing.assert_allclose(c_read(params, state, 1), 0.5, rtol=0, atol=0)
 
@@ -260,7 +260,7 @@ def test_gru_zero_params_halves_state():
     zero_params(params)
     h_prev = np.array([0.8, -1.2, 3.0, 0.0])
     state.values.append(h_prev.copy())
-    y = cell_step(params, state, np.array([1.0, 2.0]), 1)
+    y = cell_step(params, state, np.array([[1.0, 2.0]]), 1)[0]
     np.testing.assert_array_equal(y, 0.5 * h_prev)
 
 
@@ -271,7 +271,7 @@ def test_drnn_zero_params_frozen_value():
     zero_params(params)
     state.values.append(np.ones(6))  # h, output and c all ones
     state.values.append(np.ones(6))
-    y = cell_step(params, state, np.array([1.0, -1.0]), 2)
+    y = cell_step(params, state, np.array([[1.0, -1.0]]), 2)[0]
     np.testing.assert_array_equal(y, [0.25])
     np.testing.assert_array_equal(c_read(params, state, 1), [0.5, 0.5, 0.5])
 
@@ -285,7 +285,7 @@ def test_dlstm_split_layout():
     params.gates["input"].b[:] = 50.0
     params.gates["output"].b[:] = 50.0
     params.gates["candidate"].b[:] = [1.0, 2.0, 3.0, 4.0, 5.0]
-    y = cell_step(params, state, np.zeros(1), 1)
+    y = cell_step(params, state, np.zeros((1, 1)), 1)[0]
     expected = [sig(50.0) * math.tanh(sig(50.0) * math.tanh(b)) for b in
                 [1.0, 2.0, 3.0, 4.0, 5.0]]
     np.testing.assert_allclose(y, expected[2:], rtol=0, atol=1e-15)
@@ -304,8 +304,8 @@ def test_zero_attention_leaves_input_unscaled():
     rng = np.random.default_rng(0)
     for _ in range(6):
         x = rng.normal(size=3)
-        y = cell_step(params, state, x, 2)
-        y_plain = cell_step(params.upper, plain_state, x, 2)
+        y = cell_step(params, state, x[None], 2)[0]
+        y_plain = cell_step(params.upper, plain_state, x[None], 2)[0]
         np.testing.assert_array_equal(y, y_plain)
 
 
@@ -323,8 +323,8 @@ def test_log_weights_scale_input_components():
     upper_state = new_state(params.upper, 1)
     rng = np.random.default_rng(1)
     x = rng.normal(size=2)
-    y = cell_step(params, state, x, 1)
-    y_ref = cell_step(params.upper, upper_state, x * weights, 1)
+    y = cell_step(params, state, x[None], 1)[0]
+    y_ref = cell_step(params.upper, upper_state, (x * weights)[None], 1)[0]
     np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
     assert weights[0] == pytest.approx(2.0, rel=1e-10)
     assert weights[1] == pytest.approx(1.0, rel=1e-15)
@@ -339,9 +339,9 @@ def test_attention_saturates_at_clamp():
     state.values.append(np.r_[np.full(6, 100.0), np.zeros(6)])
     upper_state = new_state(params.upper, 1)
     x = np.array([0.3, -0.7])
-    y = cell_step(params, state, x, 1)
+    y = cell_step(params, state, x[None], 1)[0]
     y_ref = cell_step(params.upper, upper_state,
-                      x * math.exp(ATTENTION_CLAMP), 1)
+                      (x * math.exp(ATTENTION_CLAMP))[None], 1)[0]
     np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=0)
     assert state.read((), 1, 0, 1)[0] == pytest.approx(25.0)  # lower h
 
@@ -353,7 +353,7 @@ def unroll_with_gradients(params, state, xs, upstream, dilation):
     """Outputs of a recorded unroll of ``state``'s cell and the gradients of
     ``sum_t upstream[t] . y_t`` for the blocks, then each input."""
     tape = Tape()
-    outs = [cell_step(params, state, x, dilation, tape).copy() for x in xs]
+    outs = [cell_step(params, state, x[None], dilation, tape)[0] for x in xs]
     dxs = tape.backward(state, upstream)
     return outs, tape.grads(params.blocks()) + dxs
 
@@ -367,11 +367,11 @@ def composed_adrnn(params, xs, upstream, dilation):
     upper = new_state(params.upper, dilation)
     outs, weights, insides = [], [], []
     for x in xs:
-        a = cell_step(params.lower, lower, x, dilation, tape)
+        a = cell_step(params.lower, lower, x[None], dilation, tape)[0]
         insides.append((a >= -ATTENTION_CLAMP) & (a <= ATTENTION_CLAMP))
         weights.append(np.exp(np.clip(a, -ATTENTION_CLAMP, ATTENTION_CLAMP)))
-        outs.append(cell_step(params.upper, upper, x * weights[-1],
-                              dilation, tape).copy())
+        outs.append(cell_step(params.upper, upper, (x * weights[-1])[None],
+                              dilation, tape)[0])
     dxu = tape.backward(upper, upstream)
     dxl = tape.backward(lower, [g * x * w * inside for g, x, w, inside
                                 in zip(dxu, xs, weights, insides)])
@@ -408,7 +408,7 @@ def test_clamped_attention_passes_no_gradient_to_the_lower_stage():
     x = np.array([3e-5, -7e-5])  # the upper stage sees x * exp(+-10)
     probe = new_state(params.lower, 1)
     probe.values.append(lower_value)
-    attention = cell_step(params.lower, probe, x, 1)
+    attention = cell_step(params.lower, probe, x[None], 1)[0]
     assert attention[0] > ATTENTION_CLAMP and attention[1] < -ATTENTION_CLAMP
 
     _, grads = unroll_with_gradients(params, state, [x], [np.ones(2)], 1)
@@ -459,7 +459,15 @@ def test_dilation_beyond_the_state_is_rejected(kind, kwargs):
     params, state = cell_init(kind, 3, hidden_size=2, dilation=2, seed=0,
                               **kwargs)
     with pytest.raises(ValueError, match="lag 5 outside buffer capacity 2"):
-        cell_step(params, state, np.zeros(3), 5)
+        cell_step(params, state, np.zeros((1, 3)), 5)
+    assert len(state) == 0
+
+
+def test_input_without_a_step_axis_is_rejected():
+    # cell_step takes windows only: a bare input vector is not one step
+    params, state = cell_init(CellKind.GRU, 3, hidden_size=2, seed=0)
+    with pytest.raises(ValueError, match=r"x\[None\]"):
+        cell_step(params, state, np.zeros(3), 1)
     assert len(state) == 0
 
 
@@ -480,8 +488,8 @@ def test_one_member_stack_of_one_row_is_the_vector_path_bitwise(kind, kwargs):
     stack.bind(block[None] for block in params.blocks())
     stack_state = new_state(stack, 2)
     for x in np.random.default_rng(12).normal(size=(5, 3)):
-        y = cell_step(params, state, x, 2)
-        y_stack = cell_step(stack, stack_state, x[None, None], 2)
+        y = cell_step(params, state, x[None], 2)[0]
+        y_stack = cell_step(stack, stack_state, x[None, None, None], 2)[0]
         assert y_stack.shape == (1, 1, *y.shape)
         np.testing.assert_array_equal(y_stack[0, 0], y)
 
@@ -525,9 +533,8 @@ def stepped(params, state, xs, dilation, tape):
     lo, hi = cells._out_part(params)
     ys = []
     for x in xs:
-        value, vjp = step(params,
-                          lambda *part: state.read(x.shape[:-1], *part), x,
-                          dilation)
+        value, vjp = step(params, [state.read(x.shape[:-1], *read)
+                                   for read in reads], x)
         tape.record(state, (1, *value.shape), (lo, hi), reads,
                     params.blocks(), [vjp])
         state.values.append(value)
@@ -543,13 +550,12 @@ def unrolled(params, state, xs, dilation, upstream, how):
     ``upstream`` terms; a member stack's gradients are not reduced."""
     tape = Tape()
     if how == "window":
-        ys = cell_step(params, state, xs, dilation, tape, window=True)
+        ys = cell_step(params, state, xs, dilation, tape)
     elif how == "halves":
-        ys = np.concatenate([cell_step(params, state, half, dilation, tape,
-                                       window=True)
+        ys = np.concatenate([cell_step(params, state, half, dilation, tape)
                              for half in np.array_split(xs, 2) if len(half)])
     elif how == "calls":
-        ys = np.stack([cell_step(params, state, x, dilation, tape)
+        ys = np.stack([cell_step(params, state, x[None], dilation, tape)[0]
                        for x in xs])
     else:
         ys = stepped(params, state, xs, dilation, tape)
@@ -578,7 +584,7 @@ def test_window_is_bitwise_its_steps_one_call_at_a_time(variant, dilation):
                 state = new_state(params, d)
                 if start != "cold":
                     cell_step(params, state, rng.normal(
-                        size=(2 * d + 1, *rows, 3)), d, window=True)
+                        size=(2 * d + 1, *rows, 3)), d)
                 if start == "regrouped":
                     state.regroup(np.array([2, 0, 1]),
                                   np.array([False, True, False]))
@@ -630,7 +636,7 @@ def test_window_runs_one_kernel_call_per_block(variant, monkeypatch):
         for steps in (1, d, d + 1, 2 * d + 1, 56):
             calls.clear()
             cell_step(params, new_state(params, d),
-                      np.zeros((steps, 2, 3)), d, Tape(), window=True)
+                      np.zeros((steps, 2, 3)), d, Tape())
             per_block = d if variant in ("lstm2", "gru2") else 1
             assert len(calls) == stages * math.ceil(steps / per_block)
 
@@ -641,11 +647,11 @@ def test_window_without_a_recording_tape_keeps_no_backward_state(
     params = window_params("lstm2")
     xs = np.ones((9, 2, 3))
     for tape in (None, Tape(forward_only=True)):
-        cell_step(params, new_state(params, 2), xs, 2, tape, window=True)
+        cell_step(params, new_state(params, 2), xs, 2, tape)
         assert len(backs) == 5 and all(ref() is None for ref in backs)
         backs.clear()
     tape = Tape()
-    cell_step(params, new_state(params, 2), xs, 2, tape, window=True)
+    cell_step(params, new_state(params, 2), xs, 2, tape)
     assert len(backs) == 5 and all(ref() is not None for ref in backs)
 
 
@@ -655,8 +661,7 @@ def test_empty_window_returns_no_steps_and_records_nothing(variant, rows):
     params = window_params(variant, members=2 if len(rows) == 2 else None)
     for tape in (None, Tape(forward_only=True), Tape()):
         state = new_state(params, 2)
-        ys = cell_step(params, state, np.zeros((0, *rows, 3)), 2, tape,
-                       window=True)
+        ys = cell_step(params, state, np.zeros((0, *rows, 3)), 2, tape)
         assert ys.shape == (0, *rows, params.out_size)
         assert len(state) == 0
         if tape is not None:
@@ -810,7 +815,7 @@ def test_state_rings_hold_plain_arrays(kind):
     xs = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, 0.0]])
     tape = Tape()
     for _ in range(3):
-        cell_step(params, state, xs, 2, tape)
+        cell_step(params, state, xs[None], 2, tape)
     values = list(state.values)
     assert len(values) == 2
     for value in values:
@@ -835,11 +840,11 @@ def test_adrnn_value_is_lower_then_upper_stage_value():
             for ring in (state, lower, upper):
                 ring.regroup(np.array([1, 0]), np.array([False, True]))
         x = rng.normal(size=(2, 3))
-        y = cell_step(params, state, x, 2)
-        a = cell_step(params.lower, lower, x, 2)
+        y = cell_step(params, state, x[None], 2)[0]
+        a = cell_step(params.lower, lower, x[None], 2)[0]
         weights = np.exp(np.clip(a, -ATTENTION_CLAMP, ATTENTION_CLAMP))
         np.testing.assert_array_equal(
-            y, cell_step(params.upper, upper, x * weights, 2))
+            y, cell_step(params.upper, upper, (x * weights)[None], 2)[0])
         for whole, low, up in zip(state.values, lower.values, upper.values):
             np.testing.assert_array_equal(
                 whole, np.concatenate((low, up), axis=-1))
@@ -853,8 +858,8 @@ def test_delayed_variant_ignores_recent_push():
     poked = new_state(params, 3)
     poked.values.append(np.r_[np.full(3, 9.0), np.full(3, -9.0)])  # h, c
     x = np.array([0.4, 0.6])
-    y_fresh = cell_step(params, fresh, x.copy(), 3)
-    y_poked = cell_step(params, poked, x.copy(), 3)
+    y_fresh = cell_step(params, fresh, x[None], 3)[0]
+    y_poked = cell_step(params, poked, x[None], 3)[0]
     np.testing.assert_array_equal(y_fresh, y_poked)
 
 
@@ -935,7 +940,7 @@ def test_drnn_update_gate_extremes():
     params.gates["update"].b[:] = 50.0
     state.values.append(np.r_[0.0, 0.0, c_delayed])  # h, output, c
     state.values.append(np.r_[0.0, 0.0, c_recent])
-    cell_step(params, state, x.copy(), 2)
+    cell_step(params, state, x[None], 2)
     np.testing.assert_allclose(c_read(params, state, 1),
                                0.5 * (c_recent + c_delayed), rtol=0, atol=1e-12)
 
@@ -946,7 +951,7 @@ def test_drnn_update_gate_extremes():
     params2.gates["candidate"].b[:] = [0.3, -0.4]
     state2.values.append(np.r_[0.0, 0.0, c_delayed])
     state2.values.append(np.r_[0.0, 0.0, c_recent])
-    cell_step(params2, state2, x.copy(), 2)
+    cell_step(params2, state2, x[None], 2)
     np.testing.assert_allclose(c_read(params2, state2, 1),
                                np.tanh([0.3, -0.4]), rtol=0, atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Central-difference validation of every cell's analytic gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,24 @@ def test_multi_step_cell_gradients(label, kind, kwargs, dilation):
     assert report.tolerance == MULTI_STEP_TOL
     bad = report.failing_blocks()
     assert report.passed, f"worst {report.worst:.2e} in {[b.name for b in bad]}"
+
+
+@pytest.mark.parametrize("label,kind,kwargs",
+                         CELL_CONFIGS, ids=[c[0] for c in CELL_CONFIGS])
+def test_dilation_past_every_step_checks_as_a_short_one(label, kind, kwargs):
+    # over 3 steps a dilation of 4 and one of 10**9 both read only cold
+    # state; the sweep's adjoint buffer holds at most the chain's steps, so
+    # the huge dilation allocates no more than the short one
+    tracemalloc.start()
+    try:
+        huge = check_cell(kind, input_size=3, hidden_size=4, dilation=10**9,
+                          steps=3, seed=5, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == check_cell(kind, input_size=3, hidden_size=4, dilation=4,
+                              steps=3, seed=5, **kwargs)
+    assert peak < 2**24
 
 
 @pytest.mark.parametrize("label,kind,kwargs",

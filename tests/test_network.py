@@ -83,9 +83,9 @@ def test_step_matches_composition_of_tested_parts(variant):
         ext = inputs[t]
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
-        y1 = cell_step(model.cells[0], ref_states[0], u1, 2)
-        y2 = cell_step(model.cells[1], ref_states[1], y1, 4) + y1
-        y3 = cell_step(model.cells[2], ref_states[2], y2, 7) + y2
+        y1 = cell_step(model.cells[0], ref_states[0], u1[None], 2)[0]
+        y2 = cell_step(model.cells[1], ref_states[1], y1[None], 4)[0] + y1
+        y3 = cell_step(model.cells[2], ref_states[2], y2[None], 7)[0] + y2
         head = model.head_w @ y3 + model.head_b
         np.testing.assert_array_equal(out[:HORIZON], head[:HORIZON])
         np.testing.assert_array_equal(out[HORIZON:2 * HORIZON],
@@ -117,7 +117,7 @@ def test_zeroed_upper_cells_reduce_to_layer1_plus_head():
         ext = inputs[t]
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
-        y1 = cell_step(model.cells[0], ref_state, u1, DILATIONS[0])
+        y1 = cell_step(model.cells[0], ref_state, u1[None], DILATIONS[0])[0]
         head = model.head_w @ y1 + model.head_b
         np.testing.assert_array_equal(out[:HORIZON], head[:HORIZON])
 
@@ -134,9 +134,9 @@ def test_removing_shortcuts_changes_outputs():
         ext = inputs[t]
         u1 = np.concatenate([ext.week, [ext.level],
                              model.embedding @ ext.calendar])
-        y1 = cell_step(model.cells[0], bare_states[0], u1, 2)
-        y2 = cell_step(model.cells[1], bare_states[1], y1, 4)
-        y3 = cell_step(model.cells[2], bare_states[2], y2, 7)
+        y1 = cell_step(model.cells[0], bare_states[0], u1[None], 2)[0]
+        y2 = cell_step(model.cells[1], bare_states[1], y1[None], 4)[0]
+        y3 = cell_step(model.cells[2], bare_states[2], y2[None], 7)[0]
         without.append((model.head_w @ y3 + model.head_b)[:HORIZON])
     diffs = [np.max(np.abs(a - b)) for a, b in zip(with_short, without)]
     assert max(diffs) > 1e-6
