@@ -21,7 +21,8 @@ gate input ``[x; h_recent; h_delayed; 1]`` and runs one of three
 pure-array kernels (``_lstm`` for LSTM and dilated LSTM, ``_gru``,
 ``_drnn``), which compute all gate pre-activations with one product of that
 input and the stack's gate matrix and return the stack's value with its
-hand-written backward pass.  That pass multiplies the sigmoid gates'
+hand-written backward pass; their sigmoid gates are :func:`logistic`,
+``0.5 + 0.5 * tanh(x / 2)``.  That pass multiplies the sigmoid gates'
 derivative chains link by link over the whole gate block, each element in
 its gate's own left-to-right order, so it rounds as per-gate chains do.  A
 step takes one series' input vector, or a batch of series as rows
@@ -56,7 +57,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 from .tape import Tape
@@ -339,6 +339,16 @@ def _out_part(params: CellParams) -> tuple:
     return 0, params.hidden_size
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The gates' sigmoid ``0.5 + 0.5 * tanh(x / 2)``, which saturates to
+    exactly 0 and 1 and never overflows, in a fresh contiguous array."""
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
 @functools.cache
 def _ones(rows: tuple) -> np.ndarray:
     """The bias column of a gate input with leading shape ``rows``; shared,
@@ -353,7 +363,7 @@ def _lstm(params: CellParams, z: np.ndarray, c_prev):
     ``output * tanh(c)`` and c."""
     n, w = params.cell_size, params.stack
     pre = z @ w.swapaxes(-1, -2)
-    sig = expit(pre[..., :3 * n])
+    sig = logistic(pre[..., :3 * n])
     forget, infl, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])
     c = forget * c_prev + infl * cand
@@ -377,7 +387,7 @@ def _gru(params: CellParams, z: np.ndarray):
     pairs."""
     i, n, w = params.input_size, params.hidden_size, params.stack
     h = z[..., i:i + n]
-    gates = expit(z @ w[..., :2 * n, :].swapaxes(-1, -2))
+    gates = logistic(z @ w[..., :2 * n, :].swapaxes(-1, -2))
     reset, update = gates[..., :n], gates[..., n:]
     zc = z.copy()
     zc[..., i:i + n] = reset * h
@@ -407,7 +417,7 @@ def _drnn(params: CellParams, z: np.ndarray, c1, cd):
     with no tanh."""
     n, w = params.cell_size, params.stack
     pre = z @ w.swapaxes(-1, -2)
-    sig = expit(pre[..., :3 * n])
+    sig = logistic(pre[..., :3 * n])
     rest = 1.0 - sig
     fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])

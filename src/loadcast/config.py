@@ -1,10 +1,9 @@
 """Run-level configuration and the one JSON codec for config sections.
 
-A run config file is a JSON object with four optional sections, ``model``
-(:class:`ModelConfig`), ``loss`` (:class:`LossConfig`), ``recipe``
-(:class:`TrainRecipe`) and ``alpha``, the nominal interval miss rate used
-by evaluation; the README shows a complete file.  Absent keys take the
-dataclass defaults.  :func:`to_json` and :func:`from_json` derive each
+A run config file is a JSON object with three optional sections, ``model``
+(:class:`ModelConfig`), ``loss`` (:class:`LossConfig`) and ``recipe``
+(:class:`TrainRecipe`); the README shows a complete file.  Absent keys take
+the dataclass defaults.  :func:`to_json` and :func:`from_json` derive each
 section's keys and types from the dataclass fields, so model-file headers
 and run-config files share one schema: unknown keys are rejected, integers
 reject bools and fractions, numbers reject strings, bools, NaN and the
@@ -35,11 +34,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     recipe: TrainRecipe = field(default_factory=TrainRecipe)
-    alpha: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
 
 
 #: JSON types each scalar annotation accepts; a bool is never a number

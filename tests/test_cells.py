@@ -10,7 +10,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from loadcast import cells
 from loadcast.cells import (
@@ -233,6 +232,35 @@ def test_adrnn_matches_scalar_oracle(dilation):
     oracle = AdrnnOracle(params, dilation)
     for x, y in zip(xs, got):
         np.testing.assert_allclose(y, oracle.step(x), rtol=0, atol=1e-12)
+
+
+# -- the gates' logistic ---------------------------------------------------
+
+
+def test_logistic_is_the_scalar_sigmoid_to_an_absolute_tolerance():
+    # 0.5 + 0.5 * tanh(z / 2) rounds on the scale of 0.5, so it holds an
+    # absolute, not a relative, error: a few ulp of 1 allow for the tanh
+    z = np.concatenate((np.linspace(-30.0, 30.0, 6001),
+                        np.random.default_rng(53).uniform(-30.0, 30.0, 4000)))
+    np.testing.assert_allclose(cells.logistic(z), [sig(v) for v in z],
+                               rtol=0, atol=2.0**-51)
+
+
+def test_logistic_saturates_exactly_without_floating_point_errors():
+    z = np.array([40.0, 1e308, np.inf, -40.0, -1e308, -np.inf])
+    with np.errstate(all="raise"):
+        assert cells.logistic(z).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def test_logistic_passes_nan_and_leaves_its_input_unmodified():
+    # the kernels pass a strided slice of their pre-activations
+    pre = np.random.default_rng(54).normal(size=(2, 3, 8))
+    pre[0, 1, 2] = np.nan
+    before = pre.copy()
+    got = cells.logistic(pre[..., :6])
+    assert np.isnan(got[0, 1, 2]) and np.isnan(got).sum() == 1
+    assert got.flags.c_contiguous and not np.shares_memory(got, pre)
+    assert_bitwise(pre, before, "input")
 
 
 # -- frozen closed-form values ---------------------------------------------
@@ -681,7 +709,7 @@ def test_empty_window_returns_no_steps_and_records_nothing(variant, rows):
 def per_gate_lstm(params, z, c_prev):
     n, w = params.cell_size, params.stack
     pre = z @ w.swapaxes(-1, -2)
-    sig = expit(pre[..., :3 * n])
+    sig = cells.logistic(pre[..., :3 * n])
     forget, infl, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])
     c = forget * c_prev + infl * cand
@@ -703,7 +731,7 @@ def per_gate_lstm(params, z, c_prev):
 def per_gate_gru(params, z):
     i, n, w = params.input_size, params.hidden_size, params.stack
     h = z[..., i:i + n]
-    gates = expit(z @ w[..., :2 * n, :].swapaxes(-1, -2))
+    gates = cells.logistic(z @ w[..., :2 * n, :].swapaxes(-1, -2))
     reset, update = gates[..., :n], gates[..., n:]
     zc = z.copy()
     zc[..., i:i + n] = reset * h
@@ -729,7 +757,7 @@ def per_gate_gru(params, z):
 def per_gate_drnn(params, z, c1, cd):
     n, w = params.cell_size, params.stack
     pre = z @ w.swapaxes(-1, -2)
-    sig = expit(pre[..., :3 * n])
+    sig = cells.logistic(pre[..., :3 * n])
     fusion, update, out = sig[..., :n], sig[..., n:2 * n], sig[..., 2 * n:]
     cand = np.tanh(pre[..., 3 * n:])
     mix = fusion * c1 + (1.0 - fusion) * cd
@@ -779,7 +807,7 @@ def test_kernels_back_is_bitwise_their_per_gate_formulas(variant, scale):
             what = f"{variant} {rows} scale {scale}"
             if scale > 1:  # the sigmoid gates, all rows but the candidate's
                 gates = stage.stack[..., :-stage.gate_size, :]
-                sig = expit(z @ gates.swapaxes(-1, -2))
+                sig = cells.logistic(z @ gates.swapaxes(-1, -2))
                 assert (sig == 0.0).any() and (sig == 1.0).any(), what
             value, back = cells._KERNELS[stage.kind](stage, z, *cs)
             ref_value, ref_back = PER_GATE[stage.kind](stage, z, *cs)

@@ -334,8 +334,10 @@ def test_train_ill_typed_config_exits_1(workspace, tmp_path, capsys):
     ({"model": {"embed_size": 10**11}}, "does not fit in memory"),
     ({"model": {"hidden_size": 10**9}}, "does not fit in memory"),
     ({"model": {"dilations": [2, 4, 10**20]}}, "longest state ring"),
+    # the interval level is evaluate's --alpha; a run config holds none
+    ({"alpha": 0.1}, "unknown run config keys: alpha"),
 ], ids=["negative-seed", "huge-hidden", "huge-embedding", "past-array-range",
-        "past-ring-length"])
+        "past-ring-length", "alpha-key"])
 def test_train_unusable_config_exits_1(workspace, tmp_path, capsys, raw,
                                        message):
     config = tmp_path / "bad.json"

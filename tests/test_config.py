@@ -37,7 +37,6 @@ def test_full_preset_carries_reference_settings():
     assert len(rc.recipe.seeds) == 5
     assert rc.loss.central_quantile == 0.5
     assert rc.loss.interval_weight == 0.3
-    assert rc.alpha == 0.1
 
 
 def test_desk_preset_is_small():
@@ -96,9 +95,10 @@ def test_schedule_keys_parse_from_strings():
         parse({"recipe": {"learning_rates": [0.01]}})
 
 
-def test_alpha_validated():
-    with pytest.raises(ConfigError, match="alpha"):
-        parse({"alpha": 1.5})
+def test_alpha_is_an_unknown_key():
+    # evaluate takes its interval level from --alpha, not from a run config
+    with pytest.raises(ConfigError, match="unknown run config keys: alpha"):
+        parse({"alpha": 0.1})
 
 
 def test_malformed_files_rejected(tmp_path):
@@ -136,8 +136,8 @@ def test_malformed_files_rejected(tmp_path):
     {"model": {"cell_variant": ["adrnn"]}},
     {"loss": "x"},
     {"loss": {"gamma": "0.3"}},
-    {"alpha": "0.1"},
-    {"alpha": True},
+    {"loss": {"gamma": True}},
+    {"recipe": {"beta1": "0.9"}},
     {"recipe": {"epsilon": float("nan"), "clip_norm": float("inf")},
      "loss": {"gamma": float("nan")}},
     {"recipe": {"epsilon": float("nan")}},
@@ -169,7 +169,7 @@ def section_values(section):
 @settings(max_examples=50, deadline=None)
 @given(raw=st.fixed_dictionaries({}, optional={
     "model": section_values("model"), "loss": section_values("loss"),
-    "recipe": section_values("recipe"), "alpha": json_values}))
+    "recipe": section_values("recipe")}))
 @example(raw={"recipe": {"batch_sizes": {"1": 10**30}}})  # past float range
 @example(raw={"model": {"dilations": [2, 4, 10**20]}})  # past a ring's length
 def test_arbitrary_json_gives_run_config_or_config_error(raw):
@@ -208,8 +208,7 @@ valid_run_configs = st.builds(
         beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.999),
         epsilon=st.floats(1e-12, 1e-3),
         seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=5).map(
-            tuple)),
-    alpha=st.floats(0.01, 0.99))
+            tuple)))
 
 
 @settings(max_examples=50, deadline=None)

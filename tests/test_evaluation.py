@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,6 +163,41 @@ def test_gw_statistic_scale_invariance():
     r2 = gw_test(25.0 * a, 25.0 * b)
     assert r2.statistic == pytest.approx(r1.statistic, rel=1e-9)
     assert r2.p_value == pytest.approx(r1.p_value, rel=1e-9)
+
+
+def gw_pair(seed, offset):
+    """Daily losses of two models, the second ``offset`` worse on average."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1, 2, 120)
+    return a, a + 0.3 * rng.normal(size=120) + offset
+
+
+@pytest.mark.parametrize("seed, offset, p_value", [
+    (21, 0.06, 0.1022214651053444),  # negative mean differential
+    (22, -0.05, 0.9841141354587754),  # positive mean differential
+    (23, 0.0, 0.2554066965046088),
+], ids=["a-better", "b-better", "near-even"])
+def test_gw_p_values_match_scipy_chi2(seed, offset, p_value):
+    # pinned from scipy.stats.chi2.sf(statistic, df=2)
+    r = gw_test(*gw_pair(seed, offset))
+    assert r.p_value == pytest.approx(p_value, rel=1e-12, abs=0)
+
+
+def test_gw_p_value_at_the_chi2_critical_value():
+    # chi2(2)'s 5% critical value, -2 ln 0.05, has a two-sided p of 0.05:
+    # bisect the offset that puts the statistic there (2.35 at 0, 1136 at 1)
+    crit = -2.0 * math.log(0.05)
+    a, b = gw_pair(24, 0.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if gw_test(a, b + mid).statistic < crit:
+            lo = mid
+        else:
+            hi = mid
+    r = gw_test(a, b + hi)
+    assert r.statistic == pytest.approx(crit, rel=1e-12)
+    assert r.p_value == pytest.approx(0.05 / 2, rel=1e-12)  # mean d < 0
 
 
 def test_gw_input_validation():

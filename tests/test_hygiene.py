@@ -1,7 +1,7 @@
-"""Source hygiene: no module-level import goes unused, no file is written
-but through :func:`loadcast.files.replacing`, every function the benchmark's
-tracer rebinds exists, with the parameters it binds, and fires where it must
-in a tiny traced run of each workload.
+"""Source hygiene: no module-level import goes unused, nothing imports
+scipy, no file is written but through :func:`loadcast.files.replacing`,
+every function the benchmark's tracer rebinds exists, with the parameters
+it binds, and fires where it must in a tiny traced run of each workload.
 
 A stdlib ``ast`` scan standing in for a linter.  Package ``__init__.py``
 files are skipped, since their imports are re-exports; instead the package's
@@ -11,6 +11,7 @@ files are skipped, since their imports are re-exports; instead the package's
 import ast
 import inspect
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -48,6 +49,44 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def imported_modules(path: Path) -> set:
+    """Every module ``path`` imports, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module})
+
+
+def test_no_source_or_test_imports_scipy():
+    # numpy is the program's one runtime dependency
+    flagged = {str(path.relative_to(ROOT)): sorted(
+        m for m in imported_modules(path) if m.partition(".")[0] == "scipy")
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        + sorted((ROOT / "tests").rglob("*.py"))}
+    assert {name: mods for name, mods in flagged.items() if mods} == {}
+
+
+#: program starts, each run in a fresh interpreter before it reports
+#: whether scipy got loaded
+STARTS = {
+    "import": "import loadcast",
+    "help": ("import runpy\nsys.argv = ['loadcast', '--help']\ntry:\n"
+             "    runpy.run_module('loadcast', run_name='__main__')\n"
+             "except SystemExit:\n    pass"),
+}
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+def test_program_starts_without_scipy(start):
+    run = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{STARTS[start]}\nprint('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout.splitlines()[-1] == "False", run.stdout
 
 
 def _calls(node, name: str) -> bool:

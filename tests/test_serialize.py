@@ -237,7 +237,8 @@ class FailOnThirdWrite:
     ("serialize", save_store, lambda n: synthetic_store(n_series=n, days=2)),
     ("dataset", lambda path, store: export_csv(store, path),
      lambda n: synthetic_store(n_series=n, days=2)),
-    ("config", save_run_config, lambda n: RunConfig(alpha=0.1 * n)),
+    ("config", save_run_config,
+     lambda n: RunConfig(recipe=TrainRecipe(epochs=n))),
 ], ids=["model", "store", "export-csv", "run-config"])
 def test_failed_save_leaves_previous_file(tmp_path, monkeypatch, module, save,
                                           make):
