@@ -79,6 +79,18 @@ def test_ingest_bad_file_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ingest_accepts_a_byte_order_mark(workspace, tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with one
+    marked = tmp_path / "marked.csv"
+    with open(workspace["csv"], "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    store = str(tmp_path / "s.store")
+    assert main(["ingest", "--csv", str(marked), "--store", store]) == 0
+    assert "total: 2 series" in capsys.readouterr().out
+    assert (load_store(store).manifest()
+            == ingest_csv(workspace["csv"]).manifest())
+
+
 def test_train_writes_log_and_is_byte_deterministic(workspace, tmp_path):
     out1, out2 = str(tmp_path / "a.model"), str(tmp_path / "b.model")
     log = tmp_path / "train.log"

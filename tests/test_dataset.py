@@ -1,5 +1,6 @@
 """CSV ingest/export, the binary store, and the synthetic generator."""
 
+import csv
 import datetime as dt
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from loadcast.dataset import (
+    CSV_HEADER,
     DatasetStore,
     export_csv,
     ingest_csv,
@@ -18,6 +20,7 @@ from loadcast.dataset import (
     synthetic_store,
 )
 from loadcast.errors import IngestError, ModelFileError
+from loadcast.preprocess import HourlySeries
 
 
 def write_csv(path, rows, header="series_id,timestamp,load_mw"):
@@ -162,6 +165,116 @@ def test_export_ingest_round_trip(tmp_path):
         np.testing.assert_array_equal(a.missing, b.missing)
         np.testing.assert_array_equal(a.values[~a.missing],
                                       b.values[~b.missing])
+
+
+def per_row_export(store, path):
+    """The reference writer: one ``writerow`` per hour, each stamp from
+    ``isoformat`` and each load from ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for sid in store.series_ids:
+            s = store.series[sid]
+            for i in range(len(s)):
+                load = "" if s.missing[i] else repr(float(s.values[i]))
+                writer.writerow([sid, s.timestamp(i).isoformat(), load])
+
+
+def test_export_bytes_equal_the_per_row_writer(tmp_path):
+    nan = np.nan
+    store = synthetic_store(n_series=1, days=2)
+    for sid, start, values in [
+            ('a,"b"', dt.datetime(1, 1, 1, 3), [5e-324, nan, nan, 12.5]),
+            ("x\ny", dt.datetime(9999, 12, 31, 20),
+             [1.7976931348623157e308, 0.1, 7.0, nan])]:
+        values = np.array(values)
+        store.series[sid] = HourlySeries(sid, start, values, np.isnan(values))
+    store.series["synth1"].values[30:40] = nan
+    store.series["synth1"].missing[30:40] = True
+    export_csv(store, tmp_path / "bulk.csv")
+    per_row_export(store, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (
+        tmp_path / "rows.csv").read_bytes()
+
+
+@st.composite
+def gappy_stores(draw):
+    store = DatasetStore()
+    for i in range(draw(st.integers(1, 3))):
+        start = dt.datetime(2024, 1, 1) + dt.timedelta(
+            hours=draw(st.integers(-10**6, 10**6)))
+        loads = draw(st.lists(st.none() | st.floats(
+            5e-324, 1e300, allow_subnormal=True), min_size=1, max_size=30))
+        values = np.array([np.nan if v is None else v for v in loads])
+        store.series[f"s{i}"] = HourlySeries(f"s{i}", start, values,
+                                             np.isnan(values))
+    return store
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(store=gappy_stores(), data=st.data())
+def test_shuffled_export_with_utc_offsets_ingests_to_the_same_store(
+        tmp_path, store, data):
+    export_csv(store, tmp_path / "out.csv")
+    with open(tmp_path / "out.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = data.draw(st.permutations(rows))
+    for row in rows:
+        # the same instant, as ``Z`` or at an offset of whole hours
+        offset = data.draw(st.none() | st.integers(-12, 14))
+        if offset is not None:
+            ts = dt.datetime.fromisoformat(row[1])
+            local = ts + dt.timedelta(hours=offset)
+            row[1] = (local.isoformat() + f"{offset:+03d}:00" if offset
+                      else row[1] + "Z")
+    with open(tmp_path / "in.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    again = ingest_csv(tmp_path / "in.csv")
+    assert again.series_ids == store.series_ids
+    for sid in store.series_ids:
+        a, b = store.get(sid), again.get(sid)
+        assert b.start == a.start
+        np.testing.assert_array_equal(b.values, a.values)
+        np.testing.assert_array_equal(b.missing, a.missing)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a stamp is parsed once, on the line it first appears
+    (["x,2024-01-01T00:00:00,1.0", "x,noon,2.0", "x,noon,3.0"],
+     "line 3: bad timestamp 'noon'"),
+    # the stamp seen in y is one more spelling of x's first instant
+    (["y,2024-01-01T00:00:00Z,5.0", "x,2024-01-01T00:00:00,1.0",
+      "x,2024-01-01T00:00:00Z,2.0"],
+     "x: duplicate timestamp 2024-01-01T00:00:00"),
+    # the first bad pair of the sorted rows of the first bad series
+    ([f"{sid},2024-01-01T{h:02d}:00:00,1.0"
+      for h, sid in [(9, "b"), (5, "a"), (0, "a"), (3, "b"), (3, "a"),
+                     (1, "a"), (2, "a"), (8, "a"), (0, "b")]],
+     "a: non-hourly step from 2024-01-01T03:00:00 to 2024-01-01T05:00:00"),
+    (["x,2024-01-01T02:00:00,1.0", "x,2024-01-01T00:00:00,1.0",
+      "x,2024-01-01T02:00:00,1.0"],
+     "x: non-hourly step from 2024-01-01T00:00:00 to 2024-01-01T02:00:00"),
+    (["x,2024-01-01T03:00:00,1.0", "x,2024-01-01T01:00:00+01:00,1.0",
+      "x,2024-01-01T01:00:00,1.0", "x,2024-01-01T00:00:00,1.0"],
+     "x: duplicate timestamp 2024-01-01T00:00:00"),
+], ids=["repeated-bad-stamp", "cached-stamp-duplicate", "shuffled-gap",
+        "gap-before-duplicate", "duplicate-before-gap"])
+def test_ingest_error_messages(tmp_path, rows, message):
+    with pytest.raises(IngestError) as err:
+        ingest_csv(write_csv(tmp_path / "bad.csv", rows))
+    assert str(err.value) == message
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    rows = hourly_rows("x", "2024-01-01T00:00:00", [5.0, 6.0, 7.0])
+    plain = write_csv(tmp_path / "plain.csv", rows)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    save_store(tmp_path / "plain.store", ingest_csv(plain))
+    save_store(tmp_path / "marked.store", ingest_csv(marked))
+    assert (tmp_path / "marked.store").read_bytes() == (
+        tmp_path / "plain.store").read_bytes()
 
 
 def test_store_binary_round_trip(tmp_path):

@@ -139,6 +139,16 @@ def test_backward_detects_mutated_leaf():
         tape.backward("a", [np.ones(2)])
 
 
+def test_backward_detects_a_zero_whose_sign_flipped():
+    # 0.0 -> -0.0 leaves both the sum and the sum of magnitudes alone
+    tape = Tape()
+    b = np.array([0.0, 1.5])
+    tape.record("a", (1, 2), (0, 2), (), (b,), [lambda g: (g, None)])
+    b[0] = -0.0
+    with pytest.raises(StaleTapeError):
+        tape.backward("a", [np.ones(2)])
+
+
 def test_untracked_inputs_and_unread_arrays_get_zero_gradients():
     # a registered array no sweep reaches and an array the tape never saw
     # both read as zeros of their shape; an unrecorded chain sweeps nothing

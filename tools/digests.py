@@ -9,7 +9,10 @@ The artefacts:
 - ``check_model`` reports of the 7 variants and ``check_cell`` reports of
   every variant at dilations 1, 2, 3 and 7 over 1, 5 and 9 steps;
 - the files of one CLI ``synth``, ``train``, ``forecast`` and ``evaluate``
-  run, written under a temporary directory.
+  run, written under a temporary directory;
+- the CSV that ``loadcast export`` writes of a store with gaps, and the
+  store and printed manifest of ``loadcast ingest`` of that CSV's rows
+  shuffled, some of their stamps in ``Z`` or at a UTC offset.
 
 The digests hold at one BLAS thread, which this script asks for unless
 ``OPENBLAS_NUM_THREADS`` is set.  It imports the program from the ``src/``
@@ -31,6 +34,7 @@ import datetime as dt
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -48,7 +52,7 @@ if Path(loadcast.__file__).resolve().parent != (SRC / "loadcast").resolve():
 
 from loadcast import cli
 from loadcast.config import desk_preset, save_run_config
-from loadcast.dataset import synthetic_store
+from loadcast.dataset import save_store, synthetic_store
 from loadcast.gradcheck import check_cell, check_model
 from loadcast.network import CELL_VARIANTS, ModelConfig
 from loadcast.preprocess import build_training_set
@@ -57,6 +61,7 @@ from loadcast.training import EnsembleModel, forecast_range, train
 
 START = dt.date(2015, 1, 1)
 DAY = dt.timedelta(days=1)
+HOUR = dt.timedelta(hours=1)
 
 #: sizes of the full and the ``--tiny`` run
 SIZES = {
@@ -127,9 +132,39 @@ def check_digests(size: dict):
                        sha(repr(report).encode()))
 
 
+def run_cli(argv) -> str:
+    """What ``loadcast argv`` printed; exits if it failed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"loadcast {argv[0]} failed")
+    return out.getvalue()
+
+
+def shuffle_rows(src: Path, dst: Path):
+    """Write ``src``'s rows in a fixed shuffled order; there every third
+    stamp gets a ``Z``, and every fifth of the others is the same instant
+    at a UTC offset of -5 to +9 hours."""
+    header, *rows = src.read_text(encoding="utf-8").splitlines()
+    random.Random(5).shuffle(rows)
+    for i, row in enumerate(rows):
+        sid, stamp, load = row.split(",")
+        if i % 3 == 0:
+            stamp += "Z"
+        elif i % 5 == 0:
+            offset = i // 5 % 15 - 5
+            local = dt.datetime.fromisoformat(stamp) + offset * HOUR
+            stamp = f"{local.isoformat()}{offset:+03d}:00"
+        rows[i] = f"{sid},{stamp},{load}"
+    dst.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def cli_digests(size: dict, workdir: Path):
-    """One synth, train, forecast and evaluate run; its printed lines hold
-    timings, so only its files are digested."""
+    """One synth, train, forecast and evaluate run, then an export of a
+    store with gaps and an ingest of its rows shuffled.  The printed lines
+    of the first four hold timings, so only their files are digested; the
+    manifest that ingest prints is digested too."""
     days = size["cli_days"]
     last = START + (days - 1) * DAY
     test = f"{last - 13 * DAY}:{last}"
@@ -140,22 +175,30 @@ def cli_digests(size: dict, workdir: Path):
                                    seeds=size["seeds"]))
     save_run_config(workdir / "run.json", config)
     store, model = str(workdir / "s.store"), str(workdir / "m.model")
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        for argv in (
-                ["synth", "--series", "2", "--days", str(days), "--seed", "3",
-                 "--store", store, "--csv", str(workdir / "s.csv")],
-                ["train", "--store", store, "--out", model,
-                 "--config", str(workdir / "run.json"),
-                 "--train-range", f"{START + 7 * DAY}:{last - 14 * DAY}"],
-                ["forecast", "--model", model, "--store", store,
-                 "--series", "synth1", "--dates", test,
-                 "--csv", str(workdir / "f.csv"),
-                 "--json", str(workdir / "f.json")],
-                ["evaluate", "--store", store, "--model", model,
-                 "--test-range", test, "--out-dir", str(workdir / "report")]):
-            if cli.main(argv) != 0:
-                raise SystemExit(f"loadcast {argv[0]} failed")
+    for argv in (
+            ["synth", "--series", "2", "--days", str(days), "--seed", "3",
+             "--store", store, "--csv", str(workdir / "s.csv")],
+            ["train", "--store", store, "--out", model,
+             "--config", str(workdir / "run.json"),
+             "--train-range", f"{START + 7 * DAY}:{last - 14 * DAY}"],
+            ["forecast", "--model", model, "--store", store,
+             "--series", "synth1", "--dates", test,
+             "--csv", str(workdir / "f.csv"),
+             "--json", str(workdir / "f.json")],
+            ["evaluate", "--store", store, "--model", model,
+             "--test-range", test, "--out-dir", str(workdir / "report")]):
+        run_cli(argv)
+    gappy = synthetic_store(n_series=2, days=days, seed=4)
+    for sid, gaps in zip(gappy.series_ids, ([0, 30, 31, 32, 50], [-1])):
+        gappy.series[sid].missing[gaps] = True
+        gappy.series[sid].values[gaps] = float("nan")
+    save_store(workdir / "gappy.store", gappy)
+    run_cli(["export", "--store", str(workdir / "gappy.store"),
+             "--csv", str(workdir / "gappy.csv")])
+    shuffle_rows(workdir / "gappy.csv", workdir / "shuffled.csv")
+    yield "cli.ingest.manifest", sha(run_cli(
+        ["ingest", "--csv", str(workdir / "shuffled.csv"),
+         "--store", str(workdir / "shuffled.store")]).encode())
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             yield f"cli.{path.relative_to(workdir)}", sha(path.read_bytes())
