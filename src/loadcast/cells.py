@@ -548,25 +548,3 @@ def cell_step(params: CellParams, state: CellState, xs: np.ndarray,
                     params.blocks(), vjps, span)
     return ys
 
-
-def cell_gradient(
-    params: CellParams,
-    inputs: list[np.ndarray],
-    dilation: int,
-    upstream: list[np.ndarray],
-):
-    """Gradients of ``sum_t upstream[t] . y_t`` from a cold-start unroll of
-    ``inputs`` as one window.
-
-    Returns ``(param_grads, input_grads)`` where ``param_grads`` maps the
-    names from :meth:`CellParams.named_arrays` to arrays.
-    """
-    if len(inputs) != len(upstream):
-        raise ValueError("need one upstream gradient per input step")
-    tape = Tape()
-    state = new_state(params, dilation)
-    cell_step(params, state, np.asarray(inputs, dtype=np.float64), dilation,
-              tape)
-    input_grads = tape.backward(state, upstream)
-    grads = tape.grads(params.blocks())
-    return dict(params.named_arrays(blocks=grads)), input_grads

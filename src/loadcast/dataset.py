@@ -9,18 +9,19 @@ with a manifest of coverage and gap statistics.
 
 Both CSV paths work by columns: ingest parses each distinct timestamp once
 and keeps per-series columns of hours and loads, sorted and checked once per
-series; export formats a series' stamps in one ``datetime64`` pass and hands
-its rows to the ``csv`` writer in bulk, writing what a per-row writer would.
+series; export formats a series' stamps in one ``datetime64`` pass and
+writes its rows as one string, the id quoted once as the ``csv`` writer
+quotes it: the bytes a per-row writer would write.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -155,8 +156,7 @@ def ingest_csv(path) -> DatasetStore:
 def export_csv(store: DatasetStore, path):
     with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8",
                                          newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        csv.writer(fh).writerow(CSV_HEADER)
         for sid in store.series_ids:
             s = store.series[sid]
             hours = np.datetime64(s.start, "h") + np.arange(len(s))
@@ -164,7 +164,11 @@ def export_csv(store: DatasetStore, path):
             loads = list(map(repr, s.values.tolist()))
             for i in np.flatnonzero(s.missing).tolist():
                 loads[i] = ""
-            writer.writerows(zip(repeat(sid), stamps.tolist(), loads))
+            head = io.StringIO()  # "<id>,\r\n": the id as a row quotes it
+            csv.writer(head).writerow([sid, ""])
+            sid_field = head.getvalue()[:-3]
+            fh.write("".join([f"{sid_field},{stamp},{load}\r\n"
+                              for stamp, load in zip(stamps.tolist(), loads)]))
 
 
 def save_store(path, store: DatasetStore):

@@ -409,7 +409,9 @@ def write_csv(path, header, rows):
 def write_report(report: EvaluationReport, out_dir):
     """Write ``table1.csv`` (point metrics per model), ``table2.csv``
     (interval metrics), ``per_series.csv``, ``gw_matrix.csv`` and the full
-    ``report.json`` into ``out_dir``; CSV floats are written by ``repr``.
+    ``report.json`` into ``out_dir``; CSV floats are written by ``repr``
+    (``nan``, ``inf``), and ``report.json`` is strict JSON, a non-finite
+    float in it ``null``.
 
     The five files replace any previous report together, once all of them
     are written (:func:`~loadcast.files.replacing`)."""
@@ -435,7 +437,9 @@ def write_report(report: EvaluationReport, out_dir):
                    for row, ps in report.gw.matrix.items()])
         payload = {key: value for key, value in asdict(report).items()
                    if value is not None}
+        # the tokens json writes for non-finite floats become null
+        payload = json.loads(json.dumps(payload, default=dt.date.isoformat),
+                             parse_constant=lambda _: None)
         with open(report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True,
-                      default=dt.date.isoformat)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")

@@ -14,7 +14,7 @@ import numpy as np
 
 import datetime as dt
 
-from .cells import CellKind, cell_gradient, cell_init, cell_step, new_state
+from .cells import CellKind, cell_init, cell_step, new_state
 from .errors import ConfigError
 from .network import (
     HEAD_SIZE,
@@ -157,10 +157,11 @@ def check_cell(
         return sum(float(w @ y) for w, y in zip(weights, ys))
 
     def gradient():
-        param_grads, input_grads = cell_gradient(params, inputs, dilation, weights)
-        for t, g in enumerate(input_grads):
-            param_grads[f"x[{t}]"] = g
-        return param_grads
+        tape, state = Tape(), new_state(params, dilation)
+        cell_step(params, state, np.stack(inputs), dilation, tape)
+        dxs = tape.backward(state, weights)
+        return dict(params.named_arrays(blocks=tape.grads(params.blocks()))
+                    + [(f"x[{t}]", g) for t, g in enumerate(dxs)])
 
     blocks = params.named_arrays() + [(f"x[{t}]", x) for t, x in enumerate(inputs)]
     tolerance = SINGLE_STEP_TOL if steps == 1 else MULTI_STEP_TOL

@@ -129,29 +129,28 @@ class TrainRecipe:
 
 
 class Adam:
-    """Adam with bias correction, updating (key, array) pairs in place;
-    the trainer keys the model's stacked blocks by position."""
+    """Adam with bias correction, updating a list of arrays in place; a
+    step's gradients are a list in the same order."""
 
     def __init__(self, arrays, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.arrays = list(arrays)
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.step_count = 0
-        self._m = {name: np.zeros_like(arr) for name, arr in self.arrays}
-        self._v = {name: np.zeros_like(arr) for name, arr in self.arrays}
+        self._m = [np.zeros_like(arr) for arr in self.arrays]
+        self._v = [np.zeros_like(arr) for arr in self.arrays]
         # one scratch pair for every block, sized to the largest
-        size = max((arr.size for _, arr in self.arrays), default=0)
+        size = max((arr.size for arr in self.arrays), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, grads: dict, lr: float):
+    def step(self, grads: list, lr: float):
         """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
         ``arr -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, evaluated in place
         in that order."""
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for name, arr in self.arrays:
-            g = grads[name]
-            m, v = self._m[name], self._v[name]
+        for arr, g, m, v in zip(self.arrays, grads, self._m, self._v,
+                                strict=True):
             s, t = (buf[:arr.size].reshape(arr.shape) for buf in self._scratch)
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, g, out=s)
@@ -176,12 +175,12 @@ def _squared_norm(arrays) -> float:
     return total
 
 
-def clip_global_norm(grads: dict, max_norm: float | None) -> float:
-    """Scale the whole gradient dict in place; returns the pre-clip norm."""
-    norm = float(np.sqrt(_squared_norm(grads.values())))
+def clip_global_norm(grads: list, max_norm: float | None) -> float:
+    """Scale the whole gradient list in place; returns the pre-clip norm."""
+    norm = float(np.sqrt(_squared_norm(grads)))
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
-        for g in grads.values():
+        for g in grads:
             g *= scale
     return norm
 
@@ -271,7 +270,7 @@ def _window_group_update(model, optimizer, data, ranges, states, lr,
     seed = np.zeros((len(rows), len(ranges), heads.shape[-1]))
     seed[days, series] = np.concatenate(composite_loss_grad(
         target, point, lower, upper, loss_config), axis=-1) / pairs
-    grads = dict(enumerate(model_backward(model, states, tape, seed)))
+    grads = model_backward(model, states, tape, seed)
     clip_global_norm(grads, clip_norm)
     optimizer.step(grads, lr)
     return loss_sum, pairs
@@ -293,8 +292,7 @@ def train(data: TrainingSet, config: ModelConfig, recipe: TrainRecipe,
     rng = np.random.default_rng(seed)
     model = model_build(config, rng)
     blocks = model.blocks()
-    optimizer = Adam(enumerate(blocks), recipe.beta1, recipe.beta2,
-                     recipe.epsilon)
+    optimizer = Adam(blocks, recipe.beta1, recipe.beta2, recipe.epsilon)
     series_ids = data.series_ids
     windows = series_windows(data, recipe.window_days)
     epoch_losses = []
@@ -343,8 +341,8 @@ def train_ensemble(data: TrainingSet, config: ModelConfig,
 
 
 def forecast(ensemble: EnsembleModel, series: HourlySeries,
-             target_date: dt.date, *, warmup_days: int = WARMUP_DAYS,
-             label: str | None = None) -> ForecastRecord:
+             target_date: dt.date, *, label: str | None = None
+             ) -> ForecastRecord:
     """Member-mean day-ahead forecast in MW: the one-day case of
     :func:`forecast_range`.
 
@@ -352,7 +350,7 @@ def forecast(ensemble: EnsembleModel, series: HourlySeries,
     when ``target_date`` has no input.
     """
     records = forecast_range(ensemble, series, target_date, target_date,
-                             warmup_days=warmup_days, label=label)
+                             label=label)
     if not records:  # raise why the day was skipped
         start = series.day_start_index(target_date) - HOURS_PER_WEEK
         standardize_week(series.window(start, HOURS_PER_WEEK))
@@ -360,13 +358,12 @@ def forecast(ensemble: EnsembleModel, series: HourlySeries,
 
 
 def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
-                   last_date: dt.date, *, warmup_days: int = WARMUP_DAYS,
-                   label: str | None = None) -> list:
+                   last_date: dt.date, *, label: str | None = None) -> list:
     """Member-mean forecasts in MW for every buildable day in the inclusive
     date range, of one :class:`HourlySeries` or of each of a sequence, in
     series order, then date order.
 
-    Stretches are rows: each run of buildable days from ``warmup_days``
+    Stretches are rows: each run of buildable days from :data:`WARMUP_DAYS`
     days before ``first_date`` on, less those ending before ``first_date``,
     is one row of a batch from t = 0 (its days before ``first_date`` warm
     up), a short row repeating its last day as training pads its windows.
@@ -380,7 +377,7 @@ def forecast_range(ensemble: EnsembleModel, series, first_date: dt.date,
         label = ensemble.config.cell_variant
     series = [series] if isinstance(series, HourlySeries) else list(series)
     first = first_date.toordinal()
-    built = [build_extended_input(s, max(first - warmup_days, 1),
+    built = [build_extended_input(s, max(first - WARMUP_DAYS, 1),
                                   last_date.toordinal()) for s in series]
     index = np.repeat(np.arange(len(series)), [len(d) for d, _ in built])
     if not len(index):

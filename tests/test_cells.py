@@ -17,7 +17,6 @@ from loadcast.cells import (
     CellKind,
     CellState,
     Connection,
-    cell_gradient,
     cell_init,
     cell_layout,
     cell_step,
@@ -1073,12 +1072,22 @@ def test_named_arrays_cover_all_gates():
 
 
 def test_cell_gradient_shapes_and_determinism():
+    # the sweep gradcheck.check_cell runs: one window on a fresh tape, its
+    # parameter gradients named like the parameters
     params, _ = cell_init(CellKind.DRNN, 3, hidden_size=2, out_size=2, seed=33)
     rng = np.random.default_rng(9)
-    xs = [rng.normal(size=3) for _ in range(5)]
+    xs = rng.normal(size=(5, 3))
     ups = [rng.normal(size=2) for _ in range(5)]
-    g1, gi1 = cell_gradient(params, xs, 2, ups)
-    g2, gi2 = cell_gradient(params, xs, 2, ups)
+
+    def sweep(window):
+        tape, state = Tape(), new_state(params, 2)
+        cell_step(params, state, window, 2, tape)
+        dxs = tape.backward(state, ups)
+        return dict(params.named_arrays(
+            blocks=tape.grads(params.blocks()))), dxs
+
+    g1, gi1 = sweep(xs)
+    g2, gi2 = sweep(xs)
     shapes = dict(params.named_arrays())
     assert set(g1) == set(shapes)
     for name in g1:
@@ -1087,11 +1096,8 @@ def test_cell_gradient_shapes_and_determinism():
     assert len(gi1) == 5
     for a, b in zip(gi1, gi2):
         np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        cell_gradient(params, xs, 2, ups[:-1])
-    # one array passed at two steps still gets one gradient per step
-    _, gi_shared = cell_gradient(params, [xs[0]] * 5, 2, ups)
-    _, gi_copies = cell_gradient(params, [xs[0].copy() for _ in range(5)], 2,
-                                 ups)
-    for a, b in zip(gi_shared, gi_copies):
+    # one array read at every step gets the input gradients of copies
+    _, gi_shared = sweep(np.broadcast_to(xs[0], xs.shape))
+    _, gi_copies = sweep(np.stack([xs[0].copy() for _ in range(5)]))
+    for a, b in zip(gi_shared, gi_copies, strict=True):
         np.testing.assert_array_equal(a, b)

@@ -197,6 +197,20 @@ def test_export_bytes_equal_the_per_row_writer(tmp_path):
         tmp_path / "rows.csv").read_bytes()
 
 
+def test_export_quotes_each_id_as_the_per_row_writer(tmp_path):
+    # an empty id (which ingest refuses, but a store holds), ids the
+    # writer quotes and ids it leaves bare
+    store = DatasetStore()
+    for i, sid in enumerate(["", " lead", 'q"', "a\rb", "é,", "plain"]):
+        values = np.array([1.5, np.nan, 2.0 + i])
+        store.series[sid] = HourlySeries(sid, dt.datetime(2024, 1, 1, i),
+                                         values, np.isnan(values))
+    export_csv(store, tmp_path / "bulk.csv")
+    per_row_export(store, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (
+        tmp_path / "rows.csv").read_bytes()
+
+
 @st.composite
 def gappy_stores(draw):
     store = DatasetStore()

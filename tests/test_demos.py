@@ -3,6 +3,9 @@ package."""
 
 import re
 import runpy
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,23 @@ def test_digests_tool_repeats_one_digest_per_artefact(capsys):
     assert {"losses.lstm2", "model.adrnn", "forecast.adrnn",
             "check_model.lstm2", "check_cell.adrnn.d2.t3", "cli.m.model",
             "cli.f.csv", "cli.report/report.json"} <= set(names)
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (ROOT / ".git").exists(),
+    reason="needs git and the repository's history")
+def test_digests_tool_reports_each_artefact_once_against_a_revision(capsys):
+    main = runpy.run_path(str(ROOT / "tools" / "digests.py"))["main"]
+    assert main(["--tiny"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "digests.py"),
+                          "--tiny", "--against", "HEAD"],
+                         capture_output=True, text=True)
+    assert run.returncode in (0, 1), run.stderr
+    lines = run.stdout.splitlines()
+    assert all(re.fullmatch(r"\S+ (same|differs|only here|only in HEAD)",
+                            line) for line in lines)
+    reported = [line.split()[0] for line in lines]
+    assert len(set(reported)) == len(reported)
+    assert set(names) <= set(reported)
+    assert run.returncode == any(line.endswith(" differs") for line in lines)

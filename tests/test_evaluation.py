@@ -432,6 +432,38 @@ def test_report_summary_aggregates_per_series_scores(tmp_path):
         scored[0][name] for name in rows[0][2:-1]]
 
 
+def strict_json(path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def test_report_json_writes_non_finite_floats_as_null(tmp_path):
+    # two models over 20 common days, fewer than GW_MIN_DAYS: every
+    # off-diagonal p-value is NaN; the CSV keeps repr's ``nan``
+    start = dt.date(2024, 6, 1)
+    days = [start + dt.timedelta(days=i) for i in range(20)]
+    series = {"s1": make_series("s1", start, np.full(24 * 20, 100.0))}
+    records = {label: [day_record("s1", d, 100.0 + shift, model=label)
+                       for d in days] for label, shift in (("a", 1.0),
+                                                           ("b", 2.0))}
+    write_report(build_report(records, series, 0.1, (days[0], days[-1])),
+                 tmp_path)
+    gw = strict_json(tmp_path / "report.json")["gw"]
+    assert gw["matrix"] == {"a": {"a": 1.0, "b": None},
+                            "b": {"a": None, "b": 1.0}}
+    with open(tmp_path / "gw_matrix.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["a", "1.0", "nan"]
+    # a tiny alpha overflows 2/alpha: an infinite Winkler score
+    records = {"m": [day_record("s1", start, 100.0, lower=110.0, upper=120.0)]}
+    write_report(build_report(records, series, 1e-310, (start, start)),
+                 tmp_path)
+    summary = strict_json(tmp_path / "report.json")["models"]["m"]["summary"]
+    assert summary["winkler_normalized"] is None
+    assert summary["mape"] == 0.0
+
+
 def test_failed_report_write_leaves_previous_report(tmp_path, monkeypatch):
     write_report(three_series_report(), tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

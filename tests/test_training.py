@@ -108,9 +108,9 @@ def test_adam_matches_scalar_reference_on_quadratic_bowl():
     curv = np.array([1.0, 4.0, 0.5, 2.0])
     target = np.array([3.0, -1.0, 0.5, 2.5])
     x = np.array([0.0, 0.0, 0.0, 0.0])
-    opt = Adam([("x", x)])
+    opt = Adam([x])
     for _ in range(100):
-        opt.step({"x": 2.0 * curv * (x - target)}, lr=0.05)
+        opt.step([2.0 * curv * (x - target)], lr=0.05)
 
     ref = scalar_adam([0.0] * 4,
                       lambda xs: [2.0 * c * (xi - ti)
@@ -122,8 +122,8 @@ def test_adam_matches_scalar_reference_on_quadratic_bowl():
 
 def test_adam_first_step_is_lr_sized():
     x = np.array([5.0, -5.0])
-    opt = Adam([("x", x)])
-    opt.step({"x": np.array([40.0, -0.003])}, lr=0.1)
+    opt = Adam([x])
+    opt.step([np.array([40.0, -0.003])], lr=0.1)
     # bias correction makes the first step ~lr regardless of gradient size
     np.testing.assert_allclose(x, [4.9, -4.9], rtol=1e-6)
 
@@ -135,10 +135,10 @@ def test_adam_in_place_step_equals_the_expression_bitwise():
     ref = [a.copy() for a in arrays]
     m = [np.zeros_like(a) for a in ref]
     v = [np.zeros_like(a) for a in ref]
-    opt = Adam(enumerate(arrays), beta1=0.8, beta2=0.99, epsilon=1e-7)
+    opt = Adam(arrays, beta1=0.8, beta2=0.99, epsilon=1e-7)
     for step in range(1, 4):
         grads = [rng.normal(size=a.shape) for a in arrays]
-        opt.step(dict(enumerate(grads)), lr=0.01)
+        opt.step(grads, lr=0.01)
         bc1, bc2 = 1.0 - 0.8 ** step, 1.0 - 0.99 ** step
         for a, mk, vk, g in zip(ref, m, v, grads):
             mk *= 0.8
@@ -152,18 +152,24 @@ def test_adam_in_place_step_equals_the_expression_bitwise():
 
 def test_clip_global_norm():
     g1 = np.array([3.0, 4.0])
-    grads = {"a": g1}
+    grads = [g1]
     norm = clip_global_norm(grads, max_norm=10.0)
     assert norm == 5.0
-    np.testing.assert_array_equal(grads["a"], [3.0, 4.0])  # under the cap
+    np.testing.assert_array_equal(grads[0], [3.0, 4.0])  # under the cap
 
     norm = clip_global_norm(grads, max_norm=1.0)
     assert norm == 5.0
-    np.testing.assert_allclose(np.linalg.norm(grads["a"]), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(grads[0]), 1.0, rtol=1e-12)
 
-    big = {"a": np.full(100, 50.0)}
+    big = [np.full(100, 50.0)]
     assert clip_global_norm(big, max_norm=None) == pytest.approx(500.0)
-    np.testing.assert_array_equal(big["a"], 50.0)  # None disables clipping
+    np.testing.assert_array_equal(big[0], 50.0)  # None disables clipping
+
+
+def test_adam_refuses_a_gradient_list_of_another_length():
+    opt = Adam([np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError):
+        opt.step([np.ones(2)], lr=0.1)
 
 
 # -- windowing -------------------------------------------------------------
@@ -253,6 +259,28 @@ def test_training_is_deterministic_and_seed_sensitive():
     assert all(arr_a.shape == arr_c.shape
                for (_, arr_a), (_, arr_c) in zip(a.model.named_arrays(),
                                                  c.model.named_arrays()))
+
+
+def test_window_group_updates_land_in_the_model_blocks(monkeypatch):
+    # the optimizer holds the model's own blocks, and a step's gradients
+    # are model_backward's list in the same order
+    update = training._window_group_update
+    seen = []
+
+    def spy(model, optimizer, *args):
+        before = [block.copy() for block in model.blocks()]
+        out = update(model, optimizer, *args)
+        assert all(arr is block for arr, block in zip(
+            optimizer.arrays, model.blocks(), strict=True))
+        seen.append([not np.array_equal(block, old)
+                     for block, old in zip(model.blocks(), before)])
+        return out
+
+    monkeypatch.setattr(training, "_window_group_update", spy)
+    data = build_training_set([wave_series(days=20)])
+    result = train(data, desk_config(), quick_recipe((0,)), seed=0)
+    assert len(seen) == result.update_count == 2
+    assert all(all(moved) for moved in seen)
 
 
 def test_divergence_guard_raises():
@@ -367,15 +395,15 @@ def test_decoding_commutes_with_member_average():
     ens = train_ensemble(data, config, quick_recipe((0, 1)))
     series = wave_series(days=20, noise=2.0)
     day = dt.date(2024, 1, 19)
-    rec = forecast(ens, series, day, warmup_days=5)
+    rec = forecast(ens, series, day)
 
     start = series.day_start_index(day)
     _, coding = standardize_week(series.window(start - 168, 168))
-    days, ext = build_extended_input(series, day.toordinal() - 5,
+    days, ext = build_extended_input(series, day.toordinal() - WARMUP_DAYS,
                                      day.toordinal())
-    assert len(days) == 6
-    raw_points = [model_unroll(member, model_new_state(member), ext)[5, :HORIZON]
-                  for member in ens.members]
+    assert len(days) == 12  # the warm-up from Jan 8, the first buildable day
+    raw_points = [model_unroll(member, model_new_state(member),
+                               ext)[-1, :HORIZON] for member in ens.members]
     averaged_then_decoded = decode_day(np.mean(raw_points, axis=0), coding)
     np.testing.assert_allclose(rec.point, averaged_then_decoded,
                                rtol=1e-10, atol=1e-10)
@@ -622,9 +650,6 @@ def test_warmup_is_clipped_and_shorter_when_history_runs_out(builder_calls):
     forecast_range(ens, series, first, first)
     assert builder_calls == [
         ("s1", first - dt.timedelta(days=WARMUP_DAYS), first)]
-    builder_calls.clear()
-    forecast_range(ens, series, first, first, warmup_days=5)
-    assert builder_calls == [("s1", first - dt.timedelta(days=5), first)]
     builder_calls.clear()
     # the warm-up starts at Jan 8, the first day with a week of data
     first = dt.date(2024, 1, 20)

@@ -22,6 +22,16 @@ and exits 1 if it cannot.  Run it in each checkout and diff::
     python tools/digests.py > a.txt
     diff a.txt b.txt
 
+or let it do both, against any git revision of this repository::
+
+    python tools/digests.py --against HEAD
+
+which extracts the revision with ``git archive`` into a temporary directory,
+runs that revision's own ``tools/digests.py`` there (with ``--tiny`` when
+given) under this process's BLAS thread count, and prints one ``name
+status`` line per artefact of either side: ``same``, ``differs``, ``only
+here`` or ``only in REV``.  It exits 0 when no artefact differs, else 1.
+
 ``--tiny`` makes the same artefacts at toy sizes, in about a second.
 """
 
@@ -35,6 +45,7 @@ import hashlib
 import io
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -204,18 +215,67 @@ def cli_digests(size: dict, workdir: Path):
             yield f"cli.{path.relative_to(workdir)}", sha(path.read_bytes())
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tiny", action="store_true",
-                        help="toy sizes, for a smoke test")
-    size = SIZES[parser.parse_args(argv).tiny]
+def digests(size: dict) -> list:
+    """Every artefact's ``(name, digest)``, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         models, run = Path(tmp, "models"), Path(tmp, "cli")
         models.mkdir()
         run.mkdir()
-        for name, digest in (*model_digests(size, models),
-                             *check_digests(size), *cli_digests(size, run)):
-            print(name, digest)
+        return [*model_digests(size, models), *check_digests(size),
+                *cli_digests(size, run)]
+
+
+def checked_run(argv, **kwargs) -> bytes:
+    """The output of the command ``argv``; exits if it fails."""
+    done = subprocess.run(argv, capture_output=True, **kwargs)
+    if done.returncode:
+        raise SystemExit(f"digests: {argv[0]} failed: "
+                         f"{done.stderr.decode(errors='replace')}")
+    return done.stdout
+
+
+def revision_digests(rev: str, tiny: bool) -> list:
+    """The ``(name, digest)`` pairs that ``rev``'s own digests script
+    prints, run in a ``git archive`` of ``rev``."""
+    root = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        tar = checked_run(["git", "-C", str(root), "archive", "--format=tar",
+                           "--end-of-options", rev])
+        checked_run(["tar", "-x", "-C", tmp], input=tar)
+        out = checked_run([sys.executable, str(Path("tools", "digests.py")),
+                           *(["--tiny"] if tiny else [])], cwd=tmp)
+    return [tuple(line.split()) for line in out.decode().splitlines()]
+
+
+def compare(here: list, there: list, rev: str) -> int:
+    """Print each artefact name of either side once, with its status;
+    1 if any artefact differs, else 0."""
+    ours, theirs = dict(here), dict(there)
+    statuses = {}
+    for name in [*ours, *(n for n in theirs if n not in ours)]:
+        if name not in theirs:
+            statuses[name] = "only here"
+        elif name not in ours:
+            statuses[name] = f"only in {rev}"
+        else:
+            statuses[name] = ("same" if ours[name] == theirs[name]
+                              else "differs")
+        print(name, statuses[name])
+    return int("differs" in statuses.values())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tiny", action="store_true",
+                        help="toy sizes, for a smoke test")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the digests of git revision REV")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        there = revision_digests(args.against, args.tiny)
+        return compare(digests(SIZES[args.tiny]), there, args.against)
+    for name, digest in digests(SIZES[args.tiny]):
+        print(name, digest)
     return 0
 
 
